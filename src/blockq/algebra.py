@@ -339,11 +339,9 @@ class CompiledAlgebra:
             self.pair[key] = self._compile(rule)
 
         if self.generic:
-            self.vzero = (0,) * (self.D + 1)
             self.vmul, self.vadd, self.vsub = _tup_mul, _tup_add, _tup_sub
             self.vneg, self.vis_zero = _tup_neg, _tup_is_zero
         else:
-            self.vzero = 0
             self.vmul, self.vadd, self.vsub = _int_mul, _int_add, _int_sub
             self.vneg, self.vis_zero = _int_neg, _int_is_zero
 
@@ -369,14 +367,6 @@ class CompiledAlgebra:
             body = " + ".join(parts) if parts else "0"
         fn = eval("lambda m,i,n,j: " + body, {"__builtins__": {}}, {})  # noqa: S307 - self-generated source
         return fn
-
-    def coeff(self, pa: Parity, pb: Parity, ma: int, ia: int, nb: int, jb: int):
-        fn = self.pair.get((pa, pb))
-        if fn is None:
-            raise UnknownParityPair(
-                f"algebra {self.spec.name!r} has no rule for parities "
-                f"({parity_name(pa)}, {parity_name(pb)})")
-        return fn(ma, ia, nb, jb)
 
     def to_scalar(self, v) -> Scalar:
         """Divide the uniform scale back out, returning the true coefficient."""
@@ -463,10 +453,6 @@ class _ViolationLog:
     def __init__(self):
         self.items: list[dict] = []
         self.total = 0
-
-    @property
-    def full(self) -> bool:
-        return len(self.items) >= MAX_REPORT_VIOLATIONS
 
     def record(self, indices: Iterable[BasisIndex], lhs, rhs) -> None:
         self.total += 1

@@ -14,23 +14,36 @@ those truncation artifacts by intersecting restrictions of null spaces from
 nested windows.
 
 Row coefficients are stored denominator-cleared (see CompiledAlgebra); the
-null space is unaffected by row scaling and is computed exactly over the
-active field, in canonical reduced echelon form with unknowns ordered
-(parity, m, i) lexicographically.
+null space is unaffected by row scaling.  It is solved in three steps:
+
+* zero propagation: a row with one live unknown forces that unknown to zero;
+* a rank bound: a row-echelon pass modulo a word-size prime (generic rows
+  evaluated at a fixed q0 first) picks r independent rows.  Reducing mod p
+  and specialising q can only lower rank, so the exact rank is at least r;
+  when r equals the number of live unknowns the kernel is zero, proved;
+* an exact solve over the active field on those r rows only, certified by
+  checking every residual row against every kernel vector in integer
+  arithmetic.  If one row fails, the mod-p rank fell short, and all rows
+  are solved exactly instead.
+
+Either way the result is the same exact space, returned in canonical reduced
+echelon form with unknowns ordered (parity, m, i) lexicographically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, Parity, SparseVector,
-                      VerificationReport, Window, _ViolationLog, bracket_basis,
-                      bracket_vec, parity_name)
+from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, CompiledAlgebra, Parity,
+                      SparseVector, VerificationReport, Window, _ViolationLog,
+                      bracket_basis, bracket_vec, parity_name)
 from .errors import (IntegralityViolation, OddMapOnNonSuper, UnknownMapName,
                      WrongQ)
-from .scalars import RatFunc, Poly, Scalar, format_scalar, from_fraction, inv, scalar_one
+from .scalars import (RatFunc, Poly, Scalar, format_scalar, from_fraction, inv,
+                      poly_gcd, scalar_one)
 
 
 @dataclass(frozen=True)
@@ -307,6 +320,126 @@ def _propagate_zeros(n: int, rows: list[Row]) -> bytearray:
     return forced
 
 
+# --- certified modular rank bound ----------------------------------------------------
+
+# Residual rows are reduced modulo _PRIME, generic rows after evaluation at
+# q = _Q0.  _PRIME stays below 2**31, so a product of two residues stays
+# below 2**62 and never grows into a multi-word int.
+_PRIME = 2**31 - 1
+_Q0 = 1_000_003
+
+
+def _sub_multiple_mod(row: dict[int, int], f: int, src: dict[int, int], p: int) -> None:
+    """row -= f * src modulo p, in place, dropping entries that become zero."""
+    for c, v in src.items():
+        t = (row.get(c, 0) - f * v) % p
+        if t:
+            row[c] = t
+        else:
+            del row[c]
+
+
+def _modp_pivot_rows(rows: list[list[tuple[int, object]]], generic: bool,
+                     ncols: int) -> list[int]:
+    """Indices of the rows that become pivots in a reduced row-echelon pass mod _PRIME.
+
+    Stops at full column rank.  Their number r bounds the exact rank from
+    below: an r x r minor that is nonzero mod _PRIME at q = _Q0 is nonzero
+    over Q, and over Q(q).  Pivot rows are kept mutually reduced, so a new
+    row needs one pass over the pivot rows of its own columns.
+    """
+    p, q0 = _PRIME, _Q0
+    pivots: dict[int, dict[int, int]] = {}
+    chosen: list[int] = []
+    for k, entries in enumerate(rows):
+        row = {}
+        for u, v in entries:
+            if generic:
+                acc = 0
+                for c in reversed(v):
+                    acc = (acc * q0 + c) % p
+                v = acc
+            else:
+                v %= p
+            if v:
+                row[u] = v
+        for u in [u for u in row if u in pivots]:
+            _sub_multiple_mod(row, row[u], pivots[u], p)
+        if not row:
+            continue
+        piv = min(row)
+        f = pow(row[piv], -1, p)
+        new = {c: v * f % p for c, v in row.items()}
+        for prow in pivots.values():
+            g = prow.get(piv)
+            if g:
+                _sub_multiple_mod(prow, g, new, p)
+        pivots[piv] = new
+        chosen.append(k)
+        if len(chosen) == ncols:
+            break
+    return chosen
+
+
+def _integral(vec: dict, generic: bool) -> dict:
+    """A nonzero multiple of `vec` in raw form: ints, or int q-coefficient tuples."""
+    if generic:
+        den = Poly.const(1)
+        for v in vec.values():
+            if not v.den.is_one:
+                den = den * v.den.divmod(poly_gcd(den, v.den))[0]
+        nums = {u: v.num * den.divmod(v.den)[0] for u, v in vec.items()}
+        m = lcm(*(c.denominator for poly in nums.values() for c in poly.coeffs))
+        return {u: tuple((c * m).numerator for c in poly.coeffs)
+                for u, poly in nums.items()}
+    m = lcm(*(v.denominator for v in vec.values()))
+    return {u: (v * m).numerator for u, v in vec.items()}
+
+
+def _vanishes_on(rows: list[list[tuple[int, object]]], vecs: list[dict],
+                 comp: CompiledAlgebra) -> bool:
+    """Whether every raw row is orthogonal to every vector, in exact integer arithmetic."""
+    vmul, vadd, is0 = comp.vmul, comp.vadd, comp.vis_zero
+    for vec in vecs:
+        ivec = _integral(vec, comp.generic)
+        for entries in rows:
+            acc = None
+            for u, v in entries:
+                w = ivec.get(u)
+                if w is not None:
+                    t = vmul(v, w)
+                    acc = t if acc is None else vadd(acc, t)
+            if acc is not None and not is0(acc):
+                return False
+    return True
+
+
+def _certified_kernel(rows: list[list[tuple[int, object]]], cols: list[int],
+                      comp: CompiledAlgebra) -> list[dict]:
+    """Canonical null-space basis of raw rows, solved on the rows independent mod _PRIME.
+
+    Those r rows have exact rank r too, so their kernel contains the kernel
+    of all rows and has the largest dimension that kernel can have,
+    len(cols) - r.  When r = len(cols) the kernel is zero and nothing is
+    solved exactly.  Otherwise the kernel of the r rows is the answer once
+    every row vanishes on it; when one does not, the mod-p rank fell short
+    of the exact rank and all rows are solved exactly.
+    """
+    if comp.generic:
+        def lift(v):
+            return RatFunc(Poly(v))
+    else:
+        lift = Fraction
+    one = scalar_one(comp.spec.q)
+    pivot_rows = _modp_pivot_rows(rows, comp.generic, len(cols))
+    if len(pivot_rows) == len(cols):
+        return []
+    vecs = _kernel([{u: lift(v) for u, v in rows[k]} for k in pivot_rows], cols, one)
+    if _vanishes_on(rows, vecs, comp):
+        return vecs
+    return _kernel([{u: lift(v) for u, v in row} for row in rows], cols, one)
+
+
 @dataclass
 class NullSpaceBasis:
     """Exact solution space in canonical reduced echelon form.
@@ -348,21 +481,13 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
     comp = cs.algebra.compiled()
     n = len(cs.unknowns)
     forced = _propagate_zeros(n, cs.rows)
-
-    if comp.generic:
-        def lift(v):
-            return RatFunc(Poly(v))
-    else:
-        def lift(v):
-            return Fraction(v)
-
     residual = []
     for entries, _x, _y in cs.rows:
         live = [(u, v) for u, v in entries if not forced[u]]
         if len(live) >= 2:
-            residual.append({u: lift(v) for u, v in live})
+            residual.append(live)
     survivors = [u for u in range(n) if not forced[u]]
-    vecs = _kernel(residual, survivors, scalar_one(cs.algebra.q))
+    vecs = _certified_kernel(residual, survivors, comp)
     tables = [{cs.unknowns[u]: v for u, v in vec.items()} for vec in vecs]
     tables = _rref_vectors(tables)
     return NullSpaceBasis(dimension=len(tables), degree=cs.degree,

@@ -352,10 +352,6 @@ def specialize_q(x: RatFunc | Poly, q0: Fraction | int) -> Fraction:
     return x.specialize(q0)
 
 
-def scalar_zero(q: Fraction | None) -> Scalar:
-    return _ZERO if q is not None else RatFunc(_P_ZERO)
-
-
 def scalar_one(q: Fraction | None) -> Scalar:
     return _ONE if q is not None else RatFunc(_P_ONE)
 

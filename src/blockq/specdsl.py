@@ -409,10 +409,6 @@ def make_algebra(sf: SpecFile, q: Fraction | None) -> AlgebraSpec:
     return AlgebraSpec(name=sf.name, is_super=sf.is_super, q=q, rules=rules)
 
 
-def load_spec_file(path_or_text: str) -> SpecFile:
-    return parse_spec(path_or_text)
-
-
 # --- built-in algebras ----------------------------------------------------------
 
 def _expr_B() -> Expr:

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, SparseVector,
-                      VerificationReport, Window, _ViolationLog, bracket_basis,
-                      bracket_vec, index_from_json)
+from .algebra import (EVEN, MAX_REPORT_VIOLATIONS, ODD, AlgebraSpec, BasisIndex,
+                      SparseVector, VerificationReport, Window, _ViolationLog,
+                      bracket_basis, bracket_vec, index_from_json)
 from .errors import NonHomogeneousMultiplication, WrongQ
 from .halfder import GradedMap, MapDegree, check_map
 from .scalars import (Scalar, format_scalar, from_fraction, parse_scalar,
@@ -296,7 +296,7 @@ def verify_left_multiplications(alg: AlgebraSpec, prod: ProductTable,
         rep = check_map(alg, lm, w)
         checked += rep.checked
         total += rep.total_violations
-        violations.extend(rep.violations[:max(0, 100 - len(violations))])
+        violations.extend(rep.violations[:max(0, MAX_REPORT_VIOLATIONS - len(violations))])
         details.append({"z": z.json(), "degree": str(lm.degree),
                         "pass": rep.passed})
     report = VerificationReport(checked=checked, passed=total == 0,

@@ -2,16 +2,21 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blockq import halfder
 from blockq.algebra import EVEN, ODD, BasisIndex, Window
 from blockq.errors import (IntegralityViolation, OddMapOnNonSuper,
                            UnknownMapName, WrongQ)
 from blockq.halfder import (ConstraintSystem, GradedMap, MapDegree,
-                            build_constraints, builtin_map, check_map, classify,
-                            null_space, stabilize)
-from blockq.scalars import RatFunc, specialize_q
+                            _kernel, _rref_vectors, build_constraints,
+                            builtin_map, check_map, classify, null_space,
+                            stabilize)
+from blockq.scalars import Poly, RatFunc, scalar_one, specialize_q
 from blockq.specdsl import builtin_algebra
 
 L = lambda m, i: BasisIndex(EVEN, m, i)
@@ -140,6 +145,89 @@ class TestNullSpace:
                 acc = sum(c * restricted.get(u, Fraction(0))
                           for u, c in row.items())
                 assert acc == 0
+
+
+def _raw_value(generic: bool):
+    """Nonzero raw row coefficients: ints, or int q-coefficient tuples."""
+    if generic:
+        return st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any).map(tuple)
+    return st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def sparse_systems(draw):
+    generic = draw(st.booleans())
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, n - 1), _raw_value(generic),
+                        min_size=1, max_size=3),
+        max_size=12))
+    return generic, n, [tuple(sorted(row.items())) for row in rows]
+
+
+def _spy_kernel(monkeypatch) -> list[int]:
+    """Record how many rows each exact `_kernel` call in halfder receives."""
+    calls: list[int] = []
+
+    def spy(rows, cols, one):
+        rows = list(rows)
+        calls.append(len(rows))
+        return _kernel(rows, cols, one)
+
+    monkeypatch.setattr(halfder, "_kernel", spy)
+    return calls
+
+
+class TestCertifiedNullSpace:
+    @settings(max_examples=300, deadline=None)
+    @given(system=sparse_systems(), prime=st.sampled_from([2**31 - 1, 3, 2]))
+    def test_matches_plain_exact_kernel(self, system, prime):
+        # small primes lose rank mod p often, which drives the fallback too
+        generic, n, entries = system
+        alg = builtin_algebra("B", None if generic else Fraction(1))
+        unknowns = [L(0, i) for i in range(n)]
+        cs = ConstraintSystem(algebra=alg, degree=MapDegree(EVEN, 0, 0),
+                              window=Window(1, n), unknowns=unknowns,
+                              rows=[(e, L(0, 0), L(0, 0)) for e in entries])
+        with mock.patch.object(halfder, "_PRIME", prime):
+            got = null_space(cs)
+        lift = (lambda v: RatFunc(Poly(v))) if generic else Fraction
+        plain = _kernel([{u: lift(v) for u, v in e} for e in entries], range(n),
+                        scalar_one(alg.q))
+        expected = _rref_vectors([{unknowns[u]: v for u, v in vec.items()}
+                                  for vec in plain])
+        assert got.vectors == expected
+        assert got.dimension == len(expected)
+
+    @pytest.mark.parametrize("q,deg,w", [
+        (Fraction(2), MapDegree(EVEN, 0, 2), Window(3, 4)),
+        (None, MapDegree(EVEN, 0, 0), Window(3, 3)),
+    ])
+    def test_rank_lost_mod_p_falls_back_to_all_rows(self, monkeypatch, q, deg, w):
+        cs = build_constraints(builtin_algebra("B", q), deg, w)
+        expected = null_space(cs)
+        calls = _spy_kernel(monkeypatch)
+        monkeypatch.setattr(halfder, "_PRIME", 2)
+        got = null_space(cs)
+        assert got.vectors == expected.vectors
+        # the independent rows mod 2 gave too large a kernel; every row was solved
+        assert len(calls) == 2 and calls[0] < calls[1]
+
+    def test_zero_kernel_proved_mod_p(self, monkeypatch):
+        cs = build_constraints(builtin_algebra("B", None), MapDegree(EVEN, 0, 1),
+                               Window(3, 4))
+        bounds = []
+        modp = halfder._modp_pivot_rows
+
+        def spy(rows, generic, ncols):
+            bounds.append(ncols)
+            return modp(rows, generic, ncols)
+
+        monkeypatch.setattr(halfder, "_modp_pivot_rows", spy)
+        calls = _spy_kernel(monkeypatch)
+        assert null_space(cs).dimension == 0
+        assert bounds[0] > 0  # unknowns survived zero propagation
+        assert calls == []
 
 
 class TestStabilize:
