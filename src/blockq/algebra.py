@@ -5,26 +5,30 @@ coefficients are polynomials in the source indices (m, i, n, j) and the
 parameter q.  Brackets are total on Z x Z indices; a `Window` only limits
 which identities get enumerated, never the evaluation itself.
 
-Two evaluation layers coexist:
+The antisymmetry, Jacobi, half-derivation and Hom-Lie checks, and the
+null-space solver, run on the compiled layer (`CompiledAlgebra`).  It clears
+denominators once per algebra and evaluates every structure constant with
+plain integer arithmetic: ints in fixed-q mode, integer q-coefficient tuples
+in generic mode.  `CompiledAlgebra.raw` clears a scalar table (a map, or a
+kernel vector) onto the same layer, so these checks never mix the two.
 
-* a scalar layer (`bracket_basis`, `bracket_vec`) producing exact `Fraction`
-  or `RatFunc` coefficients, used for reports and as the reference oracle;
-* a compiled layer (`CompiledAlgebra`) that clears denominators once per
-  algebra and evaluates every structure constant with plain integer
-  arithmetic (integers in fixed-q mode, integer coefficient tuples in
-  generic mode).  All verification and solver loops run on this layer; a
-  uniform per-value scale factor den * b**D makes the results exact.
+The scalar layer (`bracket_basis`, `bracket_vec`, `jacobi_sides`) computes
+exact `Fraction` or `RatFunc` values.  For those checks it only formats the
+witnesses a report keeps (`_ViolationLog` asks for them while fewer than
+MAX_REPORT_VIOLATIONS are kept), and it serves as the reference oracle in
+tests.  The transposed Poisson product checks still evaluate on it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import UnknownParityPair
-from .scalars import Poly, RatFunc, Scalar, from_fraction, scalar_one
+from .scalars import Poly, RatFunc, Scalar, from_fraction, poly_gcd, scalar_one
 
 EVEN = 0
 ODD = 1
@@ -282,26 +286,6 @@ def _tup_is_zero(a: tuple) -> bool:
     return not any(a)
 
 
-def _int_mul(a: int, b: int) -> int:
-    return a * b
-
-
-def _int_sub(a: int, b: int) -> int:
-    return a - b
-
-
-def _int_add(a: int, b: int) -> int:
-    return a + b
-
-
-def _int_neg(a: int) -> int:
-    return -a
-
-
-def _int_is_zero(a: int) -> bool:
-    return not a
-
-
 class CompiledAlgebra:
     """Denominator-cleared structure constants for one algebra and one q mode.
 
@@ -342,8 +326,8 @@ class CompiledAlgebra:
             self.vmul, self.vadd, self.vsub = _tup_mul, _tup_add, _tup_sub
             self.vneg, self.vis_zero = _tup_neg, _tup_is_zero
         else:
-            self.vmul, self.vadd, self.vsub = _int_mul, _int_add, _int_sub
-            self.vneg, self.vis_zero = _int_neg, _int_is_zero
+            self.vmul, self.vadd, self.vsub = operator.mul, operator.add, operator.sub
+            self.vneg, self.vis_zero = operator.neg, operator.not_
 
     def _compile(self, rule: BracketRule) -> Callable:
         by_pow: list[dict[tuple[int, int, int, int], int]] = [dict() for _ in range(self.D + 1)]
@@ -373,6 +357,25 @@ class CompiledAlgebra:
         if self.generic:
             return RatFunc(Poly(Fraction(c, self.den) for c in v))
         return Fraction(v) / self.scale
+
+    def raw(self, table: dict) -> dict:
+        """A nonzero multiple of a scalar table, as ints or int q-coefficient tuples.
+
+        One common factor clears every denominator, so an identity that is
+        linear in the table vanishes on the result exactly where it vanishes
+        on the table.
+        """
+        if not self.generic:
+            m = lcm(*(v.denominator for v in table.values()))
+            return {k: (v * m).numerator for k, v in table.items()}
+        den = Poly.const(1)
+        for v in table.values():
+            if not v.den.is_one:
+                den = den * v.den.divmod(poly_gcd(den, v.den))[0]
+        nums = {k: v.num * den.divmod(v.den)[0] for k, v in table.items()}
+        m = lcm(*(c.denominator for poly in nums.values() for c in poly.coeffs))
+        return {k: tuple((c * m).numerator for c in poly.coeffs)
+                for k, poly in nums.items()}
 
 
 # --- scalar layer ------------------------------------------------------------
@@ -454,14 +457,9 @@ class _ViolationLog:
         self.items: list[dict] = []
         self.total = 0
 
-    def record(self, indices: Iterable[BasisIndex], lhs, rhs) -> None:
-        self.total += 1
-        if len(self.items) < MAX_REPORT_VIOLATIONS:
-            self.items.append({"indices": [idx.json() for idx in indices],
-                               "lhs": str(lhs), "rhs": str(rhs)})
-
-    def record_lazy(self, indices: Iterable[BasisIndex], detail) -> None:
-        """detail() -> (lhs, rhs), evaluated only while the log stores details."""
+    def record(self, indices: Iterable[BasisIndex],
+               detail: Callable[[], tuple[object, object]]) -> None:
+        """Count one violation; detail() -> (lhs, rhs) runs only while details are kept."""
         self.total += 1
         if len(self.items) < MAX_REPORT_VIOLATIONS:
             lhs, rhs = detail()
@@ -491,23 +489,20 @@ def verify_antisymmetry(alg: AlgebraSpec, w: Window) -> VerificationReport:
             cyx = pair[(py, px)](my, iy, mx, ix)
             resid = vsub(cxy, cyx) if (px & py) else vadd(cxy, cyx)
             if not vis_zero(resid):
-                lhs = bracket_basis(alg, x, y)
-                sign = 1 if (px & py) else -1
-                rhs = bracket_basis(alg, y, x).scale(from_fraction(sign, alg.q))
-                log.record((x, y), lhs, rhs)
+                log.record((x, y), lambda: (
+                    bracket_basis(alg, x, y),
+                    bracket_basis(alg, y, x).scale(
+                        from_fraction(1 if (px & py) else -1, alg.q))))
     return log.report(checked)
-
-
-def bracket_one(alg: AlgebraSpec) -> Scalar:
-    return scalar_one(alg.q)
 
 
 def jacobi_sides(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex,
                  z: BasisIndex) -> tuple[SparseVector, SparseVector]:
     """Scalar-layer evaluation of [x,[y,z]] and [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]."""
-    bx = SparseVector.basis(x, bracket_one(alg))
-    by = SparseVector.basis(y, bracket_one(alg))
-    bz = SparseVector.basis(z, bracket_one(alg))
+    one = scalar_one(alg.q)
+    bx = SparseVector.basis(x, one)
+    by = SparseVector.basis(y, one)
+    bz = SparseVector.basis(z, one)
     lhs = bracket_vec(alg, bx, bracket_vec(alg, by, bz))
     rhs = bracket_vec(alg, bracket_vec(alg, bx, by), bz)
     t2 = bracket_vec(alg, by, bracket_vec(alg, bx, bz))
@@ -546,6 +541,5 @@ def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
                     x = BasisIndex(px, mx, ix)
                     y = BasisIndex(py, my, iy)
                     z = BasisIndex(pz, mz, iz)
-                    lhs, rhs = jacobi_sides(alg, x, y, z)
-                    log.record((x, y, z), lhs, rhs)
+                    log.record((x, y, z), lambda: jacobi_sides(alg, x, y, z))
     return log.report(checked)

@@ -17,9 +17,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import Window, parity_from_name, verify_antisymmetry, verify_jacobi
-from .errors import (BlockqError, IntegralityViolation, ModeMismatch,
-                     NonHomogeneousMultiplication, OddMapOnNonSuper, ParseError,
-                     UnknownAlgebra, UnknownMapName, UnknownParityPair, WrongQ)
+from .errors import BlockqError, ParseError
 from .halfder import (GradedMap, MapCombo, builtin_map, classify, shift_map)
 from .homlie import hom_jacobi_check
 from .scalars import format_q, from_fraction, parse_q
@@ -84,15 +82,17 @@ def parse_map_expr(text: str, alg, w: Window) -> MapCombo:
     combo: MapCombo = []
     k = 0
     sign = 1
+    want_term = True
     while tokens[k][0] != "END":
         kind, val = tokens[k]
-        if kind == "+":
+        if kind in ("+", "-"):
+            if kind == "-":
+                sign = -sign
+            want_term = True
             k += 1
             continue
-        if kind == "-":
-            sign = -sign
-            k += 1
-            continue
+        if not want_term:
+            raise ParseError(f"expected '+' or '-' before {val!r} in map expression")
         coeff = Fraction(sign)
         if kind == "COEFF":
             coeff *= Fraction(val)
@@ -105,8 +105,11 @@ def parse_map_expr(text: str, alg, w: Window) -> MapCombo:
         combo.append((from_fraction(coeff, alg.q), build(val)))
         k += 1
         sign = 1
+        want_term = False
     if not combo:
         raise ParseError("empty map expression")
+    if want_term:
+        raise ParseError("map expression ends with an operator")
     return combo
 
 
@@ -263,15 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (ParseError, UnknownAlgebra, UnknownMapName, UnknownParityPair,
-            IntegralityViolation, WrongQ, OddMapOnNonSuper, ModeMismatch,
-            NonHomogeneousMultiplication) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except BlockqError as exc:
+    except (BlockqError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, CompiledAlgebra, Parity,
@@ -43,7 +42,7 @@ from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, CompiledAlgebra, Parit
 from .errors import (IntegralityViolation, OddMapOnNonSuper, UnknownMapName,
                      WrongQ)
 from .scalars import (RatFunc, Poly, Scalar, format_scalar, from_fraction, inv,
-                      poly_gcd, scalar_one)
+                      scalar_one)
 
 
 @dataclass(frozen=True)
@@ -381,37 +380,19 @@ def _modp_pivot_rows(rows: list[list[tuple[int, object]]], generic: bool,
     return chosen
 
 
-def _integral(vec: dict, generic: bool) -> dict:
-    """A nonzero multiple of `vec` in raw form: ints, or int q-coefficient tuples."""
-    if generic:
-        den = Poly.const(1)
-        for v in vec.values():
-            if not v.den.is_one:
-                den = den * v.den.divmod(poly_gcd(den, v.den))[0]
-        nums = {u: v.num * den.divmod(v.den)[0] for u, v in vec.items()}
-        m = lcm(*(c.denominator for poly in nums.values() for c in poly.coeffs))
-        return {u: tuple((c * m).numerator for c in poly.coeffs)
-                for u, poly in nums.items()}
-    m = lcm(*(v.denominator for v in vec.values()))
-    return {u: (v * m).numerator for u, v in vec.items()}
-
-
-def _vanishes_on(rows: list[list[tuple[int, object]]], vecs: list[dict],
-                 comp: CompiledAlgebra) -> bool:
-    """Whether every raw row is orthogonal to every vector, in exact integer arithmetic."""
+def _violated_rows(rows: Iterable[list[tuple[int, object]]], ivec: dict,
+                   comp: CompiledAlgebra) -> Iterable[int]:
+    """Positions of the raw rows whose product with the raw vector is nonzero."""
     vmul, vadd, is0 = comp.vmul, comp.vadd, comp.vis_zero
-    for vec in vecs:
-        ivec = _integral(vec, comp.generic)
-        for entries in rows:
-            acc = None
-            for u, v in entries:
-                w = ivec.get(u)
-                if w is not None:
-                    t = vmul(v, w)
-                    acc = t if acc is None else vadd(acc, t)
-            if acc is not None and not is0(acc):
-                return False
-    return True
+    for k, entries in enumerate(rows):
+        acc = None
+        for u, v in entries:
+            w = ivec.get(u)
+            if w is not None:
+                t = vmul(v, w)
+                acc = t if acc is None else vadd(acc, t)
+        if acc is not None and not is0(acc):
+            yield k
 
 
 def _certified_kernel(rows: list[list[tuple[int, object]]], cols: list[int],
@@ -435,7 +416,8 @@ def _certified_kernel(rows: list[list[tuple[int, object]]], cols: list[int],
     if len(pivot_rows) == len(cols):
         return []
     vecs = _kernel([{u: lift(v) for u, v in rows[k]} for k in pivot_rows], cols, one)
-    if _vanishes_on(rows, vecs, comp):
+    if all(next(_violated_rows(rows, comp.raw(vec), comp), None) is None
+           for vec in vecs):
         return vecs
     return _kernel([{u: lift(v) for u, v in row} for row in rows], cols, one)
 
@@ -673,20 +655,11 @@ def check_map(alg: AlgebraSpec, gm: GradedMap, w: Window) -> VerificationReport:
     cs = build_constraints(alg, gm.degree, w)
     comp = alg.compiled()
     table = gm.table
-    unknowns = cs.unknowns
-    generic = comp.generic
+    ivec = comp.raw({u: table[idx] for u, idx in enumerate(cs.unknowns) if idx in table})
     log = _ViolationLog()
-    for entries, x, y in cs.rows:
-        acc = None
-        for u, raw in entries:
-            tv = table.get(unknowns[u])
-            if not tv:
-                continue
-            term = tv * RatFunc(Poly(raw)) if generic else tv * raw
-            acc = term if acc is None else acc + term
-        if acc:
-            lhs, rhs = half_derivation_sides(alg, gm, x, y)
-            log.record((x, y), lhs, rhs)
+    for k in _violated_rows((entries for entries, _x, _y in cs.rows), ivec, comp):
+        _entries, x, y = cs.rows[k]
+        log.record((x, y), lambda: half_derivation_sides(alg, gm, x, y))
     return log.report(len(cs.rows))
 
 

@@ -14,12 +14,10 @@ follows the standard form.
 
 from __future__ import annotations
 
-from math import gcd
-
 from .algebra import (AlgebraSpec, BasisIndex, SparseVector, VerificationReport,
                       Window, _ViolationLog, bracket_vec)
 from .halfder import GradedMap, MapCombo, combo_apply
-from .scalars import Poly, RatFunc, scalar_one
+from .scalars import scalar_one
 
 
 def _as_combo(maps: GradedMap | MapCombo, alg: AlgebraSpec) -> MapCombo:
@@ -29,8 +27,8 @@ def _as_combo(maps: GradedMap | MapCombo, alg: AlgebraSpec) -> MapCombo:
 
 
 def hom_cyclic_sum(alg: AlgebraSpec, terms: MapCombo, x: BasisIndex,
-                   y: BasisIndex, z: BasisIndex, literal: bool = False) -> SparseVector:
-    """Scalar-layer cyclic sum; `literal` swaps the middle inner bracket to [z,y]."""
+                   y: BasisIndex, z: BasisIndex) -> SparseVector:
+    """Scalar-layer standard cyclic sum, the witness for a violated triple."""
     one = scalar_one(alg.q)
 
     def wrap(a, b, c):
@@ -43,7 +41,7 @@ def hom_cyclic_sum(alg: AlgebraSpec, terms: MapCombo, x: BasisIndex,
 
     total = SparseVector()
     parts = [(wrap(x, y, z), weight(x, z)),
-             (wrap(y, z, y if literal else x), weight(y, x)),
+             (wrap(y, z, x), weight(y, x)),
              (wrap(z, x, y), weight(z, y))]
     for vec, sgn in parts:
         for idx, c in vec.entries.items():
@@ -57,36 +55,17 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
     terms = _as_combo(maps, alg)
     comp = alg.compiled()
     pair = comp.pair
-    vis_zero = comp.vis_zero
-    generic = comp.generic
+    vmul, vadd, vneg, vis_zero = comp.vmul, comp.vadd, comp.vneg, comp.vis_zero
 
     basis = w.basis(alg.parities)
-    # phi images per source: list of (target index, weight).  In fixed mode the
-    # rational weights are cleared to integers: the identity is linear in phi,
-    # so a uniform positive rescaling never changes which triples vanish.
-    phi_frac: dict[BasisIndex, list[tuple[BasisIndex, object]]] = {}
-    for b in basis:
-        img = combo_apply(terms, b)
-        if not img.is_zero:
-            phi_frac[b] = list(img.entries.items())
-    if generic:
-        phi = phi_frac
-        vmul = comp.vmul
-
-        def scaled(wcoef, raw):
-            return wcoef * RatFunc(Poly(raw))
-    else:
-        den = 1
-        for imgs in phi_frac.values():
-            for _tgt, c in imgs:
-                den = den * c.denominator // gcd(den, c.denominator)
-        phi = {b: [(tgt, int(c * den)) for tgt, c in imgs]
-               for b, imgs in phi_frac.items()}
-
-        def scaled(wcoef, raw):
-            return wcoef * raw
-
-        vmul = comp.vmul
+    # phi images per source: list of (target index, raw weight).  The identity
+    # is linear in phi, so the common factor `raw` scales by never changes
+    # which triples vanish.
+    weights = comp.raw({(b, tgt): c for b in basis
+                        for tgt, c in combo_apply(terms, b).entries.items()})
+    phi: dict[BasisIndex, list[tuple[BasisIndex, object]]] = {}
+    for (b, tgt), wcoef in weights.items():
+        phi.setdefault(b, []).append((tgt, wcoef))
 
     def term_value(a: BasisIndex, b: BasisIndex, c: BasisIndex):
         """[phi(a), [b,c]] accumulated per output index, None when zero."""
@@ -104,26 +83,26 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
             if vis_zero(c_out):
                 continue
             key = ((tgt.parity + pin) & 1, tgt.m + min_, tgt.i + iin)
-            val = scaled(wcoef, vmul(c_in, c_out))
+            val = vmul(wcoef, vmul(c_in, c_out))
             cur = out.get(key)
-            tot = val if cur is None else cur + val
-            if tot:
-                out[key] = tot
-            else:
+            tot = val if cur is None else vadd(cur, val)
+            if vis_zero(tot):
                 out.pop(key, None)
+            else:
+                out[key] = tot
         return out or None
 
     def accumulate(acc: dict, vals: dict | None, sgn: int) -> None:
         if not vals:
             return
         for key, v in vals.items():
-            v2 = v if sgn > 0 else -v
+            v2 = v if sgn > 0 else vneg(v)
             cur = acc.get(key)
-            tot = v2 if cur is None else cur + v2
-            if tot:
-                acc[key] = tot
-            else:
+            tot = v2 if cur is None else vadd(cur, v2)
+            if vis_zero(tot):
                 acc.pop(key, None)
+            else:
+                acc[key] = tot
 
     log_std = _ViolationLog()
     lit_violations = 0
@@ -146,10 +125,8 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
                 accumulate(acc_lit, term_value(y, z, y), w2)
                 accumulate(acc_lit, t3, w3)
                 if acc_std:
-                    log_std.record_lazy(
-                        (x, y, z),
-                        lambda x=x, y=y, z=z:
-                            (hom_cyclic_sum(alg, terms, x, y, z), "0"))
+                    log_std.record((x, y, z),
+                                   lambda: (hom_cyclic_sum(alg, terms, x, y, z), "0"))
                 if acc_lit:
                     lit_violations += 1
     report = log_std.report(checked)

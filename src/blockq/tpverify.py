@@ -164,19 +164,19 @@ def verify_supercommutative_grading(prod: ProductTable) -> VerificationReport:
     for (x, y), v in sorted(prod.entries.items()):
         checked += 1
         if x.parity and x == y and not v.is_zero:
-            log.record((x, y), v, "0 (odd square)")
+            log.record((x, y), lambda: (v, "0 (odd square)"))
             continue
         want_parity = (x.parity + y.parity) & 1
         bad = False
         for idx in v.entries:
             if idx.parity != want_parity:
-                log.record((x, y), v, f"images of parity {want_parity}")
+                log.record((x, y), lambda: (v, f"images of parity {want_parity}"))
                 bad = True
                 break
         if bad:
             continue
         if len(v.entries) > 1:
-            log.record((x, y), v, "a single homogeneous image")
+            log.record((x, y), lambda: (v, "a single homogeneous image"))
             continue
         img = next(iter(v.entries))
         for z, src in ((x, y), (y, x)):
@@ -186,7 +186,7 @@ def verify_supercommutative_grading(prod: ProductTable) -> VerificationReport:
             if seen is None:
                 degrees[z] = deg
             elif seen != deg:
-                log.record((z, src), f"degree {deg}", f"degree {seen}")
+                log.record((z, src), lambda: (f"degree {deg}", f"degree {seen}"))
                 break
     return log.report(checked)
 
@@ -210,7 +210,7 @@ def verify_associative(prod: ProductTable, w: Window) -> VerificationReport:
         lhs = prod.product_vec(prod.product(x, y), SparseVector.basis(z, scalar_one(prod.q)))
         rhs = prod.product_vec(SparseVector.basis(x, scalar_one(prod.q)), prod.product(y, z))
         if lhs != rhs:
-            log.record((x, y, z), lhs, rhs)
+            log.record((x, y, z), lambda: (lhs, rhs))
 
     for x, y in sorted(pairs):
         for z in universe:
@@ -255,7 +255,7 @@ def verify_transposed_leibniz(alg: AlgebraSpec, prod: ProductTable,
                     t = bracket_vec(alg, SparseVector.basis(x, one), zy)
                     rhs = rhs + t.scale(from_fraction(sign, alg.q))
                 if lhs != rhs:
-                    log.record((z, x, y), lhs, rhs)
+                    log.record((z, x, y), lambda: (lhs, rhs))
     return log.report(len(basis) ** 3)
 
 

@@ -134,9 +134,13 @@ class TestHomCheck:
         assert code == 2
 
     def test_bad_map_expression(self, capsys):
-        code, _ = run(capsys, "hom-check", "--algebra", "B", "--q", "1",
-                      "--map", "2 *", "--window", "2x2")
-        assert code == 2
+        # a dangling operator, or two terms with no operator between them
+        for text in ("2 *", "id -", "id +", "id alpha", "", "-"):
+            code = main(["hom-check", "--algebra", "B", "--q", "1",
+                         "--map", text, "--window", "2x2"])
+            captured = capsys.readouterr()
+            assert code == 2, text
+            assert captured.out == "" and captured.err.startswith("error: "), text
 
 
 class TestParseSpec:

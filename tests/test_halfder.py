@@ -15,7 +15,7 @@ from blockq.errors import (IntegralityViolation, OddMapOnNonSuper,
 from blockq.halfder import (ConstraintSystem, GradedMap, MapDegree,
                             _kernel, _rref_vectors, build_constraints,
                             builtin_map, check_map, classify, null_space,
-                            stabilize)
+                            shift_map, stabilize)
 from blockq.scalars import Poly, RatFunc, scalar_one, specialize_q
 from blockq.specdsl import builtin_algebra
 
@@ -328,6 +328,25 @@ class TestCheckMap:
         rep = check_map(alg, gm, Window(3, 3))
         assert not rep.passed
         assert rep.violations[0]["indices"]
+
+    @pytest.mark.parametrize("name", ["B", "S"])
+    def test_generic_identity_passes_scaled(self, name):
+        alg = builtin_algebra(name, None)
+        w = Window(2, 2)
+        ident = builtin_map("id", alg, w)
+        assert check_map(alg, ident, w).passed
+        inv_q1 = RatFunc(Poly.const(1), Poly((1, 1)))
+        scaled = GradedMap(ident.degree, {k: v * inv_q1 for k, v in ident.table.items()})
+        assert check_map(alg, scaled, w).passed
+        inv_q2 = RatFunc(Poly.const(1), Poly((2, 1)))
+        scaled.table[L(0, 0)] = inv_q2
+        assert not check_map(alg, scaled, w).passed
+
+    def test_generic_shift_fails(self):
+        alg = builtin_algebra("B", None)
+        rep = check_map(alg, shift_map(alg, Window(2, 2)), Window(2, 2))
+        assert not rep.passed
+        assert rep.violations[0]["lhs"] != rep.violations[0]["rhs"]
 
     def test_transplanted_alpha_fails(self):
         donor = builtin_algebra("B", Fraction(1))

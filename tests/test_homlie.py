@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
+
 from blockq.algebra import Window
 from blockq.halfder import MapDegree, builtin_map, shift_map, stabilize
 from blockq.homlie import hom_jacobi_check
+from blockq.scalars import from_fraction
 from blockq.specdsl import builtin_algebra
 
 
@@ -72,3 +75,19 @@ class TestSuperTwists:
         alg = builtin_algebra("S", Fraction(2))
         rep = hom_jacobi_check(alg, shift_map(alg, Window(2, 2)), Window(2, 2))
         assert not rep.passed
+
+
+@pytest.mark.parametrize("name, w", [("B", Window(2, 2)), ("S", Window(1, 2))])
+class TestGenericTwists:
+    def test_identity_and_its_multiple_pass(self, name, w):
+        alg = builtin_algebra(name, None)
+        ident = builtin_map("id", alg, w)
+        assert hom_jacobi_check(alg, ident, w).passed
+        third = [(from_fraction(Fraction(1, 3), None), ident)]
+        assert hom_jacobi_check(alg, third, w).passed
+
+    def test_shift_fails_with_witness(self, name, w):
+        alg = builtin_algebra(name, None)
+        rep = hom_jacobi_check(alg, shift_map(alg, w), w)
+        assert not rep.passed
+        assert "q" in rep.violations[0]["lhs"]
