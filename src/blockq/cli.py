@@ -95,7 +95,10 @@ def parse_map_expr(text: str, alg, w: Window) -> MapCombo:
             raise ParseError(f"expected '+' or '-' before {val!r} in map expression")
         coeff = Fraction(sign)
         if kind == "COEFF":
-            coeff *= Fraction(val)
+            try:
+                coeff *= Fraction(val)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in coefficient {val!r}") from None
             k += 1
             if tokens[k][0] == "*":
                 k += 1

@@ -14,18 +14,27 @@ those truncation artifacts by intersecting restrictions of null spaces from
 nested windows.
 
 Row coefficients are stored denominator-cleared (see CompiledAlgebra); the
-null space is unaffected by row scaling.  It is solved in three steps:
+null space is unaffected by row scaling.  `build_constraints` lists the rows
+in natural pair order; classification instead solves each degree with
+`solve_degree`, in three steps:
 
-* zero propagation: a row with one live unknown forces that unknown to zero;
-* a rank bound: a row-echelon pass modulo a word-size prime (generic rows
-  evaluated at a fixed q0 first) picks r independent rows.  Reducing mod p
-  and specialising q can only lower rank, so the exact rank is at least r;
+* streamed assembly with early exit: pairs are generated shell by shell from
+  the outside in (shell k = max(|m1|, |i1|, |m2|, |i2|)), and each row is fed
+  to zero propagation as it is made.  A row with one live unknown forces
+  that unknown to zero, which holds in every solution of the rows seen so
+  far and hence of the whole system.  Once every unknown is forced the
+  kernel is zero, proved, and the remaining rows are never built;
+* a rank bound: otherwise, after the last row, a row-echelon pass modulo a
+  word-size prime (generic rows evaluated at a fixed q0 first) picks r
+  independent rows among the residual ones.  Reducing mod p and
+  specialising q can only lower rank, so the exact rank is at least r;
   when r equals the number of live unknowns the kernel is zero, proved;
 * an exact solve over the active field on those r rows only, certified by
   checking every residual row against every kernel vector in integer
   arithmetic.  If one row fails, the mod-p rank fell short, and all rows
   are solved exactly instead.
 
+`null_space` runs the same three steps on the rows of a given system.
 Either way the result is the same exact space, returned in canonical reduced
 echelon form with unknowns ordered (parity, m, i) lexicographically.
 """
@@ -120,7 +129,8 @@ def combo_apply(terms: MapCombo, x: BasisIndex) -> SparseVector:
 
 # --- constraint assembly -------------------------------------------------------
 
-Row = tuple[tuple[tuple[int, object], ...], BasisIndex, BasisIndex]
+Entries = tuple[tuple[int, object], ...]  # (unknown, raw coefficient), by unknown
+Row = tuple[Entries, BasisIndex, BasisIndex]
 
 
 @dataclass
@@ -147,17 +157,78 @@ class ConstraintSystem:
         return [(x, y) for _e, x, y in self.rows]
 
 
-def build_constraints(alg: AlgebraSpec, deg: MapDegree, w: Window) -> ConstraintSystem:
-    """One row per unordered in-window basis pair, zero rows dropped."""
+def _parity_pairs(alg: AlgebraSpec, deg: MapDegree) -> list[tuple[Parity, Parity]]:
+    """Parity combinations (p1, p2) of the generating pairs, p1 <= p2."""
     if deg.parity_shift == ODD and not alg.is_super:
         raise OddMapOnNonSuper(
             f"odd-shift maps need a superalgebra, {alg.name!r} has no odd part")
+    if alg.is_super:
+        return [(EVEN, EVEN), (EVEN, ODD), (ODD, ODD)]
+    return [(EVEN, EVEN)]
+
+
+Pair = tuple[Parity, Parity, int, int, int, int]
+
+
+def _natural_pairs(w: Window, combos: list[tuple[Parity, Parity]]) -> Iterable[Pair]:
+    """Every unordered in-window pair (p1, p2, m1, i1, m2, i2), in that lexicographic order.
+
+    Both points and their sum lie in the window; a same-parity pair is
+    taken once, with (m1, i1) <= (m2, i2).
+    """
+    mm, ii = w.m_max, w.i_max
+    for p1, p2 in combos:
+        same = p1 == p2
+        for m1 in range(-mm, mm + 1):
+            m2lo = max(-mm, -mm - m1)
+            m2hi = min(mm, mm - m1)
+            for i1 in range(-ii, ii + 1):
+                i2lo = max(-ii, -ii - i1)
+                i2hi = min(ii, ii - i1)
+                for m2 in range(max(m2lo, m1) if same else m2lo, m2hi + 1):
+                    for i2 in range(max(i2lo, i1) if same and m2 == m1 else i2lo, i2hi + 1):
+                        yield p1, p2, m1, i1, m2, i2
+
+
+def _shell_pairs(w: Window, combos: list[tuple[Parity, Parity]]) -> Iterable[Pair]:
+    """The pairs of `_natural_pairs`, shell by shell from the outside in.
+
+    Shell k holds the pairs with max(|m1|, |i1|, |m2|, |i2|) = k, so both
+    points lie in the box |m|, |i| <= k and one coordinate is on its rim.
+    """
+    mm, ii = w.m_max, w.i_max
+    for k in range(max(mm, ii), -1, -1):
+        km, ki = min(k, mm), min(k, ii)
+        for p1, p2 in combos:
+            same = p1 == p2
+            for m1 in range(-km, km + 1):
+                m2lo = max(-km, -mm - m1)
+                m2hi = min(km, mm - m1)
+                for i1 in range(-ki, ki + 1):
+                    rim1 = abs(m1) == k or abs(i1) == k
+                    i2lo = max(-ki, -ii - i1)
+                    i2hi = min(ki, ii - i1)
+                    for m2 in range(max(m2lo, m1) if same else m2lo, m2hi + 1):
+                        lo = max(i2lo, i1) if same and m2 == m1 else i2lo
+                        if rim1 or abs(m2) == k:
+                            i2s = range(lo, i2hi + 1)
+                        else:
+                            i2s = [i2 for i2 in (-k, k) if lo <= i2 <= i2hi]
+                        for i2 in i2s:
+                            yield p1, p2, m1, i1, m2, i2
+
+
+def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window,
+          pairs: Iterable[Pair]) -> Iterable[tuple[Entries, Pair]]:
+    """The row of each pair, as (entries, pair); pairs whose row is zero are skipped.
+
+    Unknown k is w.basis(alg.parities)[k].
+    """
     comp = alg.compiled()
     shift, r, s = deg.parity_shift, deg.r, deg.s
     mm, ii = w.m_max, w.i_max
     width = 2 * ii + 1
     npts = (2 * mm + 1) * width
-    unknowns = w.basis(alg.parities)
 
     if comp.generic:
         def dbl(v):
@@ -167,50 +238,46 @@ def build_constraints(alg: AlgebraSpec, deg: MapDegree, w: Window) -> Constraint
             return v + v
     vneg, vadd, vsub, is0 = comp.vneg, comp.vadd, comp.vsub, comp.vis_zero
 
-    combos = [(EVEN, EVEN)]
-    if alg.is_super:
-        combos += [(EVEN, ODD), (ODD, ODD)]
+    # per parity pair: f_out, f_x, f_y, whether [x, phi(y)] flips sign, and
+    # the offsets of the x, y and output unknowns
+    setup = {(p1, p2): (comp.pair[(p1, p2)], comp.pair[(p1 ^ shift, p2)],
+                        comp.pair[(p1, p2 ^ shift)], bool(shift and p1),
+                        p1 * npts + mm * width + ii, p2 * npts + mm * width + ii,
+                        (p1 ^ p2) * npts + mm * width + ii)
+             for p1, p2 in _parity_pairs(alg, deg)}
+    for pair in pairs:
+        p1, p2, m1, i1, m2, i2 = pair
+        f_out, f_x, f_y, flip_y, base1, base2, base_out = setup[p1, p2]
+        c_out = f_out(m1, i1, m2, i2)
+        c_x = f_x(m1 + r, i1 + s, m2, i2)
+        c_y = f_y(m1, i1, m2 + r, i2 + s)
+        d: dict[int, object] = {}
+        if not is0(c_out):
+            d[base_out + (m1 + m2) * width + i1 + i2] = dbl(c_out)
+        if not is0(c_x):
+            u_x = base1 + m1 * width + i1
+            d[u_x] = vsub(d[u_x], c_x) if u_x in d else vneg(c_x)
+        if not is0(c_y):
+            u_y = base2 + m2 * width + i2
+            t = c_y if flip_y else vneg(c_y)
+            d[u_y] = vadd(d[u_y], t) if u_y in d else t
+        entries = tuple((u, v) for u, v in sorted(d.items()) if not is0(v))
+        if entries:
+            yield entries, pair
 
-    rows: list[Row] = []
-    for p1, p2 in combos:
-        f_out = comp.pair[(p1, p2)]
-        f_x = comp.pair[(p1 ^ shift, p2)]
-        f_y = comp.pair[(p1, p2 ^ shift)]
-        flip_y = bool(shift and p1)
-        base1 = p1 * npts
-        base2 = p2 * npts
-        base_out = (p1 ^ p2) * npts
-        same = p1 == p2
-        for m1 in range(-mm, mm + 1):
-            m2lo = max(-mm, -mm - m1)
-            m2hi = min(mm, mm - m1)
-            for i1 in range(-ii, ii + 1):
-                u_x = base1 + (m1 + mm) * width + (i1 + ii)
-                i2lo = max(-ii, -ii - i1)
-                i2hi = min(ii, ii - i1)
-                start_m2 = max(m2lo, m1) if same else m2lo
-                for m2 in range(start_m2, m2hi + 1):
-                    start_i2 = max(i2lo, i1) if same and m2 == m1 else i2lo
-                    for i2 in range(start_i2, i2hi + 1):
-                        c_out = f_out(m1, i1, m2, i2)
-                        c_x = f_x(m1 + r, i1 + s, m2, i2)
-                        c_y = f_y(m1, i1, m2 + r, i2 + s)
-                        d: dict[int, object] = {}
-                        if not is0(c_out):
-                            d[base_out + (m1 + m2 + mm) * width + (i1 + i2 + ii)] = dbl(c_out)
-                        if not is0(c_x):
-                            d[u_x] = vsub(d[u_x], c_x) if u_x in d else vneg(c_x)
-                        if not is0(c_y):
-                            u_y = base2 + (m2 + mm) * width + (i2 + ii)
-                            t = c_y if flip_y else vneg(c_y)
-                            d[u_y] = vadd(d[u_y], t) if u_y in d else t
-                        entries = tuple((u, v) for u, v in sorted(d.items()) if not is0(v))
-                        if entries:
-                            rows.append((entries,
-                                         BasisIndex(p1, m1, i1),
-                                         BasisIndex(p2, m2, i2)))
+
+def build_constraints(alg: AlgebraSpec, deg: MapDegree, w: Window) -> ConstraintSystem:
+    """One row per unordered in-window basis pair, zero rows dropped.
+
+    Rows come in the order of `_natural_pairs`; `check_map` keeps its first
+    witnesses in this order.
+    """
+    combos = _parity_pairs(alg, deg)
+    rows: list[Row] = [(entries, BasisIndex(p1, m1, i1), BasisIndex(p2, m2, i2))
+                       for entries, (p1, p2, m1, i1, m2, i2)
+                       in _rows(alg, deg, w, _natural_pairs(w, combos))]
     return ConstraintSystem(algebra=alg, degree=deg, window=w,
-                            unknowns=unknowns, rows=rows)
+                            unknowns=w.basis(alg.parities), rows=rows)
 
 
 # --- exact linear algebra --------------------------------------------------------
@@ -289,34 +356,66 @@ def _kernel(rows: Iterable[dict], cols: Sequence, one: Scalar) -> list[dict]:
     return _rref_vectors(vecs)
 
 
-def _propagate_zeros(n: int, rows: list[Row]) -> bytearray:
-    """Worklist propagation of singleton rows c*d(u) = 0  =>  d(u) = 0."""
-    forced = bytearray(n)
-    counts = [len(entries) for entries, _x, _y in rows]
-    occ: list[list[int]] = [[] for _ in range(n)]
-    for rid, (entries, _x, _y) in enumerate(rows):
-        for u, _v in entries:
-            occ[u].append(rid)
-    stack = []
+class _ZeroPropagation:
+    """Online zero propagation: rows arrive one at a time.
 
-    def force(u: int) -> None:
-        if not forced[u]:
-            forced[u] = 1
-            stack.append(u)
+    A row with one live unknown forces it to zero, and every stored row
+    that is left with one live unknown forces that one in turn.  A forced
+    unknown is zero in every solution of the rows fed so far, which are rows
+    of the system, so it is zero in every solution of the whole system.
+    """
 
-    for rid, (entries, _x, _y) in enumerate(rows):
-        if counts[rid] == 1:
-            force(entries[0][0])
-    while stack:
-        u = stack.pop()
-        for rid in occ[u]:
-            counts[rid] -= 1
-            if counts[rid] == 1:
-                for uu, _v in rows[rid][0]:
-                    if not forced[uu]:
-                        force(uu)
-                        break
-    return forced
+    def __init__(self, n: int):
+        self.forced = bytearray(n)
+        self.left = n  # unknowns not yet forced
+        self.rows: list[list[tuple[int, object]]] = []  # live entries on arrival
+        self.counts: list[int] = []  # live entries now
+        self.occ: list[list[int]] = [[] for _ in range(n)]
+
+    def add(self, entries: Entries) -> bool:
+        """Feed one row; True once every unknown is forced."""
+        forced = self.forced
+        live = [(u, v) for u, v in entries if not forced[u]]
+        if len(live) == 1:
+            self._force(live[0][0])
+        elif live:
+            rid = len(self.rows)
+            self.rows.append(live)
+            self.counts.append(len(live))
+            for u, _v in live:
+                self.occ[u].append(rid)
+        return not self.left
+
+    def _force(self, u: int) -> None:
+        forced, counts, rows, occ = self.forced, self.counts, self.rows, self.occ
+        forced[u] = 1
+        self.left -= 1
+        stack = [u]
+        while stack:
+            for rid in occ[stack.pop()]:
+                counts[rid] -= 1
+                if counts[rid] == 1:
+                    for uu, _v in rows[rid]:
+                        if not forced[uu]:
+                            forced[uu] = 1
+                            self.left -= 1
+                            stack.append(uu)
+                            break
+
+    def solve(self, comp: CompiledAlgebra, unknowns: list[BasisIndex],
+              deg: MapDegree, w: Window) -> NullSpaceBasis:
+        """Null space of the rows fed so far, through the certified kernel."""
+        forced = self.forced
+        tables: list[dict] = []
+        if self.left:
+            residual = [[(u, v) for u, v in live if not forced[u]]
+                        for live, count in zip(self.rows, self.counts) if count >= 2]
+            survivors = [u for u in range(len(forced)) if not forced[u]]
+            vecs = _certified_kernel(residual, survivors, comp)
+            tables = _rref_vectors([{unknowns[u]: v for u, v in vec.items()}
+                                    for vec in vecs])
+        return NullSpaceBasis(dimension=len(tables), degree=deg, window=w,
+                              vectors=tables)
 
 
 # --- certified modular rank bound ----------------------------------------------------
@@ -460,20 +559,25 @@ class NullSpaceBasis:
 
 def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
     """Exact reduced null-space basis; deterministic given the unknown order."""
-    comp = cs.algebra.compiled()
-    n = len(cs.unknowns)
-    forced = _propagate_zeros(n, cs.rows)
-    residual = []
+    prop = _ZeroPropagation(len(cs.unknowns))
     for entries, _x, _y in cs.rows:
-        live = [(u, v) for u, v in entries if not forced[u]]
-        if len(live) >= 2:
-            residual.append(live)
-    survivors = [u for u in range(n) if not forced[u]]
-    vecs = _certified_kernel(residual, survivors, comp)
-    tables = [{cs.unknowns[u]: v for u, v in vec.items()} for vec in vecs]
-    tables = _rref_vectors(tables)
-    return NullSpaceBasis(dimension=len(tables), degree=cs.degree,
-                          window=cs.window, vectors=tables)
+        if prop.add(entries):
+            break
+    return prop.solve(cs.algebra.compiled(), cs.unknowns, cs.degree, cs.window)
+
+
+def solve_degree(alg: AlgebraSpec, deg: MapDegree, w: Window) -> NullSpaceBasis:
+    """null_space(build_constraints(alg, deg, w)), assembled shell by shell from the outside in.
+
+    Each row is fed to zero propagation as it is made; once every unknown is
+    forced the kernel is zero and the remaining rows are never built.
+    """
+    unknowns = w.basis(alg.parities)
+    prop = _ZeroPropagation(len(unknowns))
+    for entries, _pair in _rows(alg, deg, w, _shell_pairs(w, _parity_pairs(alg, deg))):
+        if prop.add(entries):
+            break
+    return prop.solve(alg.compiled(), unknowns, deg, w)
 
 
 # --- window stabilization ---------------------------------------------------------
@@ -540,7 +644,7 @@ def stabilize(alg: AlgebraSpec, deg: MapDegree,
             raise ValueError("windows must be ascending")
     w0 = windows[0]
     one = scalar_one(alg.q)
-    ns0 = null_space(build_constraints(alg, deg, w0))
+    ns0 = solve_degree(alg, deg, w0)
     window_dims = [ns0.dimension]
     current = ns0.vectors
     inter_dims = [len(current)]
@@ -549,7 +653,7 @@ def stabilize(alg: AlgebraSpec, deg: MapDegree,
             # intersections only shrink; an empty one is final
             inter_dims.append(0)
             continue
-        ns = null_space(build_constraints(alg, deg, w))
+        ns = solve_degree(alg, deg, w)
         window_dims.append(ns.dimension)
         restricted = _rref_vectors(
             [{k: v for k, v in vec.items() if w0.contains_index(k)}

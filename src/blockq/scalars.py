@@ -379,7 +379,10 @@ def parse_q(text: str) -> Fraction | None:
         return None
     if not _Q_RE.match(text):
         raise ParseError(f"q must be 'generic' or an exact rational, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"q has a zero denominator: {text!r}") from None
 
 
 # --- scalar string parsing -------------------------------------------------

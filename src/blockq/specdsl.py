@@ -272,6 +272,9 @@ class _ExprParser:
                     raise ParseError(f"unexpected token {den_tok.text!r}",
                                      line=den_tok.line, col=den_tok.col,
                                      expected=("integer denominator",))
+                if not int(den_tok.text):
+                    raise ParseError("zero denominator", line=den_tok.line,
+                                     col=den_tok.col, expected=("nonzero denominator",))
                 return Lit(Fraction(num, int(den_tok.text)))
             return Lit(Fraction(num))
         if tok.kind == "NAME":

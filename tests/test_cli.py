@@ -134,8 +134,9 @@ class TestHomCheck:
         assert code == 2
 
     def test_bad_map_expression(self, capsys):
-        # a dangling operator, or two terms with no operator between them
-        for text in ("2 *", "id -", "id +", "id alpha", "", "-"):
+        # a dangling operator, two terms with no operator between them, or a
+        # coefficient with a zero denominator
+        for text in ("2 *", "id -", "id +", "id alpha", "", "-", "2/0*id"):
             code = main(["hom-check", "--algebra", "B", "--q", "1",
                          "--map", text, "--window", "2x2"])
             captured = capsys.readouterr()
@@ -154,9 +155,12 @@ class TestParseSpec:
 
     def test_parse_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.alg"
-        path.write_text("algebra X\nsuper false\nrule even even antisymmetric: n/m\n")
-        code, out = run(capsys, "parse-spec", str(path))
-        assert code == 2
+        for coeff in ("n/m", "1/0*m"):
+            path.write_text(f"algebra X\nsuper false\nrule even even antisymmetric: {coeff}\n")
+            code = main(["parse-spec", str(path)])
+            captured = capsys.readouterr()
+            assert code == 2, coeff
+            assert captured.out == "" and captured.err.startswith("error: "), coeff
 
     def test_missing_file_exit_two(self, capsys):
         code, _ = run(capsys, "parse-spec", "/nonexistent/x.alg")
@@ -190,6 +194,10 @@ class TestGlobalFlags:
     def test_usage_error(self, capsys):
         assert main(["classify"]) == 2
         capsys.readouterr()
+        assert main(["classify", "--algebra", "B", "--q", "1/0",
+                     "--windows", "2x2,3x3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_unknown_algebra(self, capsys):
         assert main(["verify-algebra", "--algebra", "Z", "--q", "1"]) == 2

@@ -13,11 +13,12 @@ from blockq.algebra import EVEN, ODD, BasisIndex, Window
 from blockq.errors import (IntegralityViolation, OddMapOnNonSuper,
                            UnknownMapName, WrongQ)
 from blockq.halfder import (ConstraintSystem, GradedMap, MapDegree,
-                            _kernel, _rref_vectors, build_constraints,
-                            builtin_map, check_map, classify, null_space,
-                            shift_map, stabilize)
+                            _kernel, _natural_pairs, _parity_pairs, _rref_vectors,
+                            _shell_pairs, build_constraints, builtin_map,
+                            check_map, classify, null_space, shift_map,
+                            solve_degree, stabilize)
 from blockq.scalars import Poly, RatFunc, scalar_one, specialize_q
-from blockq.specdsl import builtin_algebra
+from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
 
 L = lambda m, i: BasisIndex(EVEN, m, i)
 G = lambda m, i: BasisIndex(ODD, m, i)
@@ -80,6 +81,18 @@ class TestBuildConstraints:
         alg = builtin_algebra("B", Fraction(1))
         with pytest.raises(OddMapOnNonSuper):
             build_constraints(alg, MapDegree(ODD, 0, 0), Window(2, 2))
+
+    @pytest.mark.parametrize("name,q,deg,w", [
+        ("B", Fraction(2), MapDegree(EVEN, 1, -2), Window(3, 4)),
+        ("S", Fraction(2), MapDegree(ODD, 0, 1), Window(2, 3)),
+        ("S", None, MapDegree(EVEN, -1, 0), Window(2, 2)),
+    ])
+    def test_rows_in_natural_pair_order(self, name, q, deg, w):
+        # check_map keeps its first witnesses in row order, so this order is
+        # part of the check-map and verify-tp reports
+        cs = build_constraints(builtin_algebra(name, q), deg, w)
+        keys = [(x.parity, y.parity, x.m, x.i, y.m, y.i) for x, y in cs.provenances()]
+        assert keys == sorted(set(keys))
 
 
 class TestNullSpace:
@@ -228,6 +241,90 @@ class TestCertifiedNullSpace:
         assert null_space(cs).dimension == 0
         assert bounds[0] > 0  # unknowns survived zero propagation
         assert calls == []
+
+
+MUTATED_B = """algebra B
+super false
+rule even even antisymmetric: n*(i + q) - m*(j - q)
+"""
+
+
+@st.composite
+def degree_problems(draw):
+    """An algebra (B, S or a mutated B), a degree with |r|, |s| <= 3 and a window."""
+    kind = draw(st.sampled_from(["B", "S", "mutated B"]))
+    q = draw(st.one_of(st.none(), st.integers(-4, 4).map(Fraction),
+                       st.tuples(st.integers(-7, 7), st.integers(2, 4))
+                       .map(lambda t: Fraction(*t))))
+    if kind == "mutated B":
+        alg = make_algebra(parse_spec(MUTATED_B), q)
+    else:
+        alg = builtin_algebra(kind, q)
+    shift = draw(st.sampled_from([EVEN, ODD] if alg.is_super else [EVEN]))
+    deg = MapDegree(shift, draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    w = Window(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    return alg, deg, w
+
+
+def _count_rows(monkeypatch) -> list[int]:
+    """Count the rows `solve_degree` takes from the row generator."""
+    taken = [0]
+    rows = halfder._rows
+
+    def spy(*args):
+        for row in rows(*args):
+            taken[0] += 1
+            yield row
+
+    monkeypatch.setattr(halfder, "_rows", spy)
+    return taken
+
+
+class TestStreamedSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=degree_problems())
+    def test_matches_all_rows_null_space(self, problem):
+        alg, deg, w = problem
+        expected = null_space(build_constraints(alg, deg, w))
+        got = solve_degree(alg, deg, w)
+        assert got.vectors == expected.vectors
+        assert got.dimension == expected.dimension
+
+    @settings(max_examples=40, deadline=None)
+    @given(is_super=st.booleans(), mm=st.integers(1, 4), ii=st.integers(1, 5))
+    def test_shells_cover_the_natural_pairs_once(self, is_super, mm, ii):
+        alg = builtin_algebra("S" if is_super else "B", Fraction(1))
+        w = Window(mm, ii)
+        combos = _parity_pairs(alg, MapDegree(EVEN, 0, 0))
+        shells = list(_shell_pairs(w, combos))
+        assert sorted(shells) == list(_natural_pairs(w, combos))
+        assert len(set(shells)) == len(shells)
+        # outside in: the shell max(|m1|, |i1|, |m2|, |i2|) never grows
+        ks = [max(abs(m1), abs(i1), abs(m2), abs(i2)) for _p1, _p2, m1, i1, m2, i2 in shells]
+        assert ks == sorted(ks, reverse=True)
+        # an independent oracle: every unordered pair whose points and sum lie in w
+        pts = [(p, m, i) for p in alg.parities for m, i in w.points()]
+        brute = {(x[0], y[0], x[1], x[2], y[1], y[2]) for x in pts for y in pts
+                 if x <= y and w.contains(x[1] + y[1], x[2] + y[2])}
+        assert set(shells) == brute
+
+    def test_zero_kernel_stops_early(self, monkeypatch):
+        alg = builtin_algebra("B", Fraction(2))
+        deg, w = MapDegree(EVEN, 3, 3), Window(3, 6)
+        total = len(build_constraints(alg, deg, w).rows)
+        taken = _count_rows(monkeypatch)
+        assert solve_degree(alg, deg, w).dimension == 0
+        assert 0 < taken[0] < total
+
+    def test_alpha_degree_takes_every_row(self, monkeypatch):
+        alg = builtin_algebra("B", Fraction(2))
+        deg, w = MapDegree(EVEN, 0, 2), Window(3, 6)
+        total = len(build_constraints(alg, deg, w).rows)
+        taken = _count_rows(monkeypatch)
+        ns = solve_degree(alg, deg, w)
+        assert taken[0] == total
+        assert ns.dimension == 1
+        assert ns.contains(builtin_map("alpha", alg, w).table)
 
 
 class TestStabilize:

@@ -158,3 +158,7 @@ class TestQFlag:
     def test_decimals_rejected(self):
         with pytest.raises(ParseError):
             parse_q("0.5")
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ParseError):
+            parse_q("1/0")
