@@ -5,6 +5,15 @@ coefficients are polynomials in the source indices (m, i, n, j) and the
 parameter q.  Brackets are total on Z x Z indices; a `Window` only limits
 which identities get enumerated, never the evaluation itself.
 
+Antisymmetry and Jacobi first try a proof for all indices: their residuals
+are polynomials in the free indices of bounded degree, so vanishing on the
+small box `certifying_grid` returns proves them everywhere (Alon's
+Combinatorial Nullstellensatz).  When the window does not contain that box,
+or the box shows a violation, every pair or triple of the window is
+enumerated (`antisymmetry_by_enumeration`, `jacobi_by_enumeration`, also the
+oracle in tests).  Either way a report's `checked` counts the pairs or
+triples of the window it covers, and its witnesses come from the enumeration.
+
 The antisymmetry, Jacobi, half-derivation and Hom-Lie checks, and the
 null-space solver, run on the compiled layer (`CompiledAlgebra`).  It clears
 denominators once per algebra and evaluates every structure constant with
@@ -297,7 +306,7 @@ class CompiledAlgebra:
     """
 
     def __init__(self, spec: AlgebraSpec):
-        self.spec = spec
+        self.q = spec.q
         self.generic = spec.q is None
         rules = dict(spec.rules)
         for (pa, pb), rule in list(rules.items()):
@@ -472,28 +481,71 @@ class _ViolationLog:
                                   notes=notes or {})
 
 
-def verify_antisymmetry(alg: AlgebraSpec, w: Window) -> VerificationReport:
-    """Check [x,y] + (-1)^{|x||y|} [y,x] = 0 on all unordered basis pairs in w."""
-    comp = alg.compiled()
-    basis = w.basis(alg.parities)
+def certifying_grid(alg: AlgebraSpec, factors: int) -> Window:
+    """Smallest symmetric box on which a vanishing residual vanishes everywhere.
+
+    A residual that is a sum of products of `factors` structure constants has
+    degree at most d = factors * (largest exponent of one index variable in
+    any rule) in each free index, whatever affine index sums the constants
+    are evaluated at.  A polynomial of degree <= d in each variable that
+    vanishes on a product grid with more than d points per variable is zero
+    (Alon, Combinatorial Nullstellensatz, Lemma 2.1), so the box of bound
+    ceil(d/2), with 2*ceil(d/2) + 1 > d points, proves the identity on all of
+    Z x Z.  In generic mode every q-coefficient is such a polynomial, so the
+    proof holds for every q.
+    """
+    deg = max((e for rule in alg.rules.values() for key in rule.monomials
+               for e in key[:4]), default=0)
+    bound = max(1, (factors * deg + 1) // 2)
+    return Window(bound, bound)
+
+
+def _proved_on_grid(alg: AlgebraSpec, w: Window, factors: int, violations) -> bool:
+    """True when w contains the certifying grid and `violations` finds
+    nothing there; then nothing in w (or in Z x Z) violates."""
+    grid = certifying_grid(alg, factors)
+    return grid <= w and next(
+        violations(alg.compiled(), grid.basis(alg.parities)), None) is None
+
+
+def _antisymmetry_violations(comp: CompiledAlgebra, basis: list[BasisIndex]):
+    """Unordered basis pairs (x, y), in window order, where
+    [x,y] + (-1)^{|x||y|} [y,x] is nonzero on the compiled layer."""
     pair = comp.pair
     vadd, vsub, vis_zero = comp.vadd, comp.vsub, comp.vis_zero
-    log = _ViolationLog()
-    checked = 0
     for a, x in enumerate(basis):
         px, mx, ix = x
         for y in basis[a:]:
             py, my, iy = y
-            checked += 1
             cxy = pair[(px, py)](mx, ix, my, iy)
             cyx = pair[(py, px)](my, iy, mx, ix)
             resid = vsub(cxy, cyx) if (px & py) else vadd(cxy, cyx)
             if not vis_zero(resid):
-                log.record((x, y), lambda: (
-                    bracket_basis(alg, x, y),
-                    bracket_basis(alg, y, x).scale(
-                        from_fraction(1 if (px & py) else -1, alg.q))))
-    return log.report(checked)
+                yield x, y
+
+
+def antisymmetry_by_enumeration(alg: AlgebraSpec, w: Window) -> VerificationReport:
+    """Evaluate antisymmetry on every unordered basis pair in w."""
+    basis = w.basis(alg.parities)
+    log = _ViolationLog()
+    for x, y in _antisymmetry_violations(alg.compiled(), basis):
+        log.record((x, y), lambda: (
+            bracket_basis(alg, x, y),
+            bracket_basis(alg, y, x).scale(
+                from_fraction(1 if (x.parity & y.parity) else -1, alg.q))))
+    return log.report(len(basis) * (len(basis) + 1) // 2)
+
+
+def verify_antisymmetry(alg: AlgebraSpec, w: Window) -> VerificationReport:
+    """Check [x,y] + (-1)^{|x||y|} [y,x] = 0 on all unordered basis pairs in w.
+
+    Proved on the certifying grid when w contains it; otherwise, or when the
+    grid shows a violation, every pair of w is enumerated.
+    """
+    if _proved_on_grid(alg, w, 1, _antisymmetry_violations):
+        n = len(w.basis(alg.parities))
+        return _ViolationLog().report(n * (n + 1) // 2)
+    return antisymmetry_by_enumeration(alg, w)
 
 
 def jacobi_sides(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex,
@@ -513,21 +565,19 @@ def jacobi_sides(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex,
     return lhs, rhs
 
 
-def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
-    """Check the graded Jacobi identity [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]
-    on all basis triples in w; symbolic in q when the algebra is generic."""
-    comp = alg.compiled()
-    basis = [tuple(idx) for idx in w.basis(alg.parities)]
+def _jacobi_violations(comp: CompiledAlgebra, basis: list[BasisIndex]):
+    """Basis triples (x, y, z), in window order, where the graded Jacobi
+    residual is nonzero on the compiled layer."""
     pair = comp.pair
     vmul, vadd, vsub, vis_zero = comp.vmul, comp.vadd, comp.vsub, comp.vis_zero
-    log = _ViolationLog()
-    checked = 0
-    for px, mx, ix in basis:
-        for py, my, iy in basis:
+    for x in basis:
+        px, mx, ix = x
+        for y in basis:
+            py, my, iy = y
             pxy = px ^ py
             sign_odd = px & py
-            for pz, mz, iz in basis:
-                checked += 1
+            for z in basis:
+                pz, mz, iz = z
                 c1 = pair[(py, pz)](my, iy, mz, iz)
                 c2 = pair[(px, py ^ pz)](mx, ix, my + mz, iy + iz)
                 c3 = pair[(px, py)](mx, ix, my, iy)
@@ -538,8 +588,25 @@ def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
                 t2 = vmul(c5, c6)
                 resid = vadd(resid, t2) if sign_odd else vsub(resid, t2)
                 if not vis_zero(resid):
-                    x = BasisIndex(px, mx, ix)
-                    y = BasisIndex(py, my, iy)
-                    z = BasisIndex(pz, mz, iz)
-                    log.record((x, y, z), lambda: jacobi_sides(alg, x, y, z))
-    return log.report(checked)
+                    yield x, y, z
+
+
+def jacobi_by_enumeration(alg: AlgebraSpec, w: Window) -> VerificationReport:
+    """Evaluate the graded Jacobi identity on every basis triple in w."""
+    basis = w.basis(alg.parities)
+    log = _ViolationLog()
+    for x, y, z in _jacobi_violations(alg.compiled(), basis):
+        log.record((x, y, z), lambda: jacobi_sides(alg, x, y, z))
+    return log.report(len(basis) ** 3)
+
+
+def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
+    """Check the graded Jacobi identity [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]
+    on all basis triples in w; symbolic in q when the algebra is generic.
+
+    Proved on the certifying grid when w contains it; otherwise, or when the
+    grid shows a violation, every triple of w is enumerated.
+    """
+    if _proved_on_grid(alg, w, 2, _jacobi_violations):
+        return _ViolationLog().report(len(w.basis(alg.parities)) ** 3)
+    return jacobi_by_enumeration(alg, w)

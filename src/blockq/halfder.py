@@ -510,7 +510,7 @@ def _certified_kernel(rows: list[list[tuple[int, object]]], cols: list[int],
             return RatFunc(Poly(v))
     else:
         lift = Fraction
-    one = scalar_one(comp.spec.q)
+    one = scalar_one(comp.q)
     pivot_rows = _modp_pivot_rows(rows, comp.generic, len(cols))
     if len(pivot_rows) == len(cols):
         return []

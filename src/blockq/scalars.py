@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import DivisionByZero, ModeMismatch, ParseError, PoleAtQ0
 
@@ -290,7 +290,7 @@ class RatFunc:
         return f"({self.num})/({self.den})"
 
 
-Scalar = Union[Fraction, RatFunc]
+Scalar = Fraction | RatFunc
 
 
 def _check_same_mode(a: Scalar, b: Scalar) -> bool:
@@ -308,20 +308,6 @@ def add(a: Scalar, b: Scalar) -> Scalar:
     return a + b
 
 
-def sub(a: Scalar, b: Scalar) -> Scalar:
-    _check_same_mode(a, b)
-    return a - b
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    _check_same_mode(a, b)
-    return a * b
-
-
-def neg(a: Scalar) -> Scalar:
-    return -a
-
-
 def inv(a: Scalar) -> Scalar:
     if isinstance(a, Fraction):
         if a == 0:
@@ -331,18 +317,13 @@ def inv(a: Scalar) -> Scalar:
 
 
 def div(a: Scalar, b: Scalar) -> Scalar:
-    return mul(a, inv(b))
+    _check_same_mode(a, b)
+    return a * inv(b)
 
 
 def eq(a: Scalar, b: Scalar) -> bool:
     _check_same_mode(a, b)
     return a == b
-
-
-def is_zero(a: Scalar) -> bool:
-    if isinstance(a, Fraction):
-        return a == 0
-    return a.is_zero
 
 
 def specialize_q(x: RatFunc | Poly, q0: Fraction | int) -> Fraction:

@@ -1,0 +1,274 @@
+"""Grid certificates and support-restricted enumeration give the oracle's reports.
+
+`verify_antisymmetry` and `verify_jacobi` prove a window on the certifying
+grid, `hom_jacobi_check` proves each term of a combination on the grid or on
+the triples touching its support, and `verify_transposed_leibniz` evaluates
+only the pairs touching a product partner.  Each must report exactly what
+enumerating the whole window reports: the same counts, flags and witnesses
+in the same order.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockq.algebra import (EVEN, BasisIndex, SparseVector, Window,
+                            antisymmetry_by_enumeration, certifying_grid,
+                            jacobi_by_enumeration, verify_antisymmetry,
+                            verify_jacobi)
+from blockq.cli import parse_map_expr
+from blockq.halfder import GradedMap, MapDegree, builtin_map, shift_map
+from blockq.homlie import hom_jacobi_by_enumeration, hom_jacobi_check
+from blockq.scalars import from_fraction
+from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
+from blockq.tpverify import (ProductTable, builtin_tp,
+                             transposed_leibniz_by_enumeration,
+                             verify_transposed_leibniz)
+
+B_RULE = "n*(i + q) - m*(j + q)"
+S_RULES = (B_RULE, "n*(i + q) - m*(j + (1/2)*q)", "2*q")
+# the benchmark's mutated specs (perfbench/pools.json)
+MUTATED_B = ("n*(i + q) - m*(j - q)",)
+MUTATED_S = (B_RULE, "n*(i + q) - m*(j - (1/2)*q)", "2*q")
+# passes antisymmetry and Jacobi on the 1x1 grid, fails on 2x1
+CUBIC = B_RULE + " + (m*m*m - m)*(n*n*n - n)"
+
+VARS = "minjq"
+
+L = lambda m, i: BasisIndex(EVEN, m, i)
+
+
+def spec(rules: tuple[str, ...], q: Fraction | None):
+    heads = ("even even antisymmetric", "even odd antisymmetric", "odd odd symmetric")
+    lines = ["algebra X", f"super {'true' if len(rules) == 3 else 'false'}"]
+    lines += [f"rule {head}: {rule}" for head, rule in zip(heads, rules)]
+    return make_algebra(parse_spec("\n".join(lines) + "\n"), q)
+
+
+def monomial_text(coeff: Fraction, exps: tuple[int, ...]) -> str:
+    factors = [v for v, e in zip(VARS, exps) for _ in range(e)]
+    return "*".join([f"({coeff})"] + factors)
+
+
+def swapped(exps: tuple[int, ...]) -> tuple[int, ...]:
+    em, ei, en, ej, eq = exps
+    return (en, ej, em, ei, eq)
+
+
+qs = st.sampled_from([None, Fraction(0), Fraction(2), Fraction(-3), Fraction(1, 2),
+                      Fraction(-7, 3)])
+coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+exponents = st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 1))
+
+
+@st.composite
+def perturbed_rules(draw, base: str):
+    """base plus up to two monomials, each antisymmetrized when drawn so
+    (which keeps antisymmetry and lets the grid proof of it run)."""
+    text = base
+    for _ in range(draw(st.integers(0, 2))):
+        c, exps = draw(coeffs), draw(exponents)
+        text += " + " + monomial_text(c, exps)
+        if draw(st.booleans()):
+            text += " - " + monomial_text(c, swapped(exps))
+    return text
+
+
+lie_specs = st.one_of(
+    st.sampled_from([(B_RULE,), MUTATED_B, (CUBIC,), ("n - m",), ("n*i - m*j",),
+                     ("(n - m)*(i + j + 1)",)]),
+    st.builds(lambda r: (r,), perturbed_rules(B_RULE)),
+    st.builds(lambda r: (r,), perturbed_rules("n - m")),
+)
+super_specs = st.one_of(
+    st.sampled_from([S_RULES, MUTATED_S]),
+    st.builds(lambda r: (r,) + S_RULES[1:], perturbed_rules(B_RULE)),
+    st.builds(lambda r: S_RULES[:2] + (r,), perturbed_rules("2*q")),
+)
+
+
+def assert_same_as_oracle(alg, w):
+    assert (verify_antisymmetry(alg, w).to_json_dict()
+            == antisymmetry_by_enumeration(alg, w).to_json_dict())
+    assert verify_jacobi(alg, w).to_json_dict() == jacobi_by_enumeration(alg, w).to_json_dict()
+
+
+class TestAlgebraCertificate:
+    @given(rules=lie_specs, q=qs, m=st.integers(1, 3), i=st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_lie_specs_match_enumeration(self, rules, q, m, i):
+        assert_same_as_oracle(spec(rules, q), Window(m, i))
+
+    @given(rules=super_specs, q=qs, m=st.integers(1, 2))
+    @settings(max_examples=12, deadline=None)
+    def test_super_specs_match_enumeration(self, rules, q, m):
+        assert_same_as_oracle(spec(rules, q), Window(m, 1))
+
+    def test_grid_grows_with_degree(self):
+        # a residual of degree d in a variable needs more than d grid points
+        for rules, factors, bound in [((B_RULE,), 1, 1), ((B_RULE,), 2, 1),
+                                      ((CUBIC,), 1, 2), ((CUBIC,), 2, 3),
+                                      (("m*m*m*m*m*n",), 2, 5)]:
+            grid = certifying_grid(spec(rules, None), factors)
+            assert grid == Window(bound, bound)
+
+    def test_pinned_cubic_spec_still_fails(self):
+        alg = spec((CUBIC,), None)
+        assert verify_antisymmetry(alg, Window(1, 1)).passed
+        assert verify_jacobi(alg, Window(1, 1)).passed
+        anti = verify_antisymmetry(alg, Window(2, 1))
+        jac = verify_jacobi(alg, Window(2, 1))
+        assert (anti.total_violations, jac.total_violations) == (21, 1188)
+        for w in (Window(2, 2), Window(3, 2)):
+            anti = verify_antisymmetry(alg, w)
+            assert not anti.passed
+            assert anti.to_json_dict() == antisymmetry_by_enumeration(alg, w).to_json_dict()
+
+
+def random_map(draw, alg, w: Window) -> GradedMap:
+    basis = w.basis(alg.parities)
+    support = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3))
+    deg = MapDegree(draw(st.sampled_from(alg.parities)), draw(st.integers(-1, 1)),
+                    draw(st.integers(-1, 1)))
+    return GradedMap(deg, {b: from_fraction(draw(coeffs), alg.q) for b in support})
+
+
+@st.composite
+def hom_cases(draw):
+    """(algebra, combination, window) mixing dense and sparse terms."""
+    name, q, w = draw(st.sampled_from([
+        ("B", Fraction(1), Window(1, 2)), ("B", Fraction(2), Window(1, 4)),
+        ("B", None, Window(2, 1)), ("S", Fraction(0), Window(1, 1)),
+        ("S", None, Window(1, 1))]))
+    alg = builtin_algebra(name, q)
+    named = ["id", "shift"]
+    if q is not None:
+        named.append("alpha")
+    if name == "S" and q == 0:
+        named += ["beta", "gamma", "delta", "epsilon"]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(named + ["random"] * 2))
+        if kind == "random":
+            gm = random_map(draw, alg, w)
+        elif kind == "shift":
+            gm = shift_map(alg, w)
+        else:
+            gm = builtin_map(kind, alg, w)
+        c = draw(st.sampled_from([1, -1, -2, Fraction(1, 3)]))
+        terms.append((from_fraction(c, q), gm))
+    return alg, terms, w
+
+
+def assert_hom_same(alg, terms, w):
+    got = hom_jacobi_check(alg, terms, w).to_json_dict()
+    assert got == hom_jacobi_by_enumeration(alg, terms, w).to_json_dict()
+    return got
+
+
+class TestHomLieTerms:
+    @given(case=hom_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_combinations_match_enumeration(self, case):
+        assert_hom_same(*case)
+
+    def test_named_combinations(self):
+        cases = [("B", Fraction(2), Window(1, 4), "id + alpha", True, False),
+                 ("B", Fraction(2), Window(2, 2), "id - 2*shift", False, False),
+                 ("B", Fraction(2), Window(2, 2), "shift", False, False),
+                 ("B", Fraction(2), Window(2, 4), "alpha", True, True),
+                 ("B", None, Window(2, 1), "1/3*id", True, False),
+                 ("S", Fraction(0), Window(1, 1), "epsilon + beta - delta", True, False),
+                 ("S", Fraction(2), Window(1, 3), "gamma", True, True)]
+        for name, q, w, expr, std, lit in cases:
+            alg = builtin_algebra(name, q)
+            got = assert_hom_same(alg, parse_map_expr(expr, alg, w), w)
+            assert got["conventions"] == {"standard": std, "literal": lit}, expr
+
+    def test_literal_decided_by_enumeration(self):
+        # id - id and id + alpha - id: id alone never proves the literal
+        # form, and the combined literal residual is zero on the grid, so the
+        # window is enumerated; the combination is 0 or alpha, both literal
+        alg = builtin_algebra("B", Fraction(1))
+        w = Window(1, 2)
+        ident, alpha = builtin_map("id", alg, w), builtin_map("alpha", alg, w)
+        for terms in ([(Fraction(1), ident), (Fraction(-1), ident)],
+                      [(Fraction(1), ident), (Fraction(1), alpha), (Fraction(-1), ident)]):
+            got = assert_hom_same(alg, terms, w)
+            assert got["conventions"] == {"standard": True, "literal": True}
+
+    def test_sparse_terms_off_the_grid(self):
+        # single-entry maps outside the 1x1 grid: a proof on the grid alone
+        # would pass them all, but most fail on the window
+        alg = builtin_algebra("B", Fraction(1))
+        w = Window(1, 2)
+        ident = builtin_map("id", alg, w)
+        failed = 0
+        for src in (L(0, 2), L(-1, -2), L(1, 2)):
+            for r, s in ((0, 0), (1, 0), (0, -1)):
+                gm = GradedMap(MapDegree(EVEN, r, s), {src: Fraction(1)})
+                failed += not assert_hom_same(alg, gm, w)["pass"]
+                assert_hom_same(alg, [(Fraction(1), ident), (Fraction(2), gm)], w)
+        assert failed >= 6
+
+    def test_sparse_term_failing_only_the_literal_form(self):
+        # the standard form holds, and [phi(y),[z,y]] != [phi(y),[z,x]] for
+        # y = L[-1,0]: the literal pass over y in the support must see it
+        rule = "m*m*i*n - m*n*n*j - m*m*n*n*j*j + m*m*i*i*n*n"
+        alg = spec((rule,), Fraction(1))
+        w = Window(1, 1)
+        gm = GradedMap(MapDegree(EVEN, 0, 0), {L(-1, 0): Fraction(1)})
+        got = assert_hom_same(alg, gm, w)
+        assert got["conventions"] == {"standard": True, "literal": False}
+
+    def test_dense_term_outside_grid_is_enumerated(self):
+        # the cubic spec needs a 3x3 grid; in a 2x2 window id is enumerated
+        alg = spec((CUBIC,), Fraction(1))
+        w = Window(2, 2)
+        got = assert_hom_same(alg, builtin_map("id", alg, w), w)
+        assert got["pass"] is False
+
+
+@st.composite
+def product_cases(draw):
+    """(algebra, product, window): built-in products and random finite ones."""
+    name, q, w = draw(st.sampled_from([
+        ("B", Fraction(1), Window(2, 2)), ("B", Fraction(-1), Window(1, 2)),
+        ("S", Fraction(0), Window(1, 1))]))
+    alg = builtin_algebra(name, q)
+    if draw(st.booleans()):
+        names = ["trivial", "block_thalg"] if name == "B" else ["super_full", "super_even"]
+        return alg, builtin_tp(draw(st.sampled_from(names)), q, is_super=alg.is_super), w
+    prod = ProductTable(is_super=alg.is_super, q=q)
+    idx = st.builds(BasisIndex, st.sampled_from(alg.parities), st.integers(-2, 2),
+                    st.integers(-3, 3))
+    for _ in range(draw(st.integers(1, 2))):
+        x, y, img = draw(idx), draw(idx), draw(idx)
+        img = BasisIndex((x.parity + y.parity) & 1, img.m, img.i)
+        if (x, y) in prod.entries or (y, x) in prod.entries:
+            continue
+        prod.put(x, y, SparseVector.basis(img, draw(coeffs)))
+    return alg, prod, w
+
+
+class TestLeibnizPartners:
+    @given(case=product_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_products_match_enumeration(self, case):
+        alg, prod, w = case
+        assert (verify_transposed_leibniz(alg, prod, w).to_json_dict()
+                == transposed_leibniz_by_enumeration(alg, prod, w).to_json_dict())
+
+    def test_violation_reached_only_through_the_sum(self):
+        # z = L[0,1] has the one partner L[1,1]; the pair (L[1,0], L[0,1])
+        # touches it only through x+y, and 2 z.[x,y] != 0 while both other
+        # terms vanish
+        alg = builtin_algebra("B", Fraction(1))
+        prod = ProductTable(is_super=False, q=Fraction(1))
+        prod.put(L(0, 1), L(1, 1), SparseVector.basis(L(1, 2), Fraction(1)))
+        w = Window(1, 1)
+        rep = verify_transposed_leibniz(alg, prod, w)
+        assert rep.to_json_dict() == transposed_leibniz_by_enumeration(alg, prod, w).to_json_dict()
+        triples = [tuple(map(tuple, v["indices"])) for v in rep.violations]
+        assert (("even", 0, 1), ("even", 1, 0), ("even", 0, 1)) in triples

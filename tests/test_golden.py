@@ -1,0 +1,89 @@
+"""CLI reports compared byte for byte against checked-in golden files.
+
+Each case runs one `blockq` command in-process from the repository root (so
+the spec and product paths the report echoes are relative and stable) and
+compares the written report and the exit code with `tests/golden/NAME.json`.
+The golden files were recorded before the identity suites learned to prove
+passing windows on a certifying grid; they pin that every report stayed the
+same.  To record them again after an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from blockq.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+INPUTS = "tests/golden/inputs"
+
+# name -> (argv, exit code)
+CASES = {
+    "verify_algebra_B_generic_2x2": (
+        ["verify-algebra", "--algebra", "B", "--q", "generic", "--window", "2x2"], 0),
+    "verify_algebra_S_generic_1x1": (
+        ["verify-algebra", "--algebra", "S", "--q", "generic", "--window", "1x1"], 0),
+    "verify_algebra_S_generic_2x2": (
+        ["verify-algebra", "--algebra", "S", "--q", "generic", "--window", "2x2"], 0),
+    "verify_algebra_mutated_B_generic_2x2": (
+        ["verify-algebra", "--spec", f"{INPUTS}/mutated_B.alg", "--q", "generic",
+         "--window", "2x2"], 1),
+    "verify_algebra_mutated_S_generic_2x1": (
+        ["verify-algebra", "--spec", f"{INPUTS}/mutated_S.alg", "--q", "generic",
+         "--window", "2x1"], 1),
+    "verify_algebra_cubic_2_2x2": (
+        ["verify-algebra", "--spec", f"{INPUTS}/cubic.alg", "--q", "2",
+         "--window", "2x2"], 1),
+    "hom_check_B_1_id_plus_alpha_2x4": (
+        ["hom-check", "--algebra", "B", "--q", "1", "--map", "id + alpha",
+         "--window", "2x4"], 0),
+    "hom_check_S_2_gamma_2x3": (
+        ["hom-check", "--algebra", "S", "--q", "2", "--map", "gamma",
+         "--window", "2x3"], 0),
+    "hom_check_B_2_shift_2x3": (
+        ["hom-check", "--algebra", "B", "--q", "2", "--map", "shift",
+         "--window", "2x3"], 1),
+    "hom_check_B_2_id_minus_2shift_2x2": (
+        ["hom-check", "--algebra", "B", "--q", "2", "--map", "id - 2*shift",
+         "--window", "2x2"], 1),
+    "verify_tp_B_1_block_thalg_3x4": (
+        ["verify-tp", "--structure", "block_thalg", "--algebra", "B", "--q", "1",
+         "--window", "3x4"], 0),
+    "verify_tp_S_0_super_full_2x3": (
+        ["verify-tp", "--structure", "super_full", "--algebra", "S", "--q", "0",
+         "--window", "2x3"], 0),
+    "verify_tp_B_1_mutated_thalg_3x3": (
+        ["verify-tp", "--json", f"{INPUTS}/mutated_thalg.json", "--algebra", "B",
+         "--q", "1", "--window", "3x3"], 1),
+}
+
+
+def run_case(argv: list[str], out: Path) -> tuple[int, bytes]:
+    code = main(argv + ["--out", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv, want_code = CASES[name]
+    code, data = run_case(argv, tmp_path / "report.json")
+    assert code == want_code
+    assert data == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def record() -> None:
+    os.chdir(ROOT)
+    for name, (argv, want_code) in sorted(CASES.items()):
+        code, _ = run_case(argv, GOLDEN / f"{name}.json")
+        assert code == want_code, (name, code)
+        print(f"recorded {name} (exit {code})")
+
+
+if __name__ == "__main__":
+    sys.exit(record())
