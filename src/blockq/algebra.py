@@ -5,6 +5,17 @@ coefficients are polynomials in the source indices (m, i, n, j) and the
 parameter q.  Brackets are total on Z x Z indices; a `Window` only limits
 which identities get enumerated, never the evaluation itself.
 
+Every identity suite (antisymmetry, Jacobi, half-derivation, Hom-Lie,
+transposed Leibniz and associativity) runs through one kernel,
+`check_identity`: it evaluates a residual per case, logs each failing case,
+and builds scalar sides only for the witnesses a report keeps.  Except for
+associativity, which has no bracket, the residuals run on the compiled layer
+(`CompiledAlgebra`).  It clears denominators once per algebra and evaluates
+every structure constant with plain integer arithmetic: ints in fixed-q
+mode, integer q-coefficient tuples in generic mode.  `CompiledAlgebra.raw`
+clears a scalar table (a map, a product or a kernel vector) onto the same
+layer with one common factor.
+
 Antisymmetry and Jacobi first try a proof for all indices: their residuals
 are polynomials in the free indices of bounded degree, so vanishing on the
 small box `certifying_grid` returns proves them everywhere (Alon's
@@ -12,20 +23,11 @@ Combinatorial Nullstellensatz).  When the window does not contain that box,
 or the box shows a violation, every pair or triple of the window is
 enumerated (`antisymmetry_by_enumeration`, `jacobi_by_enumeration`, also the
 oracle in tests).  Either way a report's `checked` counts the pairs or
-triples of the window it covers, and its witnesses come from the enumeration.
-
-The antisymmetry, Jacobi, half-derivation and Hom-Lie checks, and the
-null-space solver, run on the compiled layer (`CompiledAlgebra`).  It clears
-denominators once per algebra and evaluates every structure constant with
-plain integer arithmetic: ints in fixed-q mode, integer q-coefficient tuples
-in generic mode.  `CompiledAlgebra.raw` clears a scalar table (a map, or a
-kernel vector) onto the same layer, so these checks never mix the two.
+triples of the window it covers.
 
 The scalar layer (`bracket_basis`, `bracket_vec`, `jacobi_sides`) computes
-exact `Fraction` or `RatFunc` values.  For those checks it only formats the
-witnesses a report keeps (`_ViolationLog` asks for them while fewer than
-MAX_REPORT_VIOLATIONS are kept), and it serves as the reference oracle in
-tests.  The transposed Poisson product checks still evaluate on it.
+exact `Fraction` or `RatFunc` values.  It only formats witnesses and serves
+as the reference oracle in tests.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import lcm
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import UnknownParityPair
+from .errors import ModeMismatch, ParseError, UnknownParityPair
 from .scalars import Poly, RatFunc, Scalar, from_fraction, poly_gcd, scalar_one
 
 EVEN = 0
@@ -72,10 +75,17 @@ class BasisIndex(NamedTuple):
     def json(self) -> list:
         return [parity_name(self.parity), self.m, self.i]
 
+    def plus(self, other: "BasisIndex") -> "BasisIndex":
+        """The index of [self, other]: parities and coordinates add."""
+        return BasisIndex(self.parity ^ other.parity, self.m + other.m, self.i + other.i)
+
 
 def index_from_json(item: Iterable) -> BasisIndex:
-    p, m, i = item
-    return BasisIndex(parity_from_name(p), int(m), int(i))
+    """The inverse of BasisIndex.json; ParseError unless item is [parity, m, i]."""
+    if not (isinstance(item, list) and len(item) == 3 and item[0] in _PARITY_VALUES
+            and all(type(v) is int for v in item[1:])):
+        raise ParseError(f"a basis index is [\"even\" or \"odd\", m, i], got {item!r}")
+    return BasisIndex(_PARITY_VALUES[item[0]], item[1], item[2])
 
 
 class SparseVector:
@@ -361,6 +371,10 @@ class CompiledAlgebra:
         fn = eval("lambda m,i,n,j: " + body, {"__builtins__": {}}, {})  # noqa: S307 - self-generated source
         return fn
 
+    def coeff(self, x: BasisIndex, y: BasisIndex):
+        """The evaluated structure constant of [x, y]."""
+        return self.pair[(x.parity, y.parity)](x.m, x.i, y.m, y.i)
+
     def to_scalar(self, v) -> Scalar:
         """Divide the uniform scale back out, returning the true coefficient."""
         if self.generic:
@@ -374,6 +388,8 @@ class CompiledAlgebra:
         linear in the table vanishes on the result exactly where it vanishes
         on the table.
         """
+        if any(isinstance(v, RatFunc) != self.generic for v in table.values()):
+            raise ModeMismatch("a scalar table's mode differs from the algebra's")
         if not self.generic:
             m = lcm(*(v.denominator for v in table.values()))
             return {k: (v * m).numerator for k, v in table.items()}
@@ -385,6 +401,15 @@ class CompiledAlgebra:
         m = lcm(*(c.denominator for poly in nums.values() for c in poly.coeffs))
         return {k: tuple((c * m).numerator for c in poly.coeffs)
                 for k, poly in nums.items()}
+
+    def raw_vectors(self, vectors: dict) -> dict:
+        """`raw` of every coefficient of a table of sparse vectors at once, as
+        (index, raw coefficient) lists; keys with a zero vector are dropped."""
+        out: dict = {}
+        for (key, idx), c in self.raw({(key, idx): c for key, v in vectors.items()
+                                       for idx, c in v.entries.items()}).items():
+            out.setdefault(key, []).append((idx, c))
+        return out
 
 
 # --- scalar layer ------------------------------------------------------------
@@ -415,9 +440,7 @@ def bracket_coeff(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex) -> Scalar:
 
 def bracket_basis(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex) -> SparseVector:
     """[x, y] as a sparse vector (a single term, or empty when the coefficient vanishes)."""
-    val = bracket_coeff(alg, x, y)
-    out = BasisIndex((x.parity + y.parity) & 1, x.m + y.m, x.i + y.i)
-    return SparseVector.basis(out, val)
+    return SparseVector.basis(x.plus(y), bracket_coeff(alg, x, y))
 
 
 def bracket_vec(alg: AlgebraSpec, u: SparseVector, v: SparseVector) -> SparseVector:
@@ -427,8 +450,7 @@ def bracket_vec(alg: AlgebraSpec, u: SparseVector, v: SparseVector) -> SparseVec
         for ky, cy in v.entries.items():
             val = bracket_coeff(alg, kx, ky) * cx * cy
             if val:
-                out.add_term(BasisIndex((kx.parity + ky.parity) & 1,
-                                        kx.m + ky.m, kx.i + ky.i), val)
+                out.add_term(kx.plus(ky), val)
     return out
 
 
@@ -475,10 +497,30 @@ class _ViolationLog:
             self.items.append({"indices": [idx.json() for idx in indices],
                                "lhs": str(lhs), "rhs": str(rhs)})
 
-    def report(self, checked: int, notes: dict | None = None) -> VerificationReport:
+    def report(self, checked: int) -> VerificationReport:
         return VerificationReport(checked=checked, passed=self.total == 0,
-                                  violations=self.items, total_violations=self.total,
-                                  notes=notes or {})
+                                  violations=self.items, total_violations=self.total)
+
+
+def check_identity(cases: Iterable[tuple[BasisIndex, ...]],
+                   residual: Callable[..., object],
+                   sides: Callable[..., tuple[object, object]], checked: int,
+                   proof: Iterable[tuple[BasisIndex, ...]] | None = None
+                   ) -> VerificationReport:
+    """The identity-check kernel of every suite.
+
+    `residual(*case)` is truthy where the identity fails at a case (a tuple
+    of basis indices); `sides(*case)` builds a witness's scalar (lhs, rhs)
+    only while the report keeps witnesses.  When the residual vanishes on
+    every `proof` case, the caller's proof covers `cases` and the report
+    passes without enumerating them.  `checked` counts the cases covered.
+    """
+    log = _ViolationLog()
+    if proof is None or any(residual(*case) for case in proof):
+        for case in cases:
+            if residual(*case):
+                log.record(case, lambda: sides(*case))
+    return log.report(checked)
 
 
 def certifying_grid(alg: AlgebraSpec, factors: int) -> Window:
@@ -500,40 +542,27 @@ def certifying_grid(alg: AlgebraSpec, factors: int) -> Window:
     return Window(bound, bound)
 
 
-def _proved_on_grid(alg: AlgebraSpec, w: Window, factors: int, violations) -> bool:
-    """True when w contains the certifying grid and `violations` finds
-    nothing there; then nothing in w (or in Z x Z) violates."""
-    grid = certifying_grid(alg, factors)
-    return grid <= w and next(
-        violations(alg.compiled(), grid.basis(alg.parities)), None) is None
+def _antisymmetry(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationReport:
+    comp = alg.compiled()
 
+    def residual(x: BasisIndex, y: BasisIndex) -> bool:
+        cxy, cyx = comp.coeff(x, y), comp.coeff(y, x)
+        return not comp.vis_zero(comp.vsub(cxy, cyx) if x.parity & y.parity
+                                 else comp.vadd(cxy, cyx))
 
-def _antisymmetry_violations(comp: CompiledAlgebra, basis: list[BasisIndex]):
-    """Unordered basis pairs (x, y), in window order, where
-    [x,y] + (-1)^{|x||y|} [y,x] is nonzero on the compiled layer."""
-    pair = comp.pair
-    vadd, vsub, vis_zero = comp.vadd, comp.vsub, comp.vis_zero
-    for a, x in enumerate(basis):
-        px, mx, ix = x
-        for y in basis[a:]:
-            py, my, iy = y
-            cxy = pair[(px, py)](mx, ix, my, iy)
-            cyx = pair[(py, px)](my, iy, mx, ix)
-            resid = vsub(cxy, cyx) if (px & py) else vadd(cxy, cyx)
-            if not vis_zero(resid):
-                yield x, y
+    basis = w.basis(alg.parities)
+    return check_identity(
+        combinations_with_replacement(basis, 2), residual,
+        lambda x, y: (bracket_basis(alg, x, y), bracket_basis(alg, y, x).scale(
+            from_fraction(1 if (x.parity & y.parity) else -1, alg.q))),
+        len(basis) * (len(basis) + 1) // 2,
+        combinations_with_replacement(grid.basis(alg.parities), 2) if grid and grid <= w
+        else None)
 
 
 def antisymmetry_by_enumeration(alg: AlgebraSpec, w: Window) -> VerificationReport:
     """Evaluate antisymmetry on every unordered basis pair in w."""
-    basis = w.basis(alg.parities)
-    log = _ViolationLog()
-    for x, y in _antisymmetry_violations(alg.compiled(), basis):
-        log.record((x, y), lambda: (
-            bracket_basis(alg, x, y),
-            bracket_basis(alg, y, x).scale(
-                from_fraction(1 if (x.parity & y.parity) else -1, alg.q))))
-    return log.report(len(basis) * (len(basis) + 1) // 2)
+    return _antisymmetry(alg, w, None)
 
 
 def verify_antisymmetry(alg: AlgebraSpec, w: Window) -> VerificationReport:
@@ -542,10 +571,7 @@ def verify_antisymmetry(alg: AlgebraSpec, w: Window) -> VerificationReport:
     Proved on the certifying grid when w contains it; otherwise, or when the
     grid shows a violation, every pair of w is enumerated.
     """
-    if _proved_on_grid(alg, w, 1, _antisymmetry_violations):
-        n = len(w.basis(alg.parities))
-        return _ViolationLog().report(n * (n + 1) // 2)
-    return antisymmetry_by_enumeration(alg, w)
+    return _antisymmetry(alg, w, certifying_grid(alg, 1))
 
 
 def jacobi_sides(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex,
@@ -565,39 +591,28 @@ def jacobi_sides(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex,
     return lhs, rhs
 
 
-def _jacobi_violations(comp: CompiledAlgebra, basis: list[BasisIndex]):
-    """Basis triples (x, y, z), in window order, where the graded Jacobi
-    residual is nonzero on the compiled layer."""
+def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationReport:
+    comp = alg.compiled()
     pair = comp.pair
     vmul, vadd, vsub, vis_zero = comp.vmul, comp.vadd, comp.vsub, comp.vis_zero
-    for x in basis:
-        px, mx, ix = x
-        for y in basis:
-            py, my, iy = y
-            pxy = px ^ py
-            sign_odd = px & py
-            for z in basis:
-                pz, mz, iz = z
-                c1 = pair[(py, pz)](my, iy, mz, iz)
-                c2 = pair[(px, py ^ pz)](mx, ix, my + mz, iy + iz)
-                c3 = pair[(px, py)](mx, ix, my, iy)
-                c4 = pair[(pxy, pz)](mx + my, ix + iy, mz, iz)
-                c5 = pair[(px, pz)](mx, ix, mz, iz)
-                c6 = pair[(py, px ^ pz)](my, iy, mx + mz, ix + iz)
-                resid = vsub(vmul(c1, c2), vmul(c3, c4))
-                t2 = vmul(c5, c6)
-                resid = vadd(resid, t2) if sign_odd else vsub(resid, t2)
-                if not vis_zero(resid):
-                    yield x, y, z
+
+    def residual(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> bool:
+        (px, mx, ix), (py, my, iy), (pz, mz, iz) = x, y, z
+        x_yz = vmul(pair[(py, pz)](my, iy, mz, iz), pair[(px, py ^ pz)](mx, ix, my + mz, iy + iz))
+        xy_z = vmul(pair[(px, py)](mx, ix, my, iy), pair[(px ^ py, pz)](mx + my, ix + iy, mz, iz))
+        y_xz = vmul(pair[(px, pz)](mx, ix, mz, iz), pair[(py, px ^ pz)](my, iy, mx + mz, ix + iz))
+        return not vis_zero((vadd if px & py else vsub)(vsub(x_yz, xy_z), y_xz))
+
+    basis = w.basis(alg.parities)
+    return check_identity(
+        product(basis, repeat=3), residual,
+        lambda x, y, z: jacobi_sides(alg, x, y, z), len(basis) ** 3,
+        product(grid.basis(alg.parities), repeat=3) if grid and grid <= w else None)
 
 
 def jacobi_by_enumeration(alg: AlgebraSpec, w: Window) -> VerificationReport:
     """Evaluate the graded Jacobi identity on every basis triple in w."""
-    basis = w.basis(alg.parities)
-    log = _ViolationLog()
-    for x, y, z in _jacobi_violations(alg.compiled(), basis):
-        log.record((x, y, z), lambda: jacobi_sides(alg, x, y, z))
-    return log.report(len(basis) ** 3)
+    return _jacobi(alg, w, None)
 
 
 def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
@@ -607,6 +622,4 @@ def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
     Proved on the certifying grid when w contains it; otherwise, or when the
     grid shows a violation, every triple of w is enumerated.
     """
-    if _proved_on_grid(alg, w, 2, _jacobi_violations):
-        return _ViolationLog().report(len(w.basis(alg.parities)) ** 3)
-    return jacobi_by_enumeration(alg, w)
+    return _jacobi(alg, w, certifying_grid(alg, 2))

@@ -43,11 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, CompiledAlgebra, Parity,
-                      SparseVector, VerificationReport, Window, _ViolationLog,
-                      bracket_basis, bracket_vec, parity_name)
+                      SparseVector, VerificationReport, Window, bracket_basis,
+                      bracket_vec, check_identity, parity_name)
 from .errors import (IntegralityViolation, OddMapOnNonSuper, UnknownMapName,
                      WrongQ)
 from .scalars import (RatFunc, Poly, Scalar, format_scalar, from_fraction, inv,
@@ -479,19 +479,19 @@ def _modp_pivot_rows(rows: list[list[tuple[int, object]]], generic: bool,
     return chosen
 
 
-def _violated_rows(rows: Iterable[list[tuple[int, object]]], ivec: dict,
-                   comp: CompiledAlgebra) -> Iterable[int]:
-    """Positions of the raw rows whose product with the raw vector is nonzero."""
+def _row_violated(ivec: dict, comp: CompiledAlgebra) -> Callable[[Entries], bool]:
+    """Whether a raw row's product with the raw vector is nonzero."""
     vmul, vadd, is0 = comp.vmul, comp.vadd, comp.vis_zero
-    for k, entries in enumerate(rows):
+
+    def violated(entries: Entries) -> bool:
         acc = None
         for u, v in entries:
             w = ivec.get(u)
             if w is not None:
                 t = vmul(v, w)
                 acc = t if acc is None else vadd(acc, t)
-        if acc is not None and not is0(acc):
-            yield k
+        return acc is not None and not is0(acc)
+    return violated
 
 
 def _certified_kernel(rows: list[list[tuple[int, object]]], cols: list[int],
@@ -515,8 +515,7 @@ def _certified_kernel(rows: list[list[tuple[int, object]]], cols: list[int],
     if len(pivot_rows) == len(cols):
         return []
     vecs = _kernel([{u: lift(v) for u, v in rows[k]} for k in pivot_rows], cols, one)
-    if all(next(_violated_rows(rows, comp.raw(vec), comp), None) is None
-           for vec in vecs):
+    if not any(any(map(_row_violated(comp.raw(vec), comp), rows)) for vec in vecs):
         return vecs
     return _kernel([{u: lift(v) for u, v in row} for row in rows], cols, one)
 
@@ -760,11 +759,10 @@ def check_map(alg: AlgebraSpec, gm: GradedMap, w: Window) -> VerificationReport:
     comp = alg.compiled()
     table = gm.table
     ivec = comp.raw({u: table[idx] for u, idx in enumerate(cs.unknowns) if idx in table})
-    log = _ViolationLog()
-    for k in _violated_rows((entries for entries, _x, _y in cs.rows), ivec, comp):
-        _entries, x, y = cs.rows[k]
-        log.record((x, y), lambda: half_derivation_sides(alg, gm, x, y))
-    return log.report(len(cs.rows))
+    rows = {(x, y): entries for entries, x, y in cs.rows}
+    violated = _row_violated(ivec, comp)
+    return check_identity(rows, lambda x, y: violated(rows[x, y]),
+                          lambda x, y: half_derivation_sides(alg, gm, x, y), len(cs.rows))
 
 
 # --- classification ------------------------------------------------------------------

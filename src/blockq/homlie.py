@@ -44,7 +44,7 @@ from itertools import chain, product
 
 from .algebra import (AlgebraSpec, BasisIndex, CompiledAlgebra, SparseVector,
                       VerificationReport, Window, _ViolationLog, bracket_vec,
-                      certifying_grid)
+                      certifying_grid, check_identity)
 from .halfder import GradedMap, MapCombo, combo_apply
 from .scalars import scalar_one
 
@@ -76,21 +76,6 @@ def hom_cyclic_sum(alg: AlgebraSpec, terms: MapCombo, x: BasisIndex,
         for idx, c in vec.entries.items():
             total.add_term(idx, c if sgn > 0 else -c)
     return total
-
-
-def _raw_images(comp: CompiledAlgebra, terms: MapCombo,
-                basis: list[BasisIndex]) -> dict[BasisIndex, list[tuple[BasisIndex, object]]]:
-    """phi images per window source: (target index, raw weight) lists.
-
-    The identities are linear in phi, so the common factor `raw` scales by
-    never changes which triples vanish.
-    """
-    weights = comp.raw({(b, tgt): c for b in basis
-                        for tgt, c in combo_apply(terms, b).entries.items()})
-    phi: dict[BasisIndex, list[tuple[BasisIndex, object]]] = {}
-    for (b, tgt), wcoef in weights.items():
-        phi.setdefault(b, []).append((tgt, wcoef))
-    return phi
 
 
 def _cyclic_sums(comp: CompiledAlgebra, phi: dict):
@@ -184,7 +169,7 @@ def _proved_terms(comp: CompiledAlgebra, terms: MapCombo, basis: list[BasisIndex
     whether every term is proved for the literal one too."""
     literal = True
     for term in terms:
-        phi = _raw_images(comp, [term], basis)
+        phi = comp.raw_vectors({b: combo_apply([term], b) for b in basis})
         sums = _cyclic_sums(comp, phi)
         if not phi or not _is_dense(term[1], basis):
             std, lit = _sparse_proof(sums, basis, phi)
@@ -211,7 +196,7 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
     if literal is None:
         return hom_jacobi_by_enumeration(alg, terms, w)
     if not literal:
-        sums = _cyclic_sums(comp, _raw_images(comp, terms, basis))
+        sums = _cyclic_sums(comp, comp.raw_vectors({b: combo_apply(terms, b) for b in basis}))
         candidates = product(basis, repeat=3)
         if grid_basis is not None:
             candidates = chain(product(grid_basis, repeat=3), candidates)
@@ -227,19 +212,18 @@ def hom_jacobi_by_enumeration(alg: AlgebraSpec, maps: GradedMap | MapCombo,
     terms = _as_combo(maps, alg)
     comp = alg.compiled()
     basis = w.basis(alg.parities)
-    sums = _cyclic_sums(comp, _raw_images(comp, terms, basis))
-    log_std = _ViolationLog()
-    lit_violations = 0
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                std, lit = sums(x, y, z)
-                if std:
-                    log_std.record((x, y, z),
-                                   lambda: (hom_cyclic_sum(alg, terms, x, y, z), "0"))
-                if lit:
-                    lit_violations += 1
-    report = log_std.report(len(basis) ** 3)
-    report.notes["conventions"] = {"standard": log_std.total == 0,
-                                   "literal": lit_violations == 0}
+    sums = _cyclic_sums(comp, comp.raw_vectors({b: combo_apply(terms, b) for b in basis}))
+    literal_violations = 0
+
+    def standard(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> dict:
+        nonlocal literal_violations
+        std, lit = sums(x, y, z)
+        literal_violations += bool(lit)
+        return std
+
+    report = check_identity(
+        product(basis, repeat=3), standard,
+        lambda x, y, z: (hom_cyclic_sum(alg, terms, x, y, z), "0"), len(basis) ** 3)
+    report.notes["conventions"] = {"standard": report.passed,
+                                   "literal": literal_violations == 0}
     return report

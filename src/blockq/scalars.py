@@ -5,10 +5,10 @@ Every computation runs in one of two modes:
 * fixed mode  -- q is specialized to an exact rational; scalars are `Fraction`.
 * generic mode -- q stays formal; scalars are `RatFunc`, elements of Q(q).
 
-The mode is a property of the whole computation and is never mixed: the
-module-level field operations raise `ModeMismatch` when handed one scalar of
-each kind.  Throughout the package a value ``q: Fraction | None`` selects the
-mode, with ``None`` meaning generic.
+The mode is a property of the whole computation and is never mixed: an
+arithmetic operator handed one scalar of each kind raises `ModeMismatch`.
+Throughout the package a value ``q: Fraction | None`` selects the mode, with
+``None`` meaning generic.
 
 Polynomials are kept with trailing zero coefficients stripped; rational
 functions are gcd-reduced with a monic denominator, so equality is structural.
@@ -207,10 +207,6 @@ class RatFunc:
         return cls(Poly.const(c))
 
     @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p)
-
-    @classmethod
     def q(cls) -> "RatFunc":
         return cls(Poly.q())
 
@@ -293,37 +289,12 @@ class RatFunc:
 Scalar = Fraction | RatFunc
 
 
-def _check_same_mode(a: Scalar, b: Scalar) -> bool:
-    """True for fixed mode, False for generic; raises on a mix."""
-    fa = isinstance(a, Fraction)
-    fb = isinstance(b, Fraction)
-    if fa != fb:
-        raise ModeMismatch(
-            f"cannot combine {type(a).__name__} with {type(b).__name__}")
-    return fa
-
-
-def add(a: Scalar, b: Scalar) -> Scalar:
-    _check_same_mode(a, b)
-    return a + b
-
-
 def inv(a: Scalar) -> Scalar:
     if isinstance(a, Fraction):
         if a == 0:
             raise DivisionByZero("inverse of zero")
         return 1 / a
     return a.inv()
-
-
-def div(a: Scalar, b: Scalar) -> Scalar:
-    _check_same_mode(a, b)
-    return a * inv(b)
-
-
-def eq(a: Scalar, b: Scalar) -> bool:
-    _check_same_mode(a, b)
-    return a == b
 
 
 def specialize_q(x: RatFunc | Poly, q0: Fraction | int) -> Fraction:

@@ -7,27 +7,34 @@ The verifiers check, exactly and exhaustively over a window:
 * grading and parity additivity of the stored entries (odd squares vanish);
 * associativity, enumerated over support-adjacent indices plus the window
   (triples whose pairwise products miss the support are zero on both sides
-  identically, so only support-touching triples need evaluation);
+  identically, so only support-touching triples need evaluation).  It
+  involves no bracket, so it compares exact product values;
 * the transposed Leibniz law  2 z.[x,y] = [z.x, y] + (-1)^{|x||z|} [x, z.y],
   evaluated for each z with a product partner only on the pairs (x, y)
   where x, y or x+y is one (every other pair has all three terms zero);
   `transposed_leibniz_by_enumeration` evaluates every pair, as an oracle;
 * that every left multiplication is a half-(super)derivation.
 
-The associativity and Leibniz reports count in `checked` every triple of
+Both run through `algebra.check_identity`.  Leibniz evaluates on the
+compiled layer, with the product images cleared by one `raw_vectors` call:
+the identity is linear in the product, so that common factor keeps every
+zero where it was.  The scalar layer builds only kept witnesses and the
+associativity residual.  Both reports count in `checked` every triple of
 their cube, evaluated or not.  The zero product is admitted and called the
 trivial structure.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, product
 
 from .algebra import (EVEN, MAX_REPORT_VIOLATIONS, ODD, AlgebraSpec, BasisIndex,
                       SparseVector, VerificationReport, Window, _ViolationLog,
-                      bracket_basis, bracket_vec, index_from_json)
-from .errors import NonHomogeneousMultiplication, WrongQ
+                      bracket_basis, bracket_vec, check_identity, index_from_json)
+from .errors import NonHomogeneousMultiplication, ParseError, WrongQ
 from .halfder import GradedMap, MapDegree, check_map
 from .scalars import (Scalar, format_scalar, from_fraction, parse_scalar,
                       scalar_one)
@@ -108,14 +115,21 @@ class ProductTable:
 
     @classmethod
     def from_json(cls, data: dict, q: Fraction | None) -> "ProductTable":
+        """The inverse of to_json_dict; ParseError on a malformed table."""
+        if not (isinstance(data, dict) and "super" in data
+                and isinstance(data.get("entries"), list)):
+            raise ParseError("a product table is an object with 'super' and a list 'entries'")
         prod = cls(is_super=bool(data["super"]), q=q)
         for item in data["entries"]:
-            x = index_from_json(item["x"])
-            y = index_from_json(item["y"])
+            if not (isinstance(item, dict) and "x" in item and "y" in item
+                    and isinstance(item.get("value"), list)):
+                raise ParseError(f"a product entry has 'x', 'y' and a list 'value', got {item!r}")
             vec = SparseVector()
-            for *idx, text in item["value"]:
-                vec.add_term(index_from_json(idx), parse_scalar(text, q))
-            prod.put(x, y, vec)
+            for term in item["value"]:
+                if not (isinstance(term, list) and len(term) == 4 and isinstance(term[3], str)):
+                    raise ParseError(f"a value term is [parity, m, i, scalar text], got {term!r}")
+                vec.add_term(index_from_json(term[:3]), parse_scalar(term[3], q))
+            prod.put(index_from_json(item["x"]), index_from_json(item["y"]), vec)
         return prod
 
 
@@ -205,44 +219,34 @@ def verify_associative(prod: ProductTable, w: Window) -> VerificationReport:
     """
     parities = (EVEN, ODD) if prod.is_super else (EVEN,)
     universe = sorted(set(prod.support_indices()) | set(w.basis(parities)))
-    pairs: set[tuple[BasisIndex, BasisIndex]] = set()
-    for x, y in prod.entries:
-        pairs.add((x, y))
-        pairs.add((y, x))
-    log = _ViolationLog()
+    pairs = {(x, y) for xy in prod.entries for x, y in (xy, xy[::-1])}
+    one = scalar_one(prod.q)
 
-    def check(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> None:
-        lhs = prod.product_vec(prod.product(x, y), SparseVector.basis(z, scalar_one(prod.q)))
-        rhs = prod.product_vec(SparseVector.basis(x, scalar_one(prod.q)), prod.product(y, z))
-        if lhs != rhs:
-            log.record((x, y, z), lambda: (lhs, rhs))
+    def sides(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> tuple[SparseVector, SparseVector]:
+        return (prod.product_vec(prod.product(x, y), SparseVector.basis(z, one)),
+                prod.product_vec(SparseVector.basis(x, one), prod.product(y, z)))
 
-    for x, y in sorted(pairs):
-        for z in universe:
-            check(x, y, z)
-    for y, z in sorted(pairs):
-        for x in universe:
-            if (x, y) in pairs:
-                continue
-            check(x, y, z)
-    return log.report(len(universe) ** 3)
+    return check_identity(
+        chain(((x, y, z) for x, y in sorted(pairs) for z in universe),
+              ((x, y, z) for y, z in sorted(pairs) for x in universe if (x, y) not in pairs)),
+        lambda *case: operator.ne(*sides(*case)), sides, len(universe) ** 3)
 
 
-def _partner_pairs(basis: list[BasisIndex], partners: set[BasisIndex]):
-    """Pairs (x, y) of basis, in window order, where x, y or x+y is a partner."""
-    for x in basis:
-        for y in basis:
-            if (x in partners or y in partners
-                    or BasisIndex((x.parity + y.parity) & 1, x.m + y.m, x.i + y.i)
-                    in partners):
-                yield x, y
+def _leibniz_sides(alg: AlgebraSpec, prod: ProductTable, z: BasisIndex, x: BasisIndex,
+                   y: BasisIndex) -> tuple[SparseVector, SparseVector]:
+    """Scalar-layer 2 z.[x,y] and [z.x, y] + (-1)^{|x||z|} [x, z.y]."""
+    one = scalar_one(alg.q)
+    lhs = prod.product_vec(SparseVector.basis(z, one), bracket_basis(alg, x, y))
+    zy = bracket_vec(alg, SparseVector.basis(x, one), prod.product(z, y))
+    return lhs.scale(from_fraction(2, alg.q)), (
+        bracket_vec(alg, prod.product(z, x), SparseVector.basis(y, one))
+        + zy.scale(from_fraction(-1 if x.parity and z.parity else 1, alg.q)))
 
 
-def _all_pairs(basis: list[BasisIndex], partners: set[BasisIndex]):
-    return ((x, y) for x in basis for y in basis)
-
-
-def _leibniz(alg: AlgebraSpec, prod: ProductTable, w: Window, pairs) -> VerificationReport:
+def _leibniz(alg: AlgebraSpec, prod: ProductTable, w: Window,
+             every_pair: bool) -> VerificationReport:
+    """Transposed Leibniz for each active z, on every pair (x, y) or on those
+    where x, y or x+y is a product partner of z."""
     if alg.is_super != prod.is_super:
         raise WrongQ("algebra and product disagree about the odd part")
     if prod.q is not None and alg.q != prod.q:
@@ -253,24 +257,27 @@ def _leibniz(alg: AlgebraSpec, prod: ProductTable, w: Window, pairs) -> Verifica
     for x, y in prod.entries:
         partners.setdefault(x, set()).add(y)
         partners.setdefault(y, set()).add(x)
-    two = from_fraction(2, alg.q)
-    one = scalar_one(alg.q)
-    log = _ViolationLog()
-    for z in basis:
-        if z not in partners:
-            continue
-        for x, y in pairs(basis, partners[z]):
-            br = bracket_basis(alg, x, y)
-            lhs = prod.product_vec(SparseVector.basis(z, one), br).scale(two)
-            rhs = bracket_vec(alg, prod.product(z, x), SparseVector.basis(y, one))
-            zy = prod.product(z, y)
-            if not zy.is_zero:
-                sign = -1 if (x.parity and z.parity) else 1
-                t = bracket_vec(alg, SparseVector.basis(x, one), zy)
-                rhs = rhs + t.scale(from_fraction(sign, alg.q))
-            if lhs != rhs:
-                log.record((z, x, y), lambda: (lhs, rhs))
-    return log.report(len(basis) ** 3)
+    comp = alg.compiled()
+    coeff, vmul, vadd, vis_zero = comp.coeff, comp.vmul, comp.vadd, comp.vis_zero
+    two, one, minus = comp.raw({k: from_fraction(k, alg.q) for k in (2, 1, -1)}).values()
+    get = comp.raw_vectors({(z, u): prod.product(z, u)
+                            for z in partners for u in partners[z]}).get
+
+    def residual(z: BasisIndex, x: BasisIndex, y: BasisIndex) -> bool:
+        """Whether 2 z.[x,y] - [z.x, y] - (-1)^{|x||z|} [x, z.y] is nonzero."""
+        sign = one if x.parity & z.parity else minus
+        terms = [(t, vmul(a, vmul(two, coeff(x, y)))) for t, a in get((z, x.plus(y)), ())]
+        terms += [(t.plus(y), vmul(a, vmul(minus, coeff(t, y)))) for t, a in get((z, x), ())]
+        terms += [(x.plus(t), vmul(a, vmul(sign, coeff(x, t)))) for t, a in get((z, y), ())]
+        out: dict = {}
+        for key, v in terms:
+            out[key] = vadd(out[key], v) if key in out else v
+        return not all(map(vis_zero, out.values()))
+
+    return check_identity(
+        ((z, x, y) for z in basis if z in partners for x, y in product(basis, repeat=2)
+         if every_pair or not partners[z].isdisjoint((x, y, x.plus(y)))),
+        residual, lambda z, x, y: _leibniz_sides(alg, prod, z, x, y), len(basis) ** 3)
 
 
 def verify_transposed_leibniz(alg: AlgebraSpec, prod: ProductTable,
@@ -282,13 +289,13 @@ def verify_transposed_leibniz(alg: AlgebraSpec, prod: ProductTable,
     column) and, for each, only the pairs touching its partners are
     evaluated, in window order; `checked` counts every window triple.
     """
-    return _leibniz(alg, prod, w, _partner_pairs)
+    return _leibniz(alg, prod, w, False)
 
 
 def transposed_leibniz_by_enumeration(alg: AlgebraSpec, prod: ProductTable,
                                       w: Window) -> VerificationReport:
     """The same check, evaluated on every pair (x, y) for each active z."""
-    return _leibniz(alg, prod, w, _all_pairs)
+    return _leibniz(alg, prod, w, True)
 
 
 def left_mult_map(prod: ProductTable, z: BasisIndex, w: Window) -> GradedMap:

@@ -109,6 +109,18 @@ class TestVerifyTp:
         assert code2 == 0
         assert rep2["product"] == rep["product"]
 
+    def test_malformed_product_exit_two(self, tmp_path, capsys):
+        entry = {"x": ["even", 0, 0], "y": ["even", 0, 0], "value": [["even", 0, 0, "1"]]}
+        path = tmp_path / "bad.json"
+        for payload in ({}, [], {"super": False, "entries": [{**entry, "x": 5}]},
+                        {"super": False, "entries": [{**entry, "value": [["even", 0, 0, 3]]}]}):
+            path.write_text(json.dumps(payload))
+            code = main(["verify-tp", "--json", str(path), "--algebra", "B", "--q", "1",
+                         "--window", "2x2"])
+            captured = capsys.readouterr()
+            assert code == 2, payload
+            assert captured.out == "" and captured.err.startswith("error: "), payload
+
 
 class TestHomCheck:
     def test_id_plus_alpha(self, capsys):

@@ -60,6 +60,14 @@ CASES = {
     "verify_tp_B_1_mutated_thalg_3x3": (
         ["verify-tp", "--json", f"{INPUTS}/mutated_thalg.json", "--algebra", "B",
          "--q", "1", "--window", "3x3"], 1),
+    # recorded before transposed Leibniz moved to the compiled layer: a
+    # product with generic-q values, and one failing associativity
+    "verify_tp_B_generic_generic_q_product_2x2": (
+        ["verify-tp", "--json", f"{INPUTS}/generic_q_product.json", "--algebra", "B",
+         "--q", "generic", "--window", "2x2"], 1),
+    "verify_tp_S_0_doubled_super_2x2": (
+        ["verify-tp", "--json", f"{INPUTS}/doubled_super.json", "--algebra", "S",
+         "--q", "0", "--window", "2x2"], 1),
 }
 
 

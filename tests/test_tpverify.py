@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from blockq.algebra import EVEN, ODD, BasisIndex, SparseVector, Window, bracket_basis
-from blockq.errors import NonHomogeneousMultiplication, WrongQ
+from blockq.errors import ModeMismatch, NonHomogeneousMultiplication, WrongQ
 from blockq.halfder import MapDegree, stabilize
 from blockq.specdsl import builtin_algebra
 from blockq.tpverify import (ProductTable, builtin_tp, left_mult_map,
@@ -140,6 +140,14 @@ class TestTransposedLeibniz:
         prod = builtin_tp("block_thalg", Fraction(0))
         with pytest.raises(WrongQ):
             verify_transposed_leibniz(alg, prod, Window(2, 2))
+
+    def test_mode_mismatch_rejected(self):
+        # a table that does not record its q holds Fractions here, which a
+        # generic-q algebra cannot combine with its RatFunc brackets
+        prod = ProductTable(is_super=False)
+        prod.put(L(0, 0), L(0, 0), vec(L(0, 0)))
+        with pytest.raises(ModeMismatch):
+            verify_transposed_leibniz(builtin_algebra("B", None), prod, Window(1, 1))
 
 
 class TestLeftMultiplication:
