@@ -505,8 +505,9 @@ class _ViolationLog:
 def check_identity(cases: Iterable[tuple[BasisIndex, ...]],
                    residual: Callable[..., object],
                    sides: Callable[..., tuple[object, object]], checked: int,
-                   proof: Iterable[tuple[BasisIndex, ...]] | None = None
-                   ) -> VerificationReport:
+                   proof: Iterable[tuple[BasisIndex, ...]] | None = None,
+                   orbits: Callable[[int], Iterable[tuple[tuple[BasisIndex, ...], int]]]
+                   | None = None) -> VerificationReport:
     """The identity-check kernel of every suite.
 
     `residual(*case)` is truthy where the identity fails at a case (a tuple
@@ -514,12 +515,22 @@ def check_identity(cases: Iterable[tuple[BasisIndex, ...]],
     only while the report keeps witnesses.  When the residual vanishes on
     every `proof` case, the caller's proof covers `cases` and the report
     passes without enumerating them.  `checked` counts the cases covered.
+
+    With `orbits`, the walk over `cases` stops once the report keeps
+    MAX_REPORT_VIOLATIONS witnesses, after the first `walked` cases, and
+    `orbits(walked)` counts the rest: it yields one (case, weight) for each
+    class of cases on which the residual vanishes or not together, where
+    weight is the number of the class's cases after the first `walked`.
     """
     log = _ViolationLog()
     if proof is None or any(residual(*case) for case in proof):
-        for case in cases:
+        for walked, case in enumerate(cases, 1):
             if residual(*case):
                 log.record(case, lambda: sides(*case))
+                if orbits is not None and len(log.items) == MAX_REPORT_VIOLATIONS:
+                    log.total += sum(weight for rep, weight in orbits(walked)
+                                     if residual(*rep))
+                    break
     return log.report(checked)
 
 

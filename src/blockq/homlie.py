@@ -33,9 +33,22 @@ When every term is proved for the standard identity the report passes with
 `checked` counting every triple of the window.  The literal flag is true
 when every term is proved for it too; otherwise the combined literal residual
 is evaluated on the grid triples, then on the whole window, until one is
-nonzero.  When a term is not proved, the combination is enumerated over the
-window as a whole (`hom_jacobi_by_enumeration`, also the oracle in tests),
-and that enumeration alone decides the report.
+nonzero.
+
+When a term is not proved, the combination is checked over the window as a
+whole, and that check alone decides the report.  The standard sum is
+unchanged by rotating (x, y, z), so it is evaluated at most once per triple:
+
+* a witness walk evaluates it in window order and stops once the report
+  keeps its 100 witnesses;
+* the violations after the walked prefix are counted over rotation orbits,
+  one evaluation per orbit that reaches past the prefix, weighted by its
+  members past it (3, or 1 when x = y = z);
+* the literal flag comes from a search in window order that stops at the
+  first nonzero literal sum.
+
+`hom_jacobi_by_enumeration` evaluates both sums on every triple in window
+order; it remains only as the oracle in tests.
 """
 
 from __future__ import annotations
@@ -79,59 +92,78 @@ def hom_cyclic_sum(alg: AlgebraSpec, terms: MapCombo, x: BasisIndex,
 
 
 def _cyclic_sums(comp: CompiledAlgebra, phi: dict):
-    """sums(x, y, z) -> (standard sum, literal sum) on the compiled layer, as
-    dicts from output index to a nonzero raw value."""
+    """(standard, literal): the two cyclic sums at (x, y, z) on the compiled
+    layer, each a dict from output index to a nonzero raw value."""
     pair = comp.pair
     vmul, vadd, vneg, vis_zero = comp.vmul, comp.vadd, comp.vneg, comp.vis_zero
 
-    def term_value(a: BasisIndex, b: BasisIndex, c: BasisIndex):
-        """[phi(a), [b,c]] accumulated per output index, None when zero."""
+    def add_term(acc: dict, negate: int, a: BasisIndex, b: BasisIndex,
+                 c: BasisIndex) -> None:
+        """acc += [phi(a), [b,c]] per output index, or -= when negate is
+        nonzero, dropping the indices whose value cancels."""
         imgs = phi.get(a)
         if not imgs:
-            return None
+            return
         c_in = pair[(b.parity, c.parity)](b.m, b.i, c.m, c.i)
         if vis_zero(c_in):
-            return None
+            return
+        if negate:
+            c_in = vneg(c_in)
         pin = (b.parity + c.parity) & 1
         min_, iin = b.m + c.m, b.i + c.i
-        out = {}
         for tgt, wcoef in imgs:
             c_out = pair[(tgt.parity, pin)](tgt.m, tgt.i, min_, iin)
             if vis_zero(c_out):
                 continue
             key = ((tgt.parity + pin) & 1, tgt.m + min_, tgt.i + iin)
             val = vmul(wcoef, vmul(c_in, c_out))
-            cur = out.get(key)
-            tot = val if cur is None else vadd(cur, val)
-            if vis_zero(tot):
-                out.pop(key, None)
-            else:
-                out[key] = tot
-        return out or None
-
-    def accumulate(acc: dict, vals: dict | None, sgn: int) -> None:
-        if not vals:
-            return
-        for key, v in vals.items():
-            v2 = v if sgn > 0 else vneg(v)
             cur = acc.get(key)
-            tot = v2 if cur is None else vadd(cur, v2)
-            if vis_zero(tot):
-                acc.pop(key, None)
+            if cur is None:  # val, a product of nonzero values, is nonzero
+                acc[key] = val
+            elif vis_zero(tot := vadd(cur, val)):
+                del acc[key]
             else:
                 acc[key] = tot
 
-    def sums(x: BasisIndex, y: BasisIndex, z: BasisIndex):
-        w2 = -1 if (y.parity and x.parity) else 1
-        outer: dict = {}
-        accumulate(outer, term_value(x, y, z), -1 if (x.parity and z.parity) else 1)
-        accumulate(outer, term_value(z, x, y), -1 if (z.parity and y.parity) else 1)
-        std = dict(outer)
-        accumulate(std, term_value(y, z, x), w2)
-        accumulate(outer, term_value(y, z, y), w2)
-        return std, outer
+    def standard(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> dict:
+        acc: dict = {}
+        add_term(acc, x.parity and z.parity, x, y, z)
+        add_term(acc, z.parity and y.parity, z, x, y)
+        add_term(acc, y.parity and x.parity, y, z, x)
+        return acc
 
-    return sums
+    def literal(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> dict:
+        acc: dict = {}
+        add_term(acc, x.parity and z.parity, x, y, z)
+        add_term(acc, z.parity and y.parity, z, x, y)
+        add_term(acc, y.parity and x.parity, y, z, y)
+        return acc
+
+    return standard, literal
+
+
+def _rotation_orbits(basis: list[BasisIndex], walked: int):
+    """(triple, weight) for each orbit of window triples under rotating
+    (x, y, z) that reaches past the first `walked` triples in window order.
+
+    The triple is the orbit's first member past them, the weight the number
+    of its members past them: at most 3, and 1 when x = y = z.  Each orbit
+    is met once, at the positions (a, b, c) in the basis with a <= b, a <= c
+    and not c == a < b, whose rotations lie at a*n^2 or later.
+    """
+    n = len(basis)
+    for a in range(n):
+        full = a * n * n >= walked
+        for b in range(a, n):
+            for c in range(a if b == a else a + 1, n):
+                if full:
+                    yield (basis[a], basis[b], basis[c]), 1 if a == b == c else 3
+                    continue
+                past = sorted({p for p in ((a * n + b) * n + c, (b * n + c) * n + a,
+                                           (c * n + a) * n + b) if p >= walked})
+                if past:
+                    p = past[0]
+                    yield (basis[p // (n * n)], basis[p // n % n], basis[p % n]), len(past)
 
 
 def _is_dense(gm: GradedMap, basis: list[BasisIndex]) -> bool:
@@ -150,7 +182,8 @@ def _with_support_at(basis: list[BasisIndex], support, pos: int):
     return product(*axes)
 
 
-def _sparse_proof(sums, basis: list[BasisIndex], support) -> tuple[bool, bool]:
+def _sparse_proof(standard, literal, basis: list[BasisIndex],
+                  support) -> tuple[bool, bool]:
     """(standard proved, literal proved) for a sparse term on the window.
 
     The standard sum is unchanged by rotating (x, y, z), and every triple it
@@ -158,9 +191,9 @@ def _sparse_proof(sums, basis: list[BasisIndex], support) -> tuple[bool, bool]:
     vanishes, the literal sum minus it is the weighted
     [phi(y),[z,y]] - [phi(y),[z,x]], nonzero only with y in the support.
     """
-    if any(sums(*t)[0] for t in _with_support_at(basis, support, 0)):
+    if any(standard(*t) for t in _with_support_at(basis, support, 0)):
         return False, False
-    return True, not any(sums(*t)[1] for t in _with_support_at(basis, support, 1))
+    return True, not any(literal(*t) for t in _with_support_at(basis, support, 1))
 
 
 def _proved_terms(comp: CompiledAlgebra, terms: MapCombo, basis: list[BasisIndex],
@@ -170,11 +203,11 @@ def _proved_terms(comp: CompiledAlgebra, terms: MapCombo, basis: list[BasisIndex
     literal = True
     for term in terms:
         phi = comp.raw_vectors({b: combo_apply([term], b) for b in basis})
-        sums = _cyclic_sums(comp, phi)
+        standard, literal_sum = _cyclic_sums(comp, phi)
         if not phi or not _is_dense(term[1], basis):
-            std, lit = _sparse_proof(sums, basis, phi)
+            std, lit = _sparse_proof(standard, literal_sum, basis, phi)
         elif grid_basis is not None:
-            std = not any(sums(*t)[0] for t in product(grid_basis, repeat=3))
+            std = not any(standard(*t) for t, _ in _rotation_orbits(grid_basis, 0))
             lit = False
         else:
             return None
@@ -182,6 +215,10 @@ def _proved_terms(comp: CompiledAlgebra, terms: MapCombo, basis: list[BasisIndex
             return None
         literal = literal and lit
     return literal
+
+
+def _witness(alg: AlgebraSpec, terms: MapCombo):
+    return lambda x, y, z: (hom_cyclic_sum(alg, terms, x, y, z), "0")
 
 
 def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
@@ -193,16 +230,20 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
     grid = certifying_grid(alg, 2)
     grid_basis = grid.basis(alg.parities) if grid <= w else None
     literal = _proved_terms(comp, terms, basis, grid_basis)
-    if literal is None:
-        return hom_jacobi_by_enumeration(alg, terms, w)
+    checked = len(basis) ** 3
+    report = _ViolationLog().report(checked)
     if not literal:
-        sums = _cyclic_sums(comp, comp.raw_vectors({b: combo_apply(terms, b) for b in basis}))
+        standard, literal_sum = _cyclic_sums(
+            comp, comp.raw_vectors({b: combo_apply(terms, b) for b in basis}))
         candidates = product(basis, repeat=3)
-        if grid_basis is not None:
+        if literal is None:
+            report = check_identity(product(basis, repeat=3), standard,
+                                    _witness(alg, terms), checked,
+                                    orbits=lambda walked: _rotation_orbits(basis, walked))
+        elif grid_basis is not None:
             candidates = chain(product(grid_basis, repeat=3), candidates)
-        literal = not any(sums(*t)[1] for t in candidates)
-    report = _ViolationLog().report(len(basis) ** 3)
-    report.notes["conventions"] = {"standard": True, "literal": literal}
+        literal = not any(literal_sum(*t) for t in candidates)
+    report.notes["conventions"] = {"standard": report.passed, "literal": literal}
     return report
 
 
@@ -212,18 +253,17 @@ def hom_jacobi_by_enumeration(alg: AlgebraSpec, maps: GradedMap | MapCombo,
     terms = _as_combo(maps, alg)
     comp = alg.compiled()
     basis = w.basis(alg.parities)
-    sums = _cyclic_sums(comp, comp.raw_vectors({b: combo_apply(terms, b) for b in basis}))
+    standard, literal = _cyclic_sums(
+        comp, comp.raw_vectors({b: combo_apply(terms, b) for b in basis}))
     literal_violations = 0
 
-    def standard(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> dict:
+    def residual(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> dict:
         nonlocal literal_violations
-        std, lit = sums(x, y, z)
-        literal_violations += bool(lit)
-        return std
+        literal_violations += bool(literal(x, y, z))
+        return standard(x, y, z)
 
-    report = check_identity(
-        product(basis, repeat=3), standard,
-        lambda x, y, z: (hom_cyclic_sum(alg, terms, x, y, z), "0"), len(basis) ** 3)
+    report = check_identity(product(basis, repeat=3), residual, _witness(alg, terms),
+                            len(basis) ** 3)
     report.notes["conventions"] = {"standard": report.passed,
                                    "literal": literal_violations == 0}
     return report

@@ -2,8 +2,10 @@
 
 `verify_antisymmetry` and `verify_jacobi` prove a window on the certifying
 grid, `hom_jacobi_check` proves each term of a combination on the grid or on
-the triples touching its support, and `verify_transposed_leibniz` evaluates
-only the pairs touching a product partner.  Each must report exactly what
+the triples touching its support (and otherwise walks the window for
+witnesses and counts the rest over rotation orbits), and
+`verify_transposed_leibniz` evaluates only the pairs touching a product
+partner.  Each must report exactly what
 enumerating the whole window reports: the same counts, flags and witnesses
 in the same order.
 """
@@ -13,13 +15,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockq.algebra import (EVEN, BasisIndex, SparseVector, Window,
-                            antisymmetry_by_enumeration, certifying_grid,
-                            jacobi_by_enumeration, verify_antisymmetry,
-                            verify_jacobi)
+from blockq.algebra import (EVEN, MAX_REPORT_VIOLATIONS, BasisIndex, SparseVector,
+                            Window, antisymmetry_by_enumeration, certifying_grid,
+                            index_from_json, jacobi_by_enumeration,
+                            verify_antisymmetry, verify_jacobi)
 from blockq.cli import parse_map_expr
 from blockq.halfder import GradedMap, MapDegree, builtin_map, shift_map
-from blockq.homlie import hom_jacobi_by_enumeration, hom_jacobi_check
+from blockq.homlie import (_rotation_orbits, hom_cyclic_sum, hom_jacobi_by_enumeration,
+                           hom_jacobi_check)
 from blockq.scalars import from_fraction
 from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
 from blockq.tpverify import (ProductTable, builtin_tp,
@@ -135,12 +138,14 @@ def random_map(draw, alg, w: Window) -> GradedMap:
 
 
 @st.composite
-def hom_cases(draw):
-    """(algebra, combination, window) mixing dense and sparse terms."""
-    name, q, w = draw(st.sampled_from([
-        ("B", Fraction(1), Window(1, 2)), ("B", Fraction(2), Window(1, 4)),
-        ("B", None, Window(2, 1)), ("S", Fraction(0), Window(1, 1)),
-        ("S", None, Window(1, 1))]))
+def hom_cases(draw, windows=(("B", Fraction(1), Window(1, 2)),
+                             ("B", Fraction(2), Window(1, 4)),
+                             ("B", None, Window(2, 1)), ("S", Fraction(0), Window(1, 1)),
+                             ("S", None, Window(1, 1))), unproved=False):
+    """(algebra, combination, window) mixing dense and sparse terms; with
+    unproved, the first term is shift or a random table, which no proof may
+    cover."""
+    name, q, w = draw(st.sampled_from(windows))
     alg = builtin_algebra(name, q)
     named = ["id", "shift"]
     if q is not None:
@@ -148,8 +153,9 @@ def hom_cases(draw):
     if name == "S" and q == 0:
         named += ["beta", "gamma", "delta", "epsilon"]
     terms = []
-    for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(named + ["random"] * 2))
+    for k in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["shift", "random", "random"] if unproved and k == 0
+                                    else named + ["random"] * 2))
         if kind == "random":
             gm = random_map(draw, alg, w)
         elif kind == "shift":
@@ -228,6 +234,118 @@ class TestHomLieTerms:
         w = Window(2, 2)
         got = assert_hom_same(alg, builtin_map("id", alg, w), w)
         assert got["pass"] is False
+
+
+def window_position(basis: list[BasisIndex], triple) -> int:
+    """Place of a triple in window order, product(basis, repeat=3)."""
+    n = len(basis)
+    a, b, c = (basis.index(t) for t in triple)
+    return (a * n + b) * n + c
+
+
+def walk_stop(report: dict, basis: list[BasisIndex]) -> int | None:
+    """Window triples the witness walk evaluated when it stopped at the last
+    kept witness, or None when the report keeps fewer than
+    MAX_REPORT_VIOLATIONS and the walk covered the whole window."""
+    if len(report["violations"]) < MAX_REPORT_VIOLATIONS:
+        return None
+    last = [index_from_json(i) for i in report["violations"][-1]["indices"]]
+    return window_position(basis, last) + 1
+
+
+class TestHomLieOrbits:
+    """The failing path: a witness walk in window order, the rest counted
+    over rotation orbits, and the literal flag from a search with an early
+    exit."""
+
+    def test_orbits_cover_the_rest_of_the_window_once(self):
+        # every triple past the walked prefix is counted once, in the weight
+        # of its orbit; none inside the prefix is
+        for n in (1, 2, 3, 4):
+            basis = [L(0, k) for k in range(n)]
+            for walked in range(n ** 3 + 1):
+                seen = set()
+                for triple, weight in _rotation_orbits(basis, walked):
+                    x, y, z = triple
+                    orbit = {(x, y, z), (y, z, x), (z, x, y)}
+                    past = {t for t in orbit if window_position(basis, t) >= walked}
+                    assert window_position(basis, triple) == min(
+                        window_position(basis, t) for t in past)
+                    assert weight == len(past)
+                    assert not orbit & seen
+                    seen |= orbit
+                assert sum(weight for _, weight in _rotation_orbits(basis, walked)) \
+                    == n ** 3 - walked
+
+    @given(case=hom_cases(windows=(("B", Fraction(2), Window(1, 2)),
+                                   ("B", Fraction(0), Window(1, 1)),
+                                   ("B", None, Window(1, 1)),
+                                   ("B", Fraction(-1), Window(2, 1)),
+                                   ("S", Fraction(2), Window(1, 1)),
+                                   ("S", None, Window(1, 1)),
+                                   ("S", Fraction(0), Window(1, 1))),
+                          unproved=True))
+    @settings(max_examples=60, deadline=None)
+    def test_unproved_combinations_match_enumeration(self, case):
+        assert_hom_same(*case)
+
+    def test_pinned_shift_total(self):
+        alg = builtin_algebra("B", Fraction(2))
+        w = Window(2, 3)
+        got = assert_hom_same(alg, shift_map(alg, w), w)
+        assert got["total_violations"] == 34752
+        assert walk_stop(got, w.basis(alg.parities)) == 187
+
+    def test_hundredth_violation_late(self):
+        # a single-entry map: its violations touch L[0,2], so the walk
+        # passes half the window, and the orbits that reach back into the
+        # walked prefix are counted in part
+        alg = builtin_algebra("B", Fraction(2))
+        w = Window(1, 2)
+        gm = GradedMap(MapDegree(EVEN, 0, 0), {L(0, 2): Fraction(1)})
+        got = assert_hom_same(alg, gm, w)
+        assert got["total_violations"] == 300
+        assert walk_stop(got, w.basis(alg.parities)) == 1715
+
+    def test_fixed_points_of_rotation(self):
+        # in S an odd x has [x,x] != 0, so the triples x = y = z, orbits of
+        # one member, fail past where the walk stops
+        for q in (Fraction(2), None):
+            alg = builtin_algebra("S", q)
+            w = Window(1, 1)
+            basis = w.basis(alg.parities)
+            terms = [(from_fraction(1, q), shift_map(alg, w))]
+            got = assert_hom_same(alg, terms, w)
+            stop = walk_stop(got, basis)
+            assert stop is not None
+            assert any(hom_cyclic_sum(alg, terms, b, b, b).entries for b in basis
+                       if window_position(basis, (b, b, b)) >= stop)
+
+    def test_literal_search_sees_every_triple(self):
+        # on this spec each map below has its literal sum nonzero on a few
+        # triples only, which a search that skips triples can miss
+        rule = "m*m*i*n - m*n*n*j - m*m*n*n*j*j + m*m*i*i*n*n"
+        alg = spec((rule,), Fraction(1))
+        w = Window(1, 1)
+        basis = w.basis(alg.parities)
+        # the standard form fails on two orbits, so the walk covers the
+        # window; the literal sum is nonzero at window positions 11, 83, 163
+        # and 171 alone
+        gm = GradedMap(MapDegree(EVEN, 0, -1), {L(-1, 1): Fraction(1)})
+        got = assert_hom_same(alg, gm, w)
+        assert len(got["violations"]) == 6 and "total_violations" not in got
+        assert walk_stop(got, basis) is None
+        assert got["conventions"] == {"standard": False, "literal": False}
+        # id cannot be proved on a window smaller than the 2x2 grid, so the
+        # combination is walked, and passes; what is left of it has its
+        # literal sum nonzero only on triples no rotation puts in the order
+        # a <= b, a <= c of their basis positions
+        ident = builtin_map("id", alg, w)
+        gm = GradedMap(MapDegree(EVEN, 0, 1), {L(-1, -1): Fraction(1)})
+        got = assert_hom_same(alg, [(Fraction(1), gm), (Fraction(1), ident),
+                                    (Fraction(-1), ident)], w)
+        assert got["pass"] is True
+        assert got["conventions"] == {"standard": True, "literal": False}
 
 
 @st.composite

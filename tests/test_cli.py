@@ -66,6 +66,32 @@ class TestClassify:
         assert code == 1
         assert rep["pass"] is False
 
+    def test_unstable_degree_exit_one(self, capsys, monkeypatch):
+        # no small window ladder is known to leave a degree unstable, so the
+        # classifier is replaced by one that returns a fixed report
+        import blockq.cli
+        from blockq.halfder import ClassificationReport
+
+        def fake_report(warnings):
+            def fake(alg, shift, bounds, windows):
+                return ClassificationReport(
+                    algebra=alg.name, q=alg.q, parity_shift=shift, degrees=[],
+                    total_dim=1, warnings=warnings, bounds=bounds,
+                    windows=tuple(windows))
+            return fake
+
+        argv = ("classify", "--algebra", "B", "--q", "2", "--bounds", "1x1",
+                "--windows", "1x1,2x2", "--expect", "1")
+        monkeypatch.setattr(blockq.cli, "classify",
+                            fake_report(["degree (0,0) did not stabilize: 1 -> 0"]))
+        code, rep = run(capsys, *argv)
+        assert code == 1
+        assert rep["pass"] is False and rep["total_dim"] == 1
+        monkeypatch.setattr(blockq.cli, "classify", fake_report([]))
+        code, rep = run(capsys, *argv)
+        assert code == 0
+        assert rep["pass"] is True
+
     def test_odd_shift_super(self, capsys):
         code, rep = run(capsys, "classify", "--algebra", "S", "--q", "5",
                         "--shift", "odd", "--bounds", "2x2",

@@ -48,6 +48,11 @@ CASES = {
     "hom_check_B_2_shift_2x3": (
         ["hom-check", "--algebra", "B", "--q", "2", "--map", "shift",
          "--window", "2x3"], 1),
+    # recorded before Hom-Lie counted violations over rotation orbits: a
+    # failing super twist, whose cyclic terms carry graded signs
+    "hom_check_S_2_shift_1x2": (
+        ["hom-check", "--algebra", "S", "--q", "2", "--map", "shift",
+         "--window", "1x2"], 1),
     "hom_check_B_2_id_minus_2shift_2x2": (
         ["hom-check", "--algebra", "B", "--q", "2", "--map", "id - 2*shift",
          "--window", "2x2"], 1),
