@@ -1,8 +1,9 @@
 """Command-line front end: verification suites, classification runs, JSON reports.
 
 Exit codes are stable across commands: 0 all checks passed, 1 a verification
-or an --expect comparison failed, 2 unusable input (bad flags, parse errors,
-maps or products requested at an invalid q).
+or an --expect comparison failed, or a classified degree did not stabilize
+(with or without --expect), 2 unusable input (bad flags, parse errors, maps or
+products requested at an invalid q).
 
 Windows are written MxI (m_max x i_max), ladders as a comma list; q is
 'generic' or an exact rational like 7/3 (decimals are rejected).
@@ -143,14 +144,14 @@ def cmd_classify(args) -> int:
     report = classify(alg, shift, bounds, windows)
     payload = report.to_json_dict()
     payload["algebra"] = label
-    code = 0
+    # a degree that did not stabilize makes the total unreliable
+    passed = not report.warnings
     if args.expect is not None:
         payload["expected_total_dim"] = args.expect
-        # a degree that did not stabilize makes the total unreliable
-        payload["pass"] = report.total_dim == args.expect and not report.warnings
-        code = 0 if payload["pass"] else VERIFY_FAIL
+        passed = passed and report.total_dim == args.expect
+        payload["pass"] = passed
     _emit(args, payload)
-    return code
+    return 0 if passed else VERIFY_FAIL
 
 
 def cmd_verify_tp(args) -> int:

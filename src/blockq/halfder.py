@@ -37,6 +37,10 @@ in natural pair order; classification instead solves each degree with
 `null_space` runs the same three steps on the rows of a given system.
 Either way the result is the same exact space, returned in canonical reduced
 echelon form with unknowns ordered (parity, m, i) lexicographically.
+
+One echelon routine, `_insert_row` (leftmost pivot, mutually reduced rows),
+does all exact elimination: the kernel, the reduced echelon form of a span,
+the intersection of two spans by the Zassenhaus algorithm, membership by rank.
 """
 
 from __future__ import annotations
@@ -99,11 +103,6 @@ class GradedMap:
             if d:
                 out.add_term(self.image_index(idx), d * c)
         return out
-
-    def restricted(self, w: Window) -> "GradedMap":
-        return GradedMap(self.degree,
-                         {k: v for k, v in self.table.items() if w.contains_index(k)},
-                         rule=self.rule)
 
     @property
     def is_zero(self) -> bool:
@@ -282,19 +281,12 @@ def build_constraints(alg: AlgebraSpec, deg: MapDegree, w: Window) -> Constraint
 
 # --- exact linear algebra --------------------------------------------------------
 
-def _scalar_degree(v: Scalar) -> int:
-    if isinstance(v, RatFunc):
-        return v.num.degree + v.den.degree
-    return 0
-
-
-def _insert_row(pivots: dict, row: dict, canonical: bool) -> None:
+def _insert_row(pivots: dict, row: dict) -> None:
     """Reduce `row` against the maintained reduced echelon set; insert if nonzero.
 
-    With canonical=True the pivot is the leftmost column, which together with
-    the mutual reduction yields the unique reduced echelon form of the span.
-    Otherwise the pivot minimizes coefficient degree (then column), an
-    expression-swell heuristic for generic-q elimination.
+    The pivot is the leftmost column, which together with the mutual
+    reduction yields the unique reduced echelon form of the span.  Entries
+    of `row` must be nonzero.
     """
     for c in sorted(row):
         if c in row and c in pivots:
@@ -308,10 +300,7 @@ def _insert_row(pivots: dict, row: dict, canonical: bool) -> None:
                     row.pop(cc, None)
     if not row:
         return
-    if canonical:
-        p = min(row)
-    else:
-        p = min(row, key=lambda c: (_scalar_degree(row[c]), c))
+    p = min(row)
     f = inv(row[p])
     prow = {c: v * f for c, v in row.items()}
     for per in pivots.values():
@@ -331,7 +320,7 @@ def _rref_vectors(vectors: Iterable[dict]) -> list[dict]:
     """Canonical reduced echelon basis of the span, rows ordered by pivot."""
     pivots: dict = {}
     for vec in vectors:
-        _insert_row(pivots, dict(vec), canonical=True)
+        _insert_row(pivots, dict(vec))
     return [pivots[p] for p in sorted(pivots)]
 
 
@@ -340,7 +329,7 @@ def _kernel(rows: Iterable[dict], cols: Sequence, one: Scalar) -> list[dict]:
     pivots: dict = {}
     ncols = len(cols)
     for row in rows:
-        _insert_row(pivots, dict(row), canonical=False)
+        _insert_row(pivots, dict(row))
         if len(pivots) == ncols:
             return []
     vecs = []
@@ -534,35 +523,27 @@ class NullSpaceBasis:
     window: Window
     vectors: list[dict[BasisIndex, Scalar]]
 
-    def maps(self) -> list[GradedMap]:
-        return [GradedMap(self.degree, dict(v)) for v in self.vectors]
-
     def contains(self, table: dict[BasisIndex, Scalar]) -> bool:
-        rem = {k: v for k, v in table.items() if v}
-        for vec in self.vectors:
-            p = min(vec)
-            c = rem.get(p)
-            if c:
-                for k, v in vec.items():
-                    cur = rem.get(k)
-                    t = -(c * v) if cur is None else cur - c * v
-                    if t:
-                        rem[k] = t
-                    else:
-                        rem.pop(k, None)
-        return not rem
+        table = {k: v for k, v in table.items() if v}
+        return len(_rref_vectors(self.vectors + [table])) == self.dimension
 
     def tables_json(self) -> list[list[dict]]:
         return [GradedMap(self.degree, dict(v)).table_json() for v in self.vectors]
 
 
+def _solve(alg: AlgebraSpec, unknowns: list[BasisIndex], deg: MapDegree, w: Window,
+           rows: Iterable[tuple]) -> NullSpaceBasis:
+    """Zero-propagate each row's Entries (row[0]) until every unknown is forced, then solve."""
+    prop = _ZeroPropagation(len(unknowns))
+    for row in rows:
+        if prop.add(row[0]):
+            break
+    return prop.solve(alg.compiled(), unknowns, deg, w)
+
+
 def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
     """Exact reduced null-space basis; deterministic given the unknown order."""
-    prop = _ZeroPropagation(len(cs.unknowns))
-    for entries, _x, _y in cs.rows:
-        if prop.add(entries):
-            break
-    return prop.solve(cs.algebra.compiled(), cs.unknowns, cs.degree, cs.window)
+    return _solve(cs.algebra, cs.unknowns, cs.degree, cs.window, cs.rows)
 
 
 def solve_degree(alg: AlgebraSpec, deg: MapDegree, w: Window) -> NullSpaceBasis:
@@ -571,12 +552,8 @@ def solve_degree(alg: AlgebraSpec, deg: MapDegree, w: Window) -> NullSpaceBasis:
     Each row is fed to zero propagation as it is made; once every unknown is
     forced the kernel is zero and the remaining rows are never built.
     """
-    unknowns = w.basis(alg.parities)
-    prop = _ZeroPropagation(len(unknowns))
-    for entries, _pair in _rows(alg, deg, w, _shell_pairs(w, _parity_pairs(alg, deg))):
-        if prop.add(entries):
-            break
-    return prop.solve(alg.compiled(), unknowns, deg, w)
+    rows = _rows(alg, deg, w, _shell_pairs(w, _parity_pairs(alg, deg)))
+    return _solve(alg, w.basis(alg.parities), deg, w, rows)
 
 
 # --- window stabilization ---------------------------------------------------------
@@ -590,43 +567,16 @@ class StabilizeResult:
     warning: bool
 
 
-def _intersect(U: list[dict], V: list[dict], one: Scalar) -> list[dict]:
-    if not U or not V:
-        return []
-    coords: set = set()
-    for vec in U + V:
-        coords.update(vec)
-    ku = len(U)
-    rows = []
-    for c in sorted(coords):
-        row = {}
-        for k, vec in enumerate(U):
-            a = vec.get(c)
-            if a:
-                row[k] = a
-        for l, vec in enumerate(V):
-            b = vec.get(c)
-            if b:
-                row[ku + l] = -b
-        if row:
-            rows.append(row)
-    combos = _kernel(rows, range(ku + len(V)), one)
-    out = []
-    for combo in combos:
-        vec: dict = {}
-        for k, a in combo.items():
-            if k >= ku:
-                continue
-            for c, v in U[k].items():
-                cur = vec.get(c)
-                t = a * v if cur is None else cur + a * v
-                if t:
-                    vec[c] = t
-                else:
-                    vec.pop(c, None)
-        if vec:
-            out.append(vec)
-    return _rref_vectors(out)
+def _intersect(U: list[dict], V: list[dict]) -> list[dict]:
+    """Reduced echelon basis of span(U) & span(V), by the Zassenhaus algorithm.
+
+    Echelon the rows (u | u), u in U, and (v | 0), v in V, with halves keyed
+    (0, idx) and (1, idx): the rows pivoting in the right half span U & V.
+    """
+    rows = [{(h, k): c for h in (0, 1) for k, c in u.items()} for u in U]
+    rows += [{(0, k): c for k, c in v.items()} for v in V]
+    return [{k: c for (_half, k), c in row.items()}
+            for row in _rref_vectors(rows) if min(row)[0] == 1]
 
 
 def stabilize(alg: AlgebraSpec, deg: MapDegree,
@@ -642,7 +592,6 @@ def stabilize(alg: AlgebraSpec, deg: MapDegree,
         if not (a <= b):
             raise ValueError("windows must be ascending")
     w0 = windows[0]
-    one = scalar_one(alg.q)
     ns0 = solve_degree(alg, deg, w0)
     window_dims = [ns0.dimension]
     current = ns0.vectors
@@ -654,10 +603,9 @@ def stabilize(alg: AlgebraSpec, deg: MapDegree,
             continue
         ns = solve_degree(alg, deg, w)
         window_dims.append(ns.dimension)
-        restricted = _rref_vectors(
-            [{k: v for k, v in vec.items() if w0.contains_index(k)}
-             for vec in ns.vectors])
-        current = _intersect(current, restricted, one)
+        restricted = [{k: v for k, v in vec.items() if w0.contains_index(k)}
+                      for vec in ns.vectors]
+        current = _intersect(current, restricted)
         inter_dims.append(len(current))
     warning = inter_dims[-1] != inter_dims[-2]
     basis = NullSpaceBasis(dimension=len(current), degree=deg, window=w0,

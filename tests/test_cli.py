@@ -81,16 +81,24 @@ class TestClassify:
             return fake
 
         argv = ("classify", "--algebra", "B", "--q", "2", "--bounds", "1x1",
-                "--windows", "1x1,2x2", "--expect", "1")
-        monkeypatch.setattr(blockq.cli, "classify",
-                            fake_report(["degree (0,0) did not stabilize: 1 -> 0"]))
-        code, rep = run(capsys, *argv)
+                "--windows", "1x1,2x2")
+        expect = ("--expect", "1")
+        warning = "degree (0,0) did not stabilize: 1 -> 0"
+        monkeypatch.setattr(blockq.cli, "classify", fake_report([warning]))
+        code, rep = run(capsys, *argv, *expect)
         assert code == 1
         assert rep["pass"] is False and rep["total_dim"] == 1
-        monkeypatch.setattr(blockq.cli, "classify", fake_report([]))
+        # without --expect the warning alone fails the run, and no pass key is added
         code, rep = run(capsys, *argv)
+        assert code == 1
+        assert "pass" not in rep and rep["warnings"] == [warning]
+        monkeypatch.setattr(blockq.cli, "classify", fake_report([]))
+        code, rep = run(capsys, *argv, *expect)
         assert code == 0
         assert rep["pass"] is True
+        code, rep = run(capsys, *argv)
+        assert code == 0
+        assert "pass" not in rep
 
     def test_odd_shift_super(self, capsys):
         code, rep = run(capsys, "classify", "--algebra", "S", "--q", "5",

@@ -73,6 +73,17 @@ CASES = {
     "verify_tp_S_0_doubled_super_2x2": (
         ["verify-tp", "--json", f"{INPUTS}/doubled_super.json", "--algebra", "S",
          "--q", "0", "--window", "2x2"], 1),
+    # recorded before halfder's elimination was reduced to one echelon
+    # routine: stabilized bases at q = 0, even and odd shift, and generic q
+    "classify_S_0_1x1_2x2_3x3": (
+        ["classify", "--algebra", "S", "--q", "0", "--bounds", "1x1",
+         "--windows", "2x2,3x3"], 0),
+    "classify_S_0_odd_1x1_2x3_3x4": (
+        ["classify", "--algebra", "S", "--q", "0", "--shift", "odd", "--bounds", "1x1",
+         "--windows", "2x3,3x4"], 0),
+    "classify_S_generic_1x1_2x2_3x3": (
+        ["classify", "--algebra", "S", "--q", "generic", "--bounds", "1x1",
+         "--windows", "2x2,3x3"], 0),
 }
 
 

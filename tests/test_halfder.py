@@ -12,8 +12,9 @@ from blockq import halfder
 from blockq.algebra import EVEN, ODD, BasisIndex, Window
 from blockq.errors import (IntegralityViolation, OddMapOnNonSuper,
                            UnknownMapName, WrongQ)
-from blockq.halfder import (ConstraintSystem, GradedMap, MapDegree,
-                            _kernel, _natural_pairs, _parity_pairs, _rref_vectors,
+from blockq.halfder import (ConstraintSystem, GradedMap, MapDegree, NullSpaceBasis,
+                            _intersect, _kernel, _natural_pairs, _parity_pairs,
+                            _rref_vectors,
                             _shell_pairs, build_constraints, builtin_map,
                             check_map, classify, null_space, shift_map,
                             solve_degree, stabilize)
@@ -325,6 +326,81 @@ class TestStreamedSolve:
         assert taken[0] == total
         assert ns.dimension == 1
         assert ns.contains(builtin_map("alpha", alg, w).table)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(W, U, V) with span(U) = span(W + A), span(V) = span(W + B), so U & V = span(W).
+
+    Each vector of W, A and B has a private coordinate of its own, which
+    makes the three families jointly independent, plus random values on a
+    few shared coordinates.  U and V mix their families by a random
+    unitriangular transform and may add dependent combinations.
+    """
+    frac = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def family(base, size):
+        out = []
+        for k in range(size):
+            vec = {c: v for c in range(3) if (v := draw(frac))}
+            vec[base + k] = draw(frac.filter(bool))
+            out.append(vec)
+        return out
+
+    def combine(terms):
+        acc: dict = {}
+        for f, vec in terms:
+            for c, v in vec.items():
+                acc[c] = acc.get(c, 0) + f * v
+        return {c: v for c, v in acc.items() if v}
+
+    def mix(vectors):
+        vectors = draw(st.permutations(vectors))
+        out = [combine([(Fraction(1), vec)] + [(draw(frac), later) for later in vectors[k + 1:]])
+               for k, vec in enumerate(vectors)]
+        for _ in range(draw(st.integers(0, 2))):
+            out.append(combine([(draw(frac), vec) for vec in vectors]))
+        return draw(st.permutations(out))
+
+    W = family(100, draw(st.integers(0, 3)))
+    A = family(200, draw(st.integers(0, 2)))
+    B = family(300, draw(st.integers(0, 2)))
+    return W, mix(W + A), mix(W + B)
+
+
+class TestIntersectAndContains:
+    @settings(max_examples=50, deadline=None)
+    @given(case=subspace_pairs())
+    def test_intersection_is_the_common_family(self, case):
+        W, U, V = case
+        assert _intersect(U, V) == _rref_vectors(W)
+
+    @staticmethod
+    def basis() -> NullSpaceBasis:
+        vectors = _rref_vectors([{L(0, 0): Fraction(1), L(0, 1): Fraction(2)},
+                                 {L(0, 1): Fraction(1), L(1, 1): Fraction(-1, 3)}])
+        return NullSpaceBasis(dimension=2, degree=MapDegree(EVEN, 0, 0),
+                              window=Window(1, 1), vectors=vectors)
+
+    def test_explicit_zero_entries(self):
+        ns = self.basis()
+        assert ns.contains({L(0, 0): Fraction(0)})
+        assert ns.contains({L(0, 0): Fraction(1), L(0, 1): Fraction(2),
+                            L(1, 0): Fraction(0)})
+        assert not ns.contains({L(0, 0): Fraction(1), L(1, 0): Fraction(0)})
+
+    def test_index_outside_the_basis(self):
+        assert not self.basis().contains({L(1, 0): Fraction(1)})
+        assert not self.basis().contains({L(0, 0): Fraction(1), L(0, 1): Fraction(2),
+                                          L(-1, -1): Fraction(5)})
+
+    def test_combination_of_basis_vectors(self):
+        ns = self.basis()
+        a, b = ns.vectors
+        table = {k: 3 * a.get(k, 0) - Fraction(1, 2) * b.get(k, 0) for k in set(a) | set(b)}
+        assert ns.contains(table)
+        table[L(1, 1)] += 1
+        assert not ns.contains(table)
 
 
 class TestStabilize:
