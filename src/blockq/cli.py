@@ -6,22 +6,22 @@ or an --expect comparison failed, or a classified degree did not stabilize
 products requested at an invalid q).
 
 Windows are written MxI (m_max x i_max), ladders as a comma list; q is
-'generic' or an exact rational like 7/3 (decimals are rejected).
+'generic' or an exact rational like 7/3 (decimals are rejected).  --map
+parse errors carry a line and a column, like those of .alg files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
 from .algebra import Window, parity_from_name, verify_antisymmetry, verify_jacobi
 from .errors import BlockqError, ParseError
-from .halfder import (GradedMap, MapCombo, builtin_map, classify, shift_map)
+from .halfder import MapCombo, builtin_map, classify, shift_map
 from .homlie import hom_jacobi_check
-from .scalars import format_q, from_fraction, parse_q
+from .scalars import Tokens, format_q, from_fraction, parse_q
 from .specdsl import builtin_algebra, make_algebra, parse_spec, print_spec
 from .tpverify import (BUILTIN_PRODUCTS, ProductTable, builtin_tp,
                        verify_associative, verify_left_multiplications,
@@ -53,68 +53,39 @@ def _emit(args, report: dict) -> None:
         sys.stdout.write(payload)
 
 
-_MAP_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_]+)|([*+\-])|(\S))")
-
-
 def parse_map_expr(text: str, alg, w: Window) -> MapCombo:
-    """Linear combinations of named maps: 'id + alpha', '2*id - 1/3*epsilon'."""
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        mm = _MAP_TOKEN.match(text, pos)
-        if not mm:
+    """Linear combinations of named maps: 'id + alpha', '2*id - 1/3*epsilon'.
+
+    A coefficient is an integer or a fraction written without spaces; the
+    whole text is parsed before any map is built."""
+    toks = Tokens(text)
+    terms: list[tuple[Fraction, str]] = []
+    while True:
+        signs = []
+        while op := toks.accept("+", "-"):
+            signs.append(op)
+        if toks.peek() == "EOF":
+            if not terms:
+                raise toks.error("empty map expression")
+            if signs:
+                raise toks.error("map expression ends with an operator")
             break
-        if mm.group(4):
-            raise ParseError(f"unexpected character {mm.group(4)!r} in map expression")
-        if mm.group(1):
-            tokens.append(("COEFF", mm.group(1)))
-        elif mm.group(2):
-            tokens.append(("NAME", mm.group(2)))
-        else:
-            tokens.append((mm.group(3), mm.group(3)))
-        pos = mm.end()
-    tokens.append(("END", ""))
-
-    def build(name: str) -> GradedMap:
-        if name == "shift":
-            return shift_map(alg, w)
-        return builtin_map(name, alg, w)
-
-    combo: MapCombo = []
-    k = 0
-    sign = 1
-    want_term = True
-    while tokens[k][0] != "END":
-        kind, val = tokens[k]
-        if kind in ("+", "-"):
-            if kind == "-":
-                sign = -sign
-            want_term = True
-            k += 1
-            continue
-        if not want_term:
-            raise ParseError(f"expected '+' or '-' before {val!r} in map expression")
-        coeff = Fraction(sign)
-        if kind == "COEFF":
-            try:
-                coeff *= Fraction(val)
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in coefficient {val!r}") from None
-            k += 1
-            if tokens[k][0] == "*":
-                k += 1
-        kind, val = tokens[k]
-        if kind != "NAME":
-            raise ParseError(f"expected a map name, got {val!r}")
-        combo.append((from_fraction(coeff, alg.q), build(val)))
-        k += 1
-        sign = 1
-        want_term = False
-    if not combo:
-        raise ParseError("empty map expression")
-    if want_term:
-        raise ParseError("map expression ends with an operator")
-    return combo
+        if terms and not signs:
+            raise toks.error(f"expected '+' or '-' before {toks.text!r} in map expression")
+        coeff = Fraction((-1) ** signs.count("-"))
+        if toks.peek() == "INT":
+            coeff *= int(toks.take("INT"))
+            if toks.peek() == "/" and toks.glued():
+                toks.take("/")
+                if not (toks.peek() == "INT" and toks.glued() and int(toks.text)):
+                    raise toks.error("a coefficient's denominator is a nonzero integer "
+                                     "written right after '/'")
+                coeff /= int(toks.take("INT"))
+            toks.accept("*")
+        terms.append((coeff, toks.take("NAME", "a map name")))
+    return [(from_fraction(c, alg.q),
+             shift_map(alg, w) if name == "shift" else builtin_map(name, alg, w))
+            for c, name in terms]
 
 
 def cmd_verify_algebra(args) -> int:

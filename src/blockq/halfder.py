@@ -325,7 +325,7 @@ def _rref_vectors(vectors: Iterable[dict]) -> list[dict]:
 
 
 def _kernel(rows: Iterable[dict], cols: Sequence, one: Scalar) -> list[dict]:
-    """Canonical null-space basis of the row system over the given columns."""
+    """A null-space basis of the row system over the given columns, not echeloned."""
     pivots: dict = {}
     ncols = len(cols)
     for row in rows:
@@ -342,7 +342,7 @@ def _kernel(rows: Iterable[dict], cols: Sequence, one: Scalar) -> list[dict]:
             if c:
                 v[p] = -c
         vecs.append(v)
-    return _rref_vectors(vecs)
+    return vecs
 
 
 class _ZeroPropagation:
@@ -485,7 +485,7 @@ def _row_violated(ivec: dict, comp: CompiledAlgebra) -> Callable[[Entries], bool
 
 def _certified_kernel(rows: list[list[tuple[int, object]]], cols: list[int],
                       comp: CompiledAlgebra) -> list[dict]:
-    """Canonical null-space basis of raw rows, solved on the rows independent mod _PRIME.
+    """A null-space basis of raw rows, solved on the rows independent mod _PRIME.
 
     Those r rows have exact rank r too, so their kernel contains the kernel
     of all rows and has the largest dimension that kernel can have,

@@ -12,6 +12,9 @@ Throughout the package a value ``q: Fraction | None`` selects the mode, with
 
 Polynomials are kept with trailing zero coefficients stripped; rational
 functions are gcd-reduced with a monic denominator, so equality is structural.
+
+`Tokens` is the package's one tokenizer and token cursor, shared by the
+scalar grammar here, the `.alg` grammar and the `--map` grammar.
 """
 
 from __future__ import annotations
@@ -337,105 +340,127 @@ def parse_q(text: str) -> Fraction | None:
         raise ParseError(f"q has a zero denominator: {text!r}") from None
 
 
-# --- scalar string parsing -------------------------------------------------
+# --- tokens --------------------------------------------------------------------
 #
-# Grammar (tokens: INT, 'q', + - * / ^ parentheses):
-#   expr   := term (('+'|'-') term)*
-#   term   := factor (('*'|'/') factor)*
-#   factor := '-' factor | atom ('^' INT)?
-#   atom   := INT | 'q' | '(' expr ')'
-#
-# Everything is evaluated in Q(q); fixed-mode parsing additionally demands a
-# constant result.
+# Each grammar (scalars below, `specdsl.parse_expr`, `cli.parse_map_expr`) keeps
+# its own rules and rejects as unexpected whatever token it has no rule for.
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([q+\-*/^()])|(\S))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^():])|(\S))")
 
 
-def _tokenize_scalar(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        mm = _TOKEN_RE.match(text, pos)
-        if not mm:
-            break
-        if mm.group(3):
-            raise ParseError(f"unexpected character {mm.group(3)!r}",
-                             line=1, col=mm.start(3) + 1)
-        if mm.group(1):
-            toks.append(("INT", mm.group(1), mm.start(1) + 1))
-        else:
-            toks.append((mm.group(2), mm.group(2), mm.start(2) + 1))
-        pos = mm.end()
-    toks.append(("EOF", "", len(text) + 1))
-    return toks
+class Tokens:
+    """Token cursor over INT, NAME, EOF and the operators + - * / ^ ( ) :.
 
+    The text is tokenized up front, so a character outside the alphabet is
+    reported before any syntax error.  Tokens are (kind, text, offset)
+    triples, an operator's kind being its text.  Every ParseError carries a
+    line and a column; columns on the first line are shifted by `col_offset`.
+    """
 
-class _ScalarParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize_scalar(text)
+    def __init__(self, text: str, line: int = 1, col_offset: int = 0):
+        self.source, self.line, self.col_offset = text, line, col_offset
+        self.toks: list[tuple[str, str, int]] = []
         self.k = 0
+        for mm in _TOKEN_RE.finditer(text):
+            g = mm.lastindex
+            if g == 4:
+                raise self.error(f"unexpected character {mm[4]!r}", pos=mm.start(4))
+            self.toks.append((("INT", "NAME", mm[3])[g - 1], mm[g], mm.start(g)))
+        self.toks.append(("EOF", "", len(text)))
 
     def peek(self) -> str:
+        """Kind of the current token."""
         return self.toks[self.k][0]
 
-    def take(self, kind: str | None = None) -> tuple[str, str, int]:
-        tok = self.toks[self.k]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"unexpected token {tok[1]!r}", line=1,
-                             col=tok[2], expected=(kind,))
+    @property
+    def text(self) -> str:
+        """Text of the current token."""
+        return self.toks[self.k][1]
+
+    def accept(self, *kinds: str) -> str | None:
+        """Consume the current token and return its text if its kind is in `kinds`."""
+        kind, text, _ = self.toks[self.k]
+        if kind not in kinds:
+            return None
         self.k += 1
-        return tok
+        return text
 
-    def parse(self) -> RatFunc:
-        val = self.expr()
-        tok = self.toks[self.k]
-        if tok[0] != "EOF":
-            raise ParseError(f"trailing input {tok[1]!r}", line=1, col=tok[2],
-                             expected=("end of input",))
+    def take(self, kind: str, *expected: str) -> str:
+        """Consume the current token, which must be of `kind`, and return its text."""
+        text = self.accept(kind)
+        if text is None:
+            raise self.unexpected(*(expected or (kind,)))
+        return text
+
+    def glued(self) -> bool:
+        """Whether the current token starts where the previous one ends."""
+        _, text, pos = self.toks[self.k - 1]
+        return self.toks[self.k][2] == pos + len(text)
+
+    def end(self, *expected: str) -> None:
+        if self.peek() != "EOF":
+            raise self.error(f"trailing input {self.text!r}", *expected)
+
+    def unexpected(self, *expected: str) -> ParseError:
+        return self.error(f"unexpected token {self.text!r}", *expected)
+
+    def error(self, message: str, *expected: str, cls=ParseError,
+              pos: int | None = None) -> ParseError:
+        """A `cls` located at offset `pos`, by default the current token's."""
+        pos = self.toks[self.k][2] if pos is None else pos
+        nl = self.source.rfind("\n", 0, pos)
+        col = pos - nl if nl >= 0 else self.col_offset + pos + 1
+        return cls(message, self.line + self.source.count("\n", 0, pos), col,
+                   expected=expected)
+
+
+# --- scalar string parsing -------------------------------------------------
+#
+# Evaluated in Q(q); fixed-mode parsing then demands a constant result.
+#   sum     := product (('+'|'-') product)*
+#   product := power (('*'|'/') power)*
+#   power   := '-' power | atom ('^' INT)?
+#   atom    := INT | 'q' | '(' sum ')'
+
+def _sum(toks: Tokens) -> RatFunc:
+    val = _product(toks)
+    while op := toks.accept("+", "-"):
+        rhs = _product(toks)
+        val = val + rhs if op == "+" else val - rhs
+    return val
+
+
+def _product(toks: Tokens) -> RatFunc:
+    val = _power(toks)
+    while op := toks.accept("*", "/"):
+        rhs = _power(toks)
+        val = val * rhs if op == "*" else val / rhs
+    return val
+
+
+def _power(toks: Tokens) -> RatFunc:
+    if toks.accept("-"):
+        return -_power(toks)
+    val = _atom(toks)
+    if toks.accept("^"):
+        out = RatFunc.const(1)
+        for _ in range(int(toks.take("INT"))):
+            out = out * val
+        return out
+    return val
+
+
+def _atom(toks: Tokens) -> RatFunc:
+    if toks.peek() == "INT":
+        return RatFunc.const(int(toks.take("INT")))
+    if toks.accept("("):
+        val = _sum(toks)
+        toks.take(")")
         return val
-
-    def expr(self) -> RatFunc:
-        val = self.term()
-        while self.peek() in "+-":
-            op = self.take()[0]
-            rhs = self.term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
-
-    def term(self) -> RatFunc:
-        val = self.factor()
-        while self.peek() in "*/":
-            op = self.take()[0]
-            rhs = self.factor()
-            val = val * rhs if op == "*" else val / rhs
-        return val
-
-    def factor(self) -> RatFunc:
-        if self.peek() == "-":
-            self.take()
-            return -self.factor()
-        val = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp = int(self.take("INT")[1])
-            out = RatFunc.const(1)
-            for _ in range(exp):
-                out = out * val
-            return out
-        return val
-
-    def atom(self) -> RatFunc:
-        kind, text, col = self.take()
-        if kind == "INT":
-            return RatFunc.const(int(text))
-        if kind == "q":
-            return RatFunc.q()
-        if kind == "(":
-            val = self.expr()
-            self.take(")")
-            return val
-        raise ParseError(f"unexpected token {text!r}", line=1, col=col,
-                         expected=("INT", "q", "("))
+    if toks.text == "q":
+        toks.take("NAME")
+        return RatFunc.q()
+    raise toks.unexpected("INT", "q", "(")
 
 
 def parse_scalar(text: str, q: Fraction | None = None) -> Scalar:
@@ -444,7 +469,9 @@ def parse_scalar(text: str, q: Fraction | None = None) -> Scalar:
     Accepts rationals ("p/q"), polynomials ("3*q^2 - 1/2*q + 4") and rational
     functions ("(num)/(den)").  In fixed mode the result must be constant.
     """
-    val = _ScalarParser(text).parse()
+    toks = Tokens(text)
+    val = _sum(toks)
+    toks.end("end of input")
     if q is None:
         return val
     if val.den.is_one and val.num.degree <= 0:

@@ -14,11 +14,12 @@ integer and rational literals; there is no division outside literals, so
 every coefficient stays polynomial.  Rule headers use the canonical parity
 order (even before odd) and the symmetry flag fixed by the Lie superalgebra
 sign convention: ``symmetric`` for odd odd, ``antisymmetric`` otherwise.
+Each header appears once.  Expressions are read by the shared
+`scalars.Tokens` cursor, and every parse error carries a line and a column.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -26,7 +27,7 @@ from importlib import resources
 from .algebra import EVEN, ODD, AlgebraSpec, BracketRule, Monomials, Parity, parity_name
 from .errors import (DuplicateRule, ParseError, UnboundVariable, UnknownAlgebra,
                      UnknownVariable)
-from .scalars import RatFunc, Scalar
+from .scalars import RatFunc, Scalar, Tokens
 
 VARIABLES = ("m", "i", "n", "j", "q")
 
@@ -177,120 +178,50 @@ def print_expr(e: Expr) -> str:
 # factor := '-' factor | '(' expr ')' | literal | var
 # literal := int | int '/' int
 
-_TOKEN_RE = re.compile(r"[ \t]*(?:(\d+)|([a-zA-Z_][a-zA-Z_0-9]*)|([+\-*/():])|(\S))")
+def _expr(toks: Tokens) -> Expr:
+    node = _term(toks)
+    while op := toks.accept("+", "-"):
+        rhs = _term(toks)
+        node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+    return node
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str, line: int = 1, col_offset: int = 0) -> list[_Tok]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        mm = _TOKEN_RE.match(text, pos)
-        if not mm:
-            break
-        if mm.group(4):
-            raise ParseError(f"unexpected character {mm.group(4)!r}",
-                             line=line, col=col_offset + mm.start(4) + 1)
-        if mm.group(1):
-            toks.append(_Tok("INT", mm.group(1), line, col_offset + mm.start(1) + 1))
-        elif mm.group(2):
-            toks.append(_Tok("NAME", mm.group(2), line, col_offset + mm.start(2) + 1))
-        else:
-            toks.append(_Tok(mm.group(3), mm.group(3), line, col_offset + mm.start(3) + 1))
-        pos = mm.end()
-    toks.append(_Tok("EOF", "", line, col_offset + len(text) + 1))
-    return toks
+def _term(toks: Tokens) -> Expr:
+    node = _factor(toks)
+    while toks.accept("*"):
+        node = Mul(node, _factor(toks))
+    if toks.peek() == "/":
+        raise toks.error("division is only allowed inside rational literals",
+                         "'*'", "'+'", "'-'", "end of expression")
+    return node
 
 
-class _ExprParser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.k = 0
-
-    def peek(self) -> _Tok:
-        return self.toks[self.k]
-
-    def take(self) -> _Tok:
-        tok = self.toks[self.k]
-        self.k += 1
-        return tok
-
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"trailing input {tok.text!r}", line=tok.line,
-                             col=tok.col, expected=("end of expression",))
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+def _factor(toks: Tokens) -> Expr:
+    if toks.accept("-"):
+        return Neg(_factor(toks))
+    if toks.accept("("):
+        node = _expr(toks)
+        toks.take(")", "')'")
         return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.take()
-                node = Mul(node, self.factor())
-            elif tok.kind == "/":
-                raise ParseError("division is only allowed inside rational literals",
-                                 line=tok.line, col=tok.col,
-                                 expected=("'*'", "'+'", "'-'", "end of expression"))
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        tok = self.take()
-        if tok.kind == "-":
-            return Neg(self.factor())
-        if tok.kind == "(":
-            node = self.expr()
-            closing = self.take()
-            if closing.kind != ")":
-                raise ParseError(f"unexpected token {closing.text!r}",
-                                 line=closing.line, col=closing.col, expected=("')'",))
-            return node
-        if tok.kind == "INT":
-            num = int(tok.text)
-            if self.peek().kind == "/":
-                self.take()
-                den_tok = self.take()
-                if den_tok.kind != "INT":
-                    raise ParseError(f"unexpected token {den_tok.text!r}",
-                                     line=den_tok.line, col=den_tok.col,
-                                     expected=("integer denominator",))
-                if not int(den_tok.text):
-                    raise ParseError("zero denominator", line=den_tok.line,
-                                     col=den_tok.col, expected=("nonzero denominator",))
-                return Lit(Fraction(num, int(den_tok.text)))
+    if toks.peek() == "INT":
+        num = int(toks.take("INT"))
+        if not toks.accept("/"):
             return Lit(Fraction(num))
-        if tok.kind == "NAME":
-            if tok.text not in VARIABLES:
-                raise UnknownVariable(f"unknown variable {tok.text!r}",
-                                      line=tok.line, col=tok.col,
-                                      expected=VARIABLES)
-            return Var(tok.text)
-        raise ParseError(f"unexpected token {tok.text!r}", line=tok.line,
-                         col=tok.col, expected=("'-'", "'('", "literal", "variable"))
+        if toks.peek() == "INT" and not int(toks.text):
+            raise toks.error("zero denominator", "nonzero denominator")
+        return Lit(Fraction(num, int(toks.take("INT", "integer denominator"))))
+    if toks.peek() == "NAME":
+        if toks.text not in VARIABLES:
+            raise toks.error(f"unknown variable {toks.text!r}", *VARIABLES,
+                             cls=UnknownVariable)
+        return Var(toks.take("NAME"))
+    raise toks.unexpected("'-'", "'('", "literal", "variable")
 
 
 def parse_expr(text: str, line: int = 1, col_offset: int = 0) -> Expr:
-    parser = _ExprParser(_tokenize(text, line, col_offset))
-    node = parser.expr()
-    parser.expect_end()
+    toks = Tokens(text, line, col_offset)
+    node = _expr(toks)
+    toks.end("end of expression")
     return node
 
 
@@ -328,6 +259,8 @@ def parse_spec(text: str) -> SpecFile:
             continue
         words = line.split()
         head = words[0]
+        if {"algebra": name, "super": is_super}.get(head) is not None:
+            raise ParseError(f"repeated {head!r} header", line=lineno, col=1)
         if head == "algebra":
             if len(words) != 2:
                 raise ParseError("algebra header takes one name", line=lineno, col=1,

@@ -116,10 +116,11 @@ class ProductTable:
     @classmethod
     def from_json(cls, data: dict, q: Fraction | None) -> "ProductTable":
         """The inverse of to_json_dict; ParseError on a malformed table."""
-        if not (isinstance(data, dict) and "super" in data
+        if not (isinstance(data, dict) and isinstance(data.get("super"), bool)
                 and isinstance(data.get("entries"), list)):
-            raise ParseError("a product table is an object with 'super' and a list 'entries'")
-        prod = cls(is_super=bool(data["super"]), q=q)
+            raise ParseError("a product table is an object with a boolean 'super' "
+                             "and a list 'entries'")
+        prod = cls(is_super=data["super"], q=q)
         for item in data["entries"]:
             if not (isinstance(item, dict) and "x" in item and "y" in item
                     and isinstance(item.get("value"), list)):
@@ -325,19 +326,25 @@ def left_mult_map(prod: ProductTable, z: BasisIndex, w: Window) -> GradedMap:
 
 def verify_left_multiplications(alg: AlgebraSpec, prod: ProductTable,
                                 w: Window) -> tuple[VerificationReport, list[dict]]:
-    """check_map for every left multiplication with support; per-z summaries."""
+    """check_map for every left multiplication with support; per-z summaries.
+    One that is not homogeneous on the window fails, with no degree."""
     details = []
     checked = 0
     violations: list[dict] = []
     total = 0
     for z in prod.factor_indices():
-        lm = left_mult_map(prod, z, w)
+        try:
+            lm = left_mult_map(prod, z, w)
+        except NonHomogeneousMultiplication:
+            details.append({"z": z.json(), "degree": None, "pass": False})
+            continue
         rep = check_map(alg, lm, w)
         checked += rep.checked
         total += rep.total_violations
         violations.extend(rep.violations[:max(0, MAX_REPORT_VIOLATIONS - len(violations))])
         details.append({"z": z.json(), "degree": str(lm.degree),
                         "pass": rep.passed})
-    report = VerificationReport(checked=checked, passed=total == 0,
+    report = VerificationReport(checked=checked,
+                                passed=all(d["pass"] for d in details),
                                 violations=violations, total_violations=total)
     return report, details

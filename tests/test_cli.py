@@ -143,11 +143,29 @@ class TestVerifyTp:
         assert code2 == 0
         assert rep2["product"] == rep["product"]
 
+    def test_non_homogeneous_left_multiplication_reported(self, tmp_path, capsys):
+        # left multiplication by L[0,0] spans two degrees, or has a two-term image
+        def entry(y, *images):
+            return {"x": ["even", 0, 0], "y": ["even", *y],
+                    "value": [["even", *img, "1"] for img in images]}
+        path = tmp_path / "nonhom.json"
+        for entries in ([entry((0, 0), (0, 0)), entry((1, 0), (2, 0))],
+                        [entry((0, 0), (0, 0), (0, 1))]):
+            path.write_text(json.dumps({"super": False, "entries": entries}))
+            code, rep = run(capsys, "verify-tp", "--json", str(path), "--algebra", "B",
+                            "--q", "1", "--window", "2x2")
+            assert code == 1
+            assert rep["pass"] is False and rep["grading"]["pass"] is False
+            lmult = rep["left_multiplications"]
+            assert lmult["pass"] is False
+            assert lmult["maps"][0] == {"z": ["even", 0, 0], "degree": None, "pass": False}
+
     def test_malformed_product_exit_two(self, tmp_path, capsys):
         entry = {"x": ["even", 0, 0], "y": ["even", 0, 0], "value": [["even", 0, 0, "1"]]}
         path = tmp_path / "bad.json"
         for payload in ({}, [], {"super": False, "entries": [{**entry, "x": 5}]},
-                        {"super": False, "entries": [{**entry, "value": [["even", 0, 0, 3]]}]}):
+                        {"super": False, "entries": [{**entry, "value": [["even", 0, 0, 3]]}]},
+                        {"super": "false", "entries": []}):
             path.write_text(json.dumps(payload))
             code = main(["verify-tp", "--json", str(path), "--algebra", "B", "--q", "1",
                          "--window", "2x2"])

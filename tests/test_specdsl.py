@@ -35,6 +35,13 @@ class TestExprParser:
         with pytest.raises(UnknownVariable):
             parse_expr("n*(i+q) - k")
 
+    def test_reads_past_any_whitespace(self):
+        # a no-break space used to end the expression silently: n*i - m*j read as n*i
+        assert parse_expr("n*i\xa0- m*j") == parse_expr("n*i - m*j")
+        with pytest.raises(ParseError) as err:
+            parse_expr("n\nm")
+        assert (err.value.line, err.value.col) == (2, 1)
+
     def test_location_reported(self):
         with pytest.raises(ParseError) as err:
             parse_expr("n*(i+q")
@@ -93,6 +100,15 @@ class TestSpecFiles:
                 "rule even even antisymmetric: m*j\n")
         with pytest.raises(DuplicateRule):
             parse_spec(text)
+
+    def test_repeated_header(self):
+        # a second header used to replace the first one silently
+        rule = "rule even even antisymmetric: n*i\n"
+        for text, lineno in (("algebra X\nalgebra Y\nsuper false\n" + rule, 2),
+                             ("algebra X\nsuper false\n" + rule + "super true\n", 4)):
+            with pytest.raises(ParseError) as err:
+                parse_spec(text)
+            assert (err.value.line, err.value.col) == (lineno, 1)
 
     def test_missing_rule(self):
         with pytest.raises(ParseError):

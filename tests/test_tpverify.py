@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from blockq.algebra import EVEN, ODD, BasisIndex, SparseVector, Window, bracket_basis
-from blockq.errors import ModeMismatch, NonHomogeneousMultiplication, WrongQ
+from blockq.errors import ModeMismatch, NonHomogeneousMultiplication, ParseError, WrongQ
 from blockq.halfder import MapDegree, stabilize
 from blockq.specdsl import builtin_algebra
 from blockq.tpverify import (ProductTable, builtin_tp, left_mult_map,
@@ -238,6 +238,12 @@ class TestJsonRoundtrip:
                              "value": [["even", 1, 0, "1"]]}]}
         prod = ProductTable.from_json(data, Fraction(1))
         assert not verify_transposed_leibniz(alg, prod, Window(4, 6)).passed
+
+    def test_super_must_be_boolean(self):
+        # "false" is a truthy string, so a bool() reading took it for a super product
+        for flag in ("false", 0, 1, None):
+            with pytest.raises(ParseError):
+                ProductTable.from_json({"super": flag, "entries": []}, Fraction(0))
 
     def test_conflicting_duplicate_rejected(self):
         data = {"super": False,
