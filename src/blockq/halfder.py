@@ -22,13 +22,16 @@ in natural pair order; classification instead solves each degree with
   the outside in (shell k = max(|m1|, |i1|, |m2|, |i2|)), and each row is fed
   to zero propagation as it is made.  A row with one live unknown forces
   that unknown to zero, which holds in every solution of the rows seen so
-  far and hence of the whole system.  Once every unknown is forced the
-  kernel is zero, proved, and the remaining rows are never built;
-* a rank bound: otherwise, after the last row, a row-echelon pass modulo a
-  word-size prime (generic rows evaluated at a fixed q0 first) picks r
-  independent rows among the residual ones.  Reducing mod p and
-  specialising q can only lower rank, so the exact rank is at least r;
-  when r equals the number of live unknowns the kernel is zero, proved;
+  far and hence of the whole system.  The rows propagation keeps, forced
+  columns dropped, also go in batches to an incremental row-echelon pass
+  modulo a word-size prime (generic rows evaluated at a fixed q0 first).
+  Once every unknown is forced, or once that pass reaches rank equal to the
+  number of live unknowns, the kernel is zero, proved (reducing mod p and
+  specialising q can only lower rank), and the remaining rows are never
+  built;
+* a rank bound: otherwise, after the last row, the same mod-p pass picks r
+  independent rows among the residual ones, so the exact rank is at least
+  r; when r equals the number of live unknowns the kernel is zero, proved;
 * an exact solve over the active field on those r rows only, certified by
   checking every residual row against every kernel vector in integer
   arithmetic.  If one row fails, the mod-p rank fell short, and all rows
@@ -41,6 +44,8 @@ echelon form with unknowns ordered (parity, m, i) lexicographically.
 One echelon routine, `_insert_row` (leftmost pivot, mutually reduced rows),
 does all exact elimination: the kernel, the reduced echelon form of a span,
 the intersection of two spans by the Zassenhaus algorithm, membership by rank.
+One more, `_modp_pivot_rows`, does all elimination mod p: the early stop and
+the rank bound.
 """
 
 from __future__ import annotations
@@ -409,35 +414,42 @@ class _ZeroPropagation:
 
 # --- certified modular rank bound ----------------------------------------------------
 
-# Residual rows are reduced modulo _PRIME, generic rows after evaluation at
+# Rows are reduced modulo _PRIME, generic rows after evaluation at
 # q = _Q0.  _PRIME stays below 2**31, so a product of two residues stays
 # below 2**62 and never grows into a multi-word int.
 _PRIME = 2**31 - 1
 _Q0 = 1_000_003
 
 
-def _sub_multiple_mod(row: dict[int, int], f: int, src: dict[int, int], p: int) -> None:
-    """row -= f * src modulo p, in place, dropping entries that become zero."""
-    for c, v in src.items():
-        t = (row.get(c, 0) - f * v) % p
-        if t:
-            row[c] = t
-        else:
-            del row[c]
+class _ModpEchelon:
+    """A reduced row-echelon set mod _PRIME that rows join in batches.
+
+    `pivots` maps each pivot column to its row (column -> residue), one at
+    the pivot and zero at every other pivot column.  `users` maps each
+    other column to the pivots whose row has an entry there, so a new pivot
+    reduces only those rows.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
+        self.users: dict[int, set[int]] = {}
 
 
-def _modp_pivot_rows(rows: list[list[tuple[int, object]]], generic: bool,
-                     ncols: int) -> list[int]:
-    """Indices of the rows that become pivots in a reduced row-echelon pass mod _PRIME.
+def _modp_pivot_rows(ech: _ModpEchelon, rows: Iterable[Sequence[tuple[int, object]]],
+                     generic: bool, ncols: int) -> list[int]:
+    """Add rows to the echelon mod _PRIME; indices of those that became pivots.
 
-    Stops at full column rank.  Their number r bounds the exact rank from
-    below: an r x r minor that is nonzero mod _PRIME at q = _Q0 is nonzero
-    over Q, and over Q(q).  Pivot rows are kept mutually reduced, so a new
-    row needs one pass over the pivot rows of its own columns.
+    Stops once the echelon holds ncols pivots (full column rank).  The
+    number r of pivots bounds the exact rank of the rows fed from below: an
+    r x r minor that is nonzero mod _PRIME at q = _Q0 is nonzero over Q,
+    and over Q(q).  A new row needs one pass over the pivot rows of its own
+    columns, since pivot rows are mutually reduced.
     """
     p, q0 = _PRIME, _Q0
-    pivots: dict[int, dict[int, int]] = {}
+    pivots, users = ech.pivots, ech.users
     chosen: list[int] = []
+    # the row subtractions are written out: a call per subtraction cost
+    # about 7 % of classify at fixed q
     for k, entries in enumerate(rows):
         row = {}
         for u, v in entries:
@@ -451,19 +463,37 @@ def _modp_pivot_rows(rows: list[list[tuple[int, object]]], generic: bool,
             if v:
                 row[u] = v
         for u in [u for u in row if u in pivots]:
-            _sub_multiple_mod(row, row[u], pivots[u], p)
+            f = row[u]
+            for c, v in pivots[u].items():
+                t = (row.get(c, 0) - f * v) % p
+                if t:
+                    row[c] = t
+                else:
+                    del row[c]
         if not row:
             continue
         piv = min(row)
         f = pow(row[piv], -1, p)
         new = {c: v * f % p for c, v in row.items()}
-        for prow in pivots.values():
-            g = prow.get(piv)
-            if g:
-                _sub_multiple_mod(prow, g, new, p)
+        for r in users.pop(piv, ()):
+            prow = pivots[r]
+            g = prow[piv]
+            for c, v in new.items():
+                t = (prow.get(c, 0) - g * v) % p
+                if not t:
+                    del prow[c]
+                    if c != piv:
+                        users[c].discard(r)
+                else:
+                    if c not in prow:
+                        users.setdefault(c, set()).add(r)
+                    prow[c] = t
         pivots[piv] = new
+        for c in new:
+            if c != piv:
+                users.setdefault(c, set()).add(piv)
         chosen.append(k)
-        if len(chosen) == ncols:
+        if len(pivots) == ncols:
             break
     return chosen
 
@@ -500,7 +530,7 @@ def _certified_kernel(rows: list[list[tuple[int, object]]], cols: list[int],
     else:
         lift = Fraction
     one = scalar_one(comp.q)
-    pivot_rows = _modp_pivot_rows(rows, comp.generic, len(cols))
+    pivot_rows = _modp_pivot_rows(_ModpEchelon(), rows, comp.generic, len(cols))
     if len(pivot_rows) == len(cols):
         return []
     vecs = _kernel([{u: lift(v) for u, v in rows[k]} for k in pivot_rows], cols, one)
@@ -531,14 +561,53 @@ class NullSpaceBasis:
         return [GradedMap(self.degree, dict(v)).table_json() for v in self.vectors]
 
 
+# The early-stop echelon takes what propagation did at most every _BATCH
+# streamed rows, so its set-up is paid once per batch and a stop comes at
+# most _BATCH rows late.
+_BATCH = 64
+
+
 def _solve(alg: AlgebraSpec, unknowns: list[BasisIndex], deg: MapDegree, w: Window,
            rows: Iterable[tuple]) -> NullSpaceBasis:
-    """Zero-propagate each row's Entries (row[0]) until every unknown is forced, then solve."""
-    prop = _ZeroPropagation(len(unknowns))
-    for row in rows:
+    """Zero-propagate each row's Entries (row[0]) until the kernel is proved zero, then solve.
+
+    Every _BATCH rows, the echelon `ech` mod _PRIME takes a unit row for
+    each column forced since its last batch, then the rows propagation kept
+    since then, forced columns dropped.  A unit row stands for the rows that
+    forced its column, which propagation does not keep; the echelon's rank
+    is the number of forced columns plus the rank of the kept rows on the
+    live ones.  Rank n, that is rank `prop.left` on the live columns, proves
+    the kernel zero: a forced unknown is zero in every solution, a kept row
+    restricted to the live columns is a row of the system restricted to
+    them, and reducing mod p or fixing q = _Q0 can only lower rank.
+    Otherwise propagation runs to the last row and `prop.solve` finishes.
+
+    A batch waits while some live unknown lies in no kept row, since the
+    rank on the live columns cannot be full then.  This delays no stop, and
+    a degree that propagation settles alone feeds the echelon much less.
+    """
+    comp = alg.compiled()
+    n = len(unknowns)
+    prop = _ZeroPropagation(n)
+    forced, counts, occ = prop.forced, prop.counts, prop.occ
+    ech = _ModpEchelon()
+    units = bytes(n)  # the forced flags when the echelon took its last batch
+    unit = (1,) if comp.generic else 1
+    kept = 0  # kept rows the echelon has seen
+    for k, row in enumerate(rows, 1):
         if prop.add(row[0]):
             break
-    return prop.solve(alg.compiled(), unknowns, deg, w)
+        if k % _BATCH or not all(occ[u] for u in range(n) if not forced[u]):
+            continue
+        batch = [[(u, unit)] for u in range(n) if forced[u] != units[u]]
+        units = bytes(forced)
+        batch += [[(u, v) for u, v in live if not forced[u]]
+                  for live, count in zip(prop.rows[kept:], counts[kept:]) if count >= 2]
+        kept = len(counts)
+        _modp_pivot_rows(ech, batch, comp.generic, n)
+        if len(ech.pivots) == n:
+            return NullSpaceBasis(dimension=0, degree=deg, window=w, vectors=[])
+    return prop.solve(comp, unknowns, deg, w)
 
 
 def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
@@ -550,7 +619,8 @@ def solve_degree(alg: AlgebraSpec, deg: MapDegree, w: Window) -> NullSpaceBasis:
     """null_space(build_constraints(alg, deg, w)), assembled shell by shell from the outside in.
 
     Each row is fed to zero propagation as it is made; once every unknown is
-    forced the kernel is zero and the remaining rows are never built.
+    forced, or the kept rows reach full rank on the live unknowns mod p, the
+    kernel is zero and the remaining rows are never built.
     """
     rows = _rows(alg, deg, w, _shell_pairs(w, _parity_pairs(alg, deg)))
     return _solve(alg, w.basis(alg.parities), deg, w, rows)

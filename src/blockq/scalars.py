@@ -419,8 +419,13 @@ class Tokens:
 # Evaluated in Q(q); fixed-mode parsing then demands a constant result.
 #   sum     := product (('+'|'-') product)*
 #   product := power (('*'|'/') power)*
-#   power   := '-' power | atom ('^' INT)?
+#   power   := '-' power | atom ('^' INT)?     INT at most _MAX_EXPONENT
 #   atom    := INT | 'q' | '(' sum ')'
+
+# Scalar text arrives from outside (product tables), and an unbounded
+# exponent would let one short string stall a run.
+_MAX_EXPONENT = 64
+
 
 def _sum(toks: Tokens) -> RatFunc:
     val = _product(toks)
@@ -442,12 +447,19 @@ def _power(toks: Tokens) -> RatFunc:
     if toks.accept("-"):
         return -_power(toks)
     val = _atom(toks)
-    if toks.accept("^"):
-        out = RatFunc.const(1)
-        for _ in range(int(toks.take("INT"))):
+    if not toks.accept("^"):
+        return val
+    if toks.peek() == "INT" and int(toks.text) > _MAX_EXPONENT:
+        raise toks.error(f"exponent {toks.text} is above {_MAX_EXPONENT}")
+    e = int(toks.take("INT"))
+    out = RatFunc.const(1)
+    while e:  # square and multiply
+        if e & 1:
             out = out * val
-        return out
-    return val
+        e >>= 1
+        if e:
+            val = val * val
+    return out
 
 
 def _atom(toks: Tokens) -> RatFunc:

@@ -165,7 +165,8 @@ class TestVerifyTp:
         path = tmp_path / "bad.json"
         for payload in ({}, [], {"super": False, "entries": [{**entry, "x": 5}]},
                         {"super": False, "entries": [{**entry, "value": [["even", 0, 0, 3]]}]},
-                        {"super": "false", "entries": []}):
+                        {"super": "false", "entries": []},
+                        {"super": False, "entries": [{**entry, "value": [["even", 0, 0, "2^65"]]}]}):
             path.write_text(json.dumps(payload))
             code = main(["verify-tp", "--json", str(path), "--algebra", "B", "--q", "1",
                          "--window", "2x2"])

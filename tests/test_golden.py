@@ -84,6 +84,11 @@ CASES = {
     "classify_S_generic_1x1_2x2_3x3": (
         ["classify", "--algebra", "S", "--q", "generic", "--bounds", "1x1",
          "--windows", "2x2,3x3"], 0),
+    # recorded before open degrees stopped at full mod-p rank: the benchmark's
+    # S(2) odd job, whose open degrees all but one have a zero kernel
+    "classify_S_2_odd_3x3_2x6_3x7": (
+        ["classify", "--algebra", "S", "--q", "2", "--shift", "odd", "--bounds", "3x3",
+         "--windows", "2x6,3x7", "--expect", "1"], 0),
 }
 
 

@@ -192,6 +192,14 @@ def _spy_kernel(monkeypatch) -> list[int]:
     return calls
 
 
+def _left_after_propagation(cs: ConstraintSystem) -> int:
+    """Unknowns that zero propagation of every row of `cs` leaves unforced."""
+    prop = halfder._ZeroPropagation(len(cs.unknowns))
+    for entries, _x, _y in cs.rows:
+        prop.add(entries)
+    return prop.left
+
+
 class TestCertifiedNullSpace:
     @settings(max_examples=300, deadline=None)
     @given(system=sparse_systems(), prime=st.sampled_from([2**31 - 1, 3, 2]))
@@ -213,6 +221,28 @@ class TestCertifiedNullSpace:
         assert got.vectors == expected
         assert got.dimension == len(expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(system=sparse_systems(), cuts=st.lists(st.integers(0, 12), max_size=4))
+    def test_modp_echelon_in_batches(self, system, cuts):
+        generic, n, entries = system
+        whole, parts = halfder._ModpEchelon(), halfder._ModpEchelon()
+        halfder._modp_pivot_rows(whole, entries, generic, n)
+        ends = sorted(set(cuts) | {0, len(entries)})
+        for a, b in zip(ends, ends[1:]):
+            halfder._modp_pivot_rows(parts, entries[a:b], generic, n)
+        assert parts.pivots == whole.pivots
+        # reduced echelon form, and `users` indexes exactly the non-pivot entries
+        for piv, row in whole.pivots.items():
+            assert row[piv] == 1 and all(row.values())
+            assert not any(c in whole.pivots for c in row if c != piv)
+        assert {(c, r) for c, rs in whole.users.items() for r in rs} == \
+            {(c, r) for r, row in whole.pivots.items() for c in row if c != r}
+        if not generic:
+            # entries in [-4, 4] on at most 7 columns: no nonzero minor reaches _PRIME
+            plain = _kernel([{u: Fraction(v) for u, v in e} for e in entries], range(n),
+                            Fraction(1))
+            assert len(whole.pivots) == n - len(plain)
+
     @pytest.mark.parametrize("q,deg,w", [
         (Fraction(2), MapDegree(EVEN, 0, 2), Window(3, 4)),
         (None, MapDegree(EVEN, 0, 0), Window(3, 3)),
@@ -230,17 +260,19 @@ class TestCertifiedNullSpace:
     def test_zero_kernel_proved_mod_p(self, monkeypatch):
         cs = build_constraints(builtin_algebra("B", None), MapDegree(EVEN, 0, 1),
                                Window(3, 4))
-        bounds = []
+        assert _left_after_propagation(cs) > 0
+        full = []
         modp = halfder._modp_pivot_rows
 
-        def spy(rows, generic, ncols):
-            bounds.append(ncols)
-            return modp(rows, generic, ncols)
+        def spy(ech, rows, generic, ncols):
+            chosen = modp(ech, rows, generic, ncols)
+            full.append(len(ech.pivots) == ncols)
+            return chosen
 
         monkeypatch.setattr(halfder, "_modp_pivot_rows", spy)
         calls = _spy_kernel(monkeypatch)
         assert null_space(cs).dimension == 0
-        assert bounds[0] > 0  # unknowns survived zero propagation
+        assert full and full[-1]  # the mod-p rank reached the column count
         assert calls == []
 
 
@@ -286,7 +318,10 @@ class TestStreamedSolve:
     @given(problem=degree_problems())
     def test_matches_all_rows_null_space(self, problem):
         alg, deg, w = problem
-        expected = null_space(build_constraints(alg, deg, w))
+        # the expected side never reaches a batch, so never stops at full
+        # mod-p rank; the streamed side does in about 40 % of the examples
+        with mock.patch.object(halfder, "_BATCH", 10**9):
+            expected = null_space(build_constraints(alg, deg, w))
         got = solve_degree(alg, deg, w)
         assert got.vectors == expected.vectors
         assert got.dimension == expected.dimension
@@ -316,6 +351,24 @@ class TestStreamedSolve:
         taken = _count_rows(monkeypatch)
         assert solve_degree(alg, deg, w).dimension == 0
         assert 0 < taken[0] < total
+
+    def test_open_zero_kernel_stops_at_full_rank(self, monkeypatch):
+        alg = builtin_algebra("S", Fraction(2))
+        deg, w = MapDegree(ODD, 3, 0), Window(2, 6)
+        cs = build_constraints(alg, deg, w)
+        assert _left_after_propagation(cs) > 0
+        taken = _count_rows(monkeypatch)
+        assert solve_degree(alg, deg, w).dimension == 0
+        assert 0 < taken[0] < len(cs.rows)
+
+    def test_prime_two_gives_the_same_vectors(self, monkeypatch):
+        # mod 2 the rank of S(2) odd falls short, which exercises the fallbacks
+        alg = builtin_algebra("S", Fraction(2))
+        w = Window(2, 6)
+        degrees = [MapDegree(ODD, r, s) for r in range(-3, 4) for s in range(-3, 4)]
+        expected = [solve_degree(alg, deg, w).vectors for deg in degrees]
+        monkeypatch.setattr(halfder, "_PRIME", 2)
+        assert [solve_degree(alg, deg, w).vectors for deg in degrees] == expected
 
     def test_alpha_degree_takes_every_row(self, monkeypatch):
         alg = builtin_algebra("B", Fraction(2))

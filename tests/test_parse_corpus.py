@@ -33,6 +33,9 @@ SCALARS = [
     ("-q^2", "generic", "-q^2"),
     ("(-q)^2", "generic", "q^2"),
     ("q^0", "generic", "1"),
+    ("q^64", "generic", "q^64"),
+    ("2^64", "5", "18446744073709551616"),
+    ("(1 - q)^3", "generic", "-q^3 + 3*q^2 - 3*q + 1"),
     ("1 - -1", "generic", "2"),
     (" q ", "generic", "q"),
     ("1 +\n2", "generic", "3"),
@@ -48,6 +51,8 @@ SCALARS = [
     ("q^-1", "generic", ParseError),
     ("q^q", "generic", ParseError),
     ("q^2^2", "generic", ParseError),
+    ("q^65", "generic", ParseError),
+    ("(q + 1)^500", "5", ParseError),
     ("2q", "generic", ParseError),
     ("q2", "generic", ParseError),
     ("(1", "generic", ParseError),
@@ -193,6 +198,12 @@ def test_scalar(text, q, expected):
         with pytest.raises(Exception) as err:
             parse_scalar(text, mode)
         assert type(err.value) is expected
+
+
+def test_scalar_exponent_bound_is_located():
+    with pytest.raises(ParseError) as err:
+        parse_scalar("1 +\n(q + 1)^65")
+    assert (err.value.line, err.value.col) == (2, 9)
 
 
 @pytest.mark.parametrize("text,ast,printed", EXPRS_ACCEPTED)
