@@ -130,7 +130,11 @@ def cmd_verify_tp(args) -> int:
     q = alg.q
     if args.json:
         with open(args.json) as fh:
-            prod = ProductTable.from_json(json.load(fh), q)
+            try:
+                table = json.load(fh)
+            except RecursionError:
+                raise ParseError(f"{args.json}: JSON nests too deeply") from None
+        prod = ProductTable.from_json(table, q)
         source = args.json
     else:
         prod = builtin_tp(args.structure, q, is_super=alg.is_super)

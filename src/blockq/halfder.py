@@ -16,7 +16,7 @@ nested windows.
 Row coefficients are stored denominator-cleared (see CompiledAlgebra); the
 null space is unaffected by row scaling.  `build_constraints` lists the rows
 in natural pair order; classification instead solves each degree with
-`solve_degree`, in three steps:
+`solve_degree`, in two steps:
 
 * streamed assembly with early exit: pairs are generated shell by shell from
   the outside in (shell k = max(|m1|, |i1|, |m2|, |i2|)), and each row is fed
@@ -29,15 +29,13 @@ in natural pair order; classification instead solves each degree with
   number of live unknowns, the kernel is zero, proved (reducing mod p and
   specialising q can only lower rank), and the remaining rows are never
   built;
-* a rank bound: otherwise, after the last row, the same mod-p pass picks r
-  independent rows among the residual ones, so the exact rank is at least
-  r; when r equals the number of live unknowns the kernel is zero, proved;
-* an exact solve over the active field on those r rows only, certified by
-  checking every residual row against every kernel vector in integer
-  arithmetic.  If one row fails, the mod-p rank fell short, and all rows
-  are solved exactly instead.
+* an exact solve: otherwise, after the last row and one more batch, the kept
+  rows that became pivots of that same pass are solved exactly over the
+  active field on the live unknowns, certified by checking every kept row
+  against every kernel vector in integer arithmetic.  If one row fails, the
+  mod-p rank fell short, and all kept rows are solved exactly instead.
 
-`null_space` runs the same three steps on the rows of a given system.
+`null_space` runs the same two steps on the rows of a given system.
 Either way the result is the same exact space, returned in canonical reduced
 echelon form with unknowns ordered (parity, m, i) lexicographically.
 
@@ -45,7 +43,7 @@ One echelon routine, `_insert_row` (leftmost pivot, mutually reduced rows),
 does all exact elimination: the kernel, the reduced echelon form of a span,
 the intersection of two spans by the Zassenhaus algorithm, membership by rank.
 One more, `_modp_pivot_rows`, does all elimination mod p: the early stop and
-the rank bound.
+the choice of rows for the exact solve.
 """
 
 from __future__ import annotations
@@ -361,6 +359,7 @@ class _ZeroPropagation:
 
     def __init__(self, n: int):
         self.forced = bytearray(n)
+        self.order: list[int] = []  # the forced unknowns, in the order forced
         self.left = n  # unknowns not yet forced
         self.rows: list[list[tuple[int, object]]] = []  # live entries on arrival
         self.counts: list[int] = []  # live entries now
@@ -383,6 +382,7 @@ class _ZeroPropagation:
     def _force(self, u: int) -> None:
         forced, counts, rows, occ = self.forced, self.counts, self.rows, self.occ
         forced[u] = 1
+        self.order.append(u)
         self.left -= 1
         stack = [u]
         while stack:
@@ -392,27 +392,13 @@ class _ZeroPropagation:
                     for uu, _v in rows[rid]:
                         if not forced[uu]:
                             forced[uu] = 1
+                            self.order.append(uu)
                             self.left -= 1
                             stack.append(uu)
                             break
 
-    def solve(self, comp: CompiledAlgebra, unknowns: list[BasisIndex],
-              deg: MapDegree, w: Window) -> NullSpaceBasis:
-        """Null space of the rows fed so far, through the certified kernel."""
-        forced = self.forced
-        tables: list[dict] = []
-        if self.left:
-            residual = [[(u, v) for u, v in live if not forced[u]]
-                        for live, count in zip(self.rows, self.counts) if count >= 2]
-            survivors = [u for u in range(len(forced)) if not forced[u]]
-            vecs = _certified_kernel(residual, survivors, comp)
-            tables = _rref_vectors([{unknowns[u]: v for u, v in vec.items()}
-                                    for vec in vecs])
-        return NullSpaceBasis(dimension=len(tables), degree=deg, window=w,
-                              vectors=tables)
 
-
-# --- certified modular rank bound ----------------------------------------------------
+# --- modular echelon ---------------------------------------------------------------
 
 # Rows are reduced modulo _PRIME, generic rows after evaluation at
 # q = _Q0.  _PRIME stays below 2**31, so a product of two residues stays
@@ -513,32 +499,6 @@ def _row_violated(ivec: dict, comp: CompiledAlgebra) -> Callable[[Entries], bool
     return violated
 
 
-def _certified_kernel(rows: list[list[tuple[int, object]]], cols: list[int],
-                      comp: CompiledAlgebra) -> list[dict]:
-    """A null-space basis of raw rows, solved on the rows independent mod _PRIME.
-
-    Those r rows have exact rank r too, so their kernel contains the kernel
-    of all rows and has the largest dimension that kernel can have,
-    len(cols) - r.  When r = len(cols) the kernel is zero and nothing is
-    solved exactly.  Otherwise the kernel of the r rows is the answer once
-    every row vanishes on it; when one does not, the mod-p rank fell short
-    of the exact rank and all rows are solved exactly.
-    """
-    if comp.generic:
-        def lift(v):
-            return RatFunc(Poly(v))
-    else:
-        lift = Fraction
-    one = scalar_one(comp.q)
-    pivot_rows = _modp_pivot_rows(_ModpEchelon(), rows, comp.generic, len(cols))
-    if len(pivot_rows) == len(cols):
-        return []
-    vecs = _kernel([{u: lift(v) for u, v in rows[k]} for k in pivot_rows], cols, one)
-    if not any(any(map(_row_violated(comp.raw(vec), comp), rows)) for vec in vecs):
-        return vecs
-    return _kernel([{u: lift(v) for u, v in row} for row in rows], cols, one)
-
-
 @dataclass
 class NullSpaceBasis:
     """Exact solution space in canonical reduced echelon form.
@@ -571,47 +531,83 @@ def _solve(alg: AlgebraSpec, unknowns: list[BasisIndex], deg: MapDegree, w: Wind
            rows: Iterable[tuple]) -> NullSpaceBasis:
     """Zero-propagate each row's Entries (row[0]) until the kernel is proved zero, then solve.
 
-    Every _BATCH rows, the echelon `ech` mod _PRIME takes a unit row for
-    each column forced since its last batch, then the rows propagation kept
-    since then, forced columns dropped.  A unit row stands for the rows that
+    Each batch gives the echelon `ech` mod _PRIME a unit row for each
+    column forced since the last batch, then the rows propagation kept since
+    then, forced columns dropped.  A unit row stands for the rows that
     forced its column, which propagation does not keep; the echelon's rank
     is the number of forced columns plus the rank of the kept rows on the
     live ones.  Rank n, that is rank `prop.left` on the live columns, proves
     the kernel zero: a forced unknown is zero in every solution, a kept row
     restricted to the live columns is a row of the system restricted to
     them, and reducing mod p or fixing q = _Q0 can only lower rank.
-    Otherwise propagation runs to the last row and `prop.solve` finishes.
 
-    A batch waits while some live unknown lies in no kept row, since the
-    rank on the live columns cannot be full then.  This delays no stop, and
-    a degree that propagation settles alone feeds the echelon much less.
+    A batch runs every _BATCH rows, but waits while some live unknown lies
+    in no kept row, since the rank on the live columns cannot be full then.
+    This delays no stop, and a degree that propagation settles alone feeds
+    the echelon much less.  After the last row one more batch runs, unless
+    no kept row has a live entry left.  The kept rows that became pivots
+    then span the kept rows on the live columns mod p, so their exact rank
+    is at least the echelon's rank on them.  The kernel of those rows, on
+    the live columns, is solved exactly; it contains the true kernel and is
+    the answer once every kept row vanishes on it, checked in integer
+    arithmetic.  When one does not, the mod-p rank fell short of the exact
+    rank, and all kept rows are solved exactly instead.
     """
     comp = alg.compiled()
     n = len(unknowns)
     prop = _ZeroPropagation(n)
     forced, counts, occ = prop.forced, prop.counts, prop.occ
     ech = _ModpEchelon()
-    units = bytes(n)  # the forced flags when the echelon took its last batch
     unit = (1,) if comp.generic else 1
-    kept = 0  # kept rows the echelon has seen
+    units = kept = 0  # forced columns and kept rows the echelon has seen
+    pivot_rows: list[int] = []  # kept rows that became pivots
+
+    def batch() -> bool:
+        """Feed `ech` what propagation did since the last batch; True at rank n."""
+        nonlocal units, kept
+        new_units = prop.order[units:]
+        ids = [rid for rid in range(kept, len(counts)) if counts[rid] >= 2]
+        units, kept = len(prop.order), len(counts)
+        chosen = _modp_pivot_rows(
+            ech, [[(u, unit)] for u in new_units]
+            + [[(u, v) for u, v in prop.rows[rid] if not forced[u]] for rid in ids],
+            comp.generic, n)
+        pivot_rows.extend(ids[k - len(new_units)] for k in chosen if k >= len(new_units))
+        return len(ech.pivots) == n
+
+    zero = NullSpaceBasis(dimension=0, degree=deg, window=w, vectors=[])
     for k, row in enumerate(rows, 1):
         if prop.add(row[0]):
-            break
-        if k % _BATCH or not all(occ[u] for u in range(n) if not forced[u]):
-            continue
-        batch = [[(u, unit)] for u in range(n) if forced[u] != units[u]]
-        units = bytes(forced)
-        batch += [[(u, v) for u, v in live if not forced[u]]
-                  for live, count in zip(prop.rows[kept:], counts[kept:]) if count >= 2]
-        kept = len(counts)
-        _modp_pivot_rows(ech, batch, comp.generic, n)
-        if len(ech.pivots) == n:
-            return NullSpaceBasis(dimension=0, degree=deg, window=w, vectors=[])
-    return prop.solve(comp, unknowns, deg, w)
+            return zero
+        if not k % _BATCH and all(occ[u] for u in range(n) if not forced[u]) and batch():
+            return zero
+    residual = [rid for rid, count in enumerate(counts) if count >= 2]
+    if residual and batch():
+        return zero
+
+    live = [u for u in range(n) if not forced[u]]
+    lift = (lambda v: RatFunc(Poly(v))) if comp.generic else Fraction
+    one = scalar_one(comp.q)
+
+    def kernel(rids: Iterable[int]) -> list[dict]:
+        return _kernel([{u: lift(v) for u, v in prop.rows[rid] if not forced[u]}
+                        for rid in rids], live, one)
+
+    # a pivot row whose columns were all forced later is empty on the live ones
+    vecs = kernel(rid for rid in pivot_rows if counts[rid] >= 2)
+    if any(any(map(_row_violated(comp.raw(vec), comp), (prop.rows[rid] for rid in residual)))
+           for vec in vecs):
+        vecs = kernel(residual)
+    tables = _rref_vectors([{unknowns[u]: v for u, v in vec.items()} for vec in vecs])
+    return NullSpaceBasis(dimension=len(tables), degree=deg, window=w, vectors=tables)
 
 
 def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
-    """Exact reduced null-space basis; deterministic given the unknown order."""
+    """Exact reduced null-space basis; deterministic given the unknown order.
+
+    The rows are streamed through `_solve` in their listed order, so a zero
+    kernel may be proved before the last row.
+    """
     return _solve(cs.algebra, cs.unknowns, cs.degree, cs.window, cs.rows)
 
 

@@ -482,7 +482,10 @@ def parse_scalar(text: str, q: Fraction | None = None) -> Scalar:
     functions ("(num)/(den)").  In fixed mode the result must be constant.
     """
     toks = Tokens(text)
-    val = _sum(toks)
+    try:
+        val = _sum(toks)
+    except RecursionError:
+        raise toks.error("scalar nests too deeply") from None
     toks.end("end of input")
     if q is None:
         return val

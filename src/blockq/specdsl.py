@@ -20,6 +20,7 @@ Each header appears once.  Expressions are read by the shared
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -219,9 +220,24 @@ def _factor(toks: Tokens) -> Expr:
 
 
 def parse_expr(text: str, line: int = 1, col_offset: int = 0) -> Expr:
+    """Parse one coefficient expression.
+
+    The parser and the AST walkers recurse once per level of the tree, and
+    a long sum or product is a deep tree too.  Input that overflows the
+    Python stack fails as a ParseError: in the parser at the token reached,
+    and in `print_expr`, which takes at least as many frames per level as
+    the other walkers, at the first token.
+    """
     toks = Tokens(text, line, col_offset)
-    node = _expr(toks)
+    try:
+        node = _expr(toks)
+    except RecursionError:
+        raise toks.error("expression nests too deeply") from None
     toks.end("end of expression")
+    try:
+        print_expr(node)
+    except RecursionError:
+        raise toks.error("expression nests too deeply", pos=toks.toks[0][2]) from None
     return node
 
 
@@ -347,32 +363,10 @@ def make_algebra(sf: SpecFile, q: Fraction | None) -> AlgebraSpec:
 
 # --- built-in algebras ----------------------------------------------------------
 
-def _expr_B() -> Expr:
-    # n*(i+q) - m*(j+q)
-    return Sub(Mul(Var("n"), Add(Var("i"), Var("q"))),
-               Mul(Var("m"), Add(Var("j"), Var("q"))))
-
-
-def _expr_S_even_odd() -> Expr:
-    # n*(i+q) - m*(j + (1/2)*q)
-    return Sub(Mul(Var("n"), Add(Var("i"), Var("q"))),
-               Mul(Var("m"), Add(Var("j"), Mul(Lit(Fraction(1, 2)), Var("q")))))
-
-
-def _expr_S_odd_odd() -> Expr:
-    return Mul(Lit(Fraction(2)), Var("q"))
-
-
+@functools.cache
 def builtin_specfile(name: str) -> SpecFile:
-    if name == "B":
-        return SpecFile(name="B", is_super=False, rules=(
-            RuleDecl(EVEN, EVEN, False, _expr_B()),))
-    if name == "S":
-        return SpecFile(name="S", is_super=True, rules=(
-            RuleDecl(EVEN, EVEN, False, _expr_B()),
-            RuleDecl(EVEN, ODD, False, _expr_S_even_odd()),
-            RuleDecl(ODD, ODD, True, _expr_S_odd_odd())))
-    raise UnknownAlgebra(f"no built-in algebra named {name!r}")
+    """The shipped definition of 'B' or 'S', parsed once."""
+    return parse_spec(shipped_alg_text(name))
 
 
 def builtin_algebra(name: str, q: Fraction | None) -> AlgebraSpec:
@@ -383,5 +377,5 @@ def builtin_algebra(name: str, q: Fraction | None) -> AlgebraSpec:
 def shipped_alg_text(name: str) -> str:
     """Contents of the packaged .alg definition files."""
     if name not in ("B", "S"):
-        raise UnknownAlgebra(f"no shipped .alg file for {name!r}")
+        raise UnknownAlgebra(f"no built-in algebra named {name!r}")
     return resources.files("blockq").joinpath(f"algebras/{name}.alg").read_text()

@@ -14,6 +14,12 @@ super false
 rule even even antisymmetric: n*(i + q) - m*(j - q)
 """
 
+# coefficient expressions deep enough to overflow the Python stack, in the
+# parser (parentheses, leading minus signs) or in the AST walkers (a long
+# sum or product)
+DEEP_EXPRS = ["(" * 330 + "n*i" + ")" * 330, "-" * 989 + "n*i",
+              " + ".join(["n*i"] * 992), "*".join(["n"] * 499)]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -166,13 +172,21 @@ class TestVerifyTp:
         for payload in ({}, [], {"super": False, "entries": [{**entry, "x": 5}]},
                         {"super": False, "entries": [{**entry, "value": [["even", 0, 0, 3]]}]},
                         {"super": "false", "entries": []},
-                        {"super": False, "entries": [{**entry, "value": [["even", 0, 0, "2^65"]]}]}):
+                        {"super": False, "entries": [{**entry, "value": [["even", 0, 0, "2^65"]]}]},
+                        # deep enough to overflow the Python stack
+                        *({"super": False, "entries": [{**entry, "value": [["even", 0, 0, text]]}]}
+                          for text in ("(" * 246 + "1" + ")" * 246, "-" * 982 + "1"))):
             path.write_text(json.dumps(payload))
             code = main(["verify-tp", "--json", str(path), "--algebra", "B", "--q", "1",
                          "--window", "2x2"])
             captured = capsys.readouterr()
             assert code == 2, payload
             assert captured.out == "" and captured.err.startswith("error: "), payload
+        path.write_text("[" * 100_000 + "]" * 100_000)  # deeper than json can decode
+        assert main(["verify-tp", "--json", str(path), "--algebra", "B", "--q", "1",
+                     "--window", "2x2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestHomCheck:
@@ -226,6 +240,22 @@ class TestParseSpec:
             captured = capsys.readouterr()
             assert code == 2, coeff
             assert captured.out == "" and captured.err.startswith("error: "), coeff
+
+    def test_deep_expression_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.alg"
+        for coeff in DEEP_EXPRS:
+            path.write_text(f"algebra X\nsuper false\nrule even even antisymmetric: {coeff}\n")
+            for argv in (["parse-spec", str(path)],
+                         ["verify-algebra", "--spec", str(path), "--window", "1x1"],
+                         ["classify", "--spec", str(path), "--windows", "1x1,2x2"],
+                         ["verify-tp", "--spec", str(path), "--structure", "block_thalg",
+                          "--q", "1", "--window", "1x1"],
+                         ["hom-check", "--spec", str(path), "--map", "id", "--window", "1x1"]):
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert code == 2, (argv[0], coeff[:10])
+                assert captured.out == "" and captured.err.startswith("error: "), argv[0]
+                assert "line 3" in captured.err, argv[0]
 
     def test_missing_file_exit_two(self, capsys):
         code, _ = run(capsys, "parse-spec", "/nonexistent/x.alg")

@@ -89,6 +89,11 @@ CASES = {
     "classify_S_2_odd_3x3_2x6_3x7": (
         ["classify", "--algebra", "S", "--q", "2", "--shift", "odd", "--bounds", "3x3",
          "--windows", "2x6,3x7", "--expect", "1"], 0),
+    # recorded before the streamed mod-p echelon also picked the rows for
+    # the exact solve: the benchmark's B(2) job, with id and alpha
+    "classify_B_2_3x3_3x6_4x7": (
+        ["classify", "--algebra", "B", "--q", "2", "--bounds", "3x3",
+         "--windows", "3x6,4x7", "--expect", "2"], 0),
 }
 
 

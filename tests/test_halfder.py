@@ -254,7 +254,7 @@ class TestCertifiedNullSpace:
         monkeypatch.setattr(halfder, "_PRIME", 2)
         got = null_space(cs)
         assert got.vectors == expected.vectors
-        # the independent rows mod 2 gave too large a kernel; every row was solved
+        # the pivot rows mod 2 gave too large a kernel; every kept row was solved
         assert len(calls) == 2 and calls[0] < calls[1]
 
     def test_zero_kernel_proved_mod_p(self, monkeypatch):
@@ -274,6 +274,53 @@ class TestCertifiedNullSpace:
         assert null_space(cs).dimension == 0
         assert full and full[-1]  # the mod-p rank reached the column count
         assert calls == []
+
+    @staticmethod
+    def _spy_fed(monkeypatch) -> list:
+        """Record every row `_modp_pivot_rows` receives."""
+        fed = []
+        modp = halfder._modp_pivot_rows
+
+        def spy(ech, rows, generic, ncols):
+            rows = list(rows)
+            fed.extend(rows)
+            return modp(ech, rows, generic, ncols)
+
+        monkeypatch.setattr(halfder, "_modp_pivot_rows", spy)
+        return fed
+
+    @pytest.mark.parametrize("q,deg,w,dim", [
+        (None, MapDegree(EVEN, 0, 0), Window(3, 4), 1),  # id; nothing forced
+        (Fraction(2), MapDegree(EVEN, 0, 2), Window(3, 6), 1),  # alpha; 2 forced
+    ])
+    def test_each_kept_row_and_forced_column_enters_the_echelon_once(
+            self, monkeypatch, q, deg, w, dim):
+        # an open kernel: every row streams past, and the exact solve runs on
+        # rows this one echelon picked
+        alg = builtin_algebra("B", q)
+        prop = halfder._ZeroPropagation(len(w.basis(alg.parities)))
+        for entries, _pair in halfder._rows(alg, deg, w,
+                                            _shell_pairs(w, _parity_pairs(alg, deg))):
+            prop.add(entries)
+        fed = self._spy_fed(monkeypatch)
+        calls = _spy_kernel(monkeypatch)
+        assert solve_degree(alg, deg, w).dimension == dim
+        # a forced column enters as a unit row, a kept row with two or more
+        # live entries
+        units = [row[0][0] for row in fed if len(row) == 1]
+        assert len(set(units)) == len(units) and all(prop.forced[u] for u in units)
+        assert len(fed) - len(units) <= len(prop.rows)
+        # one exact solve, on the pivot rows, and the certificate held
+        assert len(calls) == 1 and prop.left - dim <= calls[0] < len(prop.rows)
+
+    def test_no_live_kept_row_feeds_nothing(self, monkeypatch):
+        # propagation forces 129 of the 130 unknowns and leaves no kept row
+        # with a live entry: the one live unknown is free, and no batch runs
+        alg = builtin_algebra("S", Fraction(2))
+        deg, w = MapDegree(ODD, 0, 1), Window(2, 6)
+        fed = self._spy_fed(monkeypatch)
+        assert solve_degree(alg, deg, w).dimension == 1
+        assert fed == []
 
 
 MUTATED_B = """algebra B
@@ -318,8 +365,9 @@ class TestStreamedSolve:
     @given(problem=degree_problems())
     def test_matches_all_rows_null_space(self, problem):
         alg, deg, w = problem
-        # the expected side never reaches a batch, so never stops at full
-        # mod-p rank; the streamed side does in about 40 % of the examples
+        # the expected side takes every row before its one batch, so never
+        # stops early at full mod-p rank; the streamed side does in about
+        # 40 % of the examples
         with mock.patch.object(halfder, "_BATCH", 10**9):
             expected = null_space(build_constraints(alg, deg, w))
         got = solve_degree(alg, deg, w)

@@ -187,6 +187,14 @@ MAPS = [
 ]
 
 
+# Input deep enough to overflow the Python stack, in the parser (parentheses,
+# leading minus signs) or in the AST walkers (a long sum or product): each a
+# ParseError located on the input
+DEEP_SCALARS = ["(" * 246 + "1" + ")" * 246, "-" * 982 + "1", "(" * 5000 + "q" + ")" * 5000]
+DEEP_EXPRS = ["(" * 330 + "m" + ")" * 330, "-" * 989 + "m", " + ".join(["m"] * 992),
+              "*".join(["n"] * 499), "-" * 5000 + "m", " - ".join(["m"] * 100_000)]
+
+
 @pytest.mark.parametrize("text,q,expected", SCALARS)
 def test_scalar(text, q, expected):
     mode = parse_q(q)
@@ -204,6 +212,13 @@ def test_scalar_exponent_bound_is_located():
     with pytest.raises(ParseError) as err:
         parse_scalar("1 +\n(q + 1)^65")
     assert (err.value.line, err.value.col) == (2, 9)
+
+
+@pytest.mark.parametrize("text", DEEP_SCALARS, ids=lambda t: f"{t[:2]}x{len(t)}")
+def test_deep_scalar_is_located(text):
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text)
+    assert err.value.line == 1 and 1 <= err.value.col <= len(text)
 
 
 @pytest.mark.parametrize("text,ast,printed", EXPRS_ACCEPTED)
@@ -224,6 +239,14 @@ def test_expr_location_offsets():
     with pytest.raises(ParseError) as err:
         parse_expr("n/m", line=3, col_offset=30)
     assert (err.value.line, err.value.col) == (3, 32)
+
+
+@pytest.mark.parametrize("text", DEEP_EXPRS, ids=lambda t: f"{t[:2]}x{len(t)}")
+def test_deep_expr_is_located(text):
+    with pytest.raises(ParseError) as err:
+        parse_spec(_HEAD + "rule even even antisymmetric: " + text + "\n")
+    # the walkers fail at the first token, column 31; the parser further on
+    assert err.value.line == 3 and 31 <= err.value.col <= 30 + len(text)
 
 
 @pytest.mark.parametrize("text,expected", SPECS)

@@ -8,7 +8,8 @@ from blockq.algebra import EVEN, ODD, Window, bracket_basis
 from blockq.errors import (DuplicateRule, ParseError, UnboundVariable,
                            UnknownAlgebra, UnknownVariable)
 from blockq.scalars import RatFunc
-from blockq.specdsl import (builtin_algebra, builtin_specfile, eval_expr,
+from blockq.specdsl import (Add, Lit, Mul, RuleDecl, SpecFile, Sub, Var,
+                            builtin_algebra, builtin_specfile, eval_expr,
                             expand_expr, make_algebra, parse_expr, parse_spec,
                             print_expr, print_spec, shipped_alg_text)
 
@@ -143,6 +144,20 @@ class TestBuiltinAlgebras:
         assert alg.is_super
         assert set(alg.rules) == {(EVEN, EVEN), (EVEN, ODD), (ODD, ODD)}
         assert alg.rules[(ODD, ODD)].symmetric
+
+    def test_builtin_specfiles_are_the_block_rules(self):
+        # the shipped files, parsed once, against the rules written out by hand
+        even_even = Sub(Mul(Var("n"), Add(Var("i"), Var("q"))),
+                        Mul(Var("m"), Add(Var("j"), Var("q"))))
+        even_odd = Sub(Mul(Var("n"), Add(Var("i"), Var("q"))),
+                       Mul(Var("m"), Add(Var("j"), Mul(Lit(Fraction(1, 2)), Var("q")))))
+        assert builtin_specfile("B") == SpecFile("B", False, (
+            RuleDecl(EVEN, EVEN, False, even_even),))
+        assert builtin_specfile("S") == SpecFile("S", True, (
+            RuleDecl(EVEN, EVEN, False, even_even),
+            RuleDecl(EVEN, ODD, False, even_odd),
+            RuleDecl(ODD, ODD, True, Mul(Lit(Fraction(2)), Var("q")))))
+        assert builtin_specfile("S") is builtin_specfile("S")
 
     def test_unknown_name(self):
         with pytest.raises(UnknownAlgebra):
