@@ -21,18 +21,17 @@ are polynomials in the free indices of bounded degree, so vanishing on the
 small box `certifying_grid` returns proves them everywhere (Alon's
 Combinatorial Nullstellensatz).  When the window does not contain that box,
 or the box shows a violation, every pair or triple of the window is
-enumerated (`antisymmetry_by_enumeration`, `jacobi_by_enumeration`, also the
-oracle in tests).  Either way a report's `checked` counts the pairs or
-triples of the window it covers.
+enumerated.  Either way a report's `checked` counts the pairs or triples of
+the window it covers.
 
 The scalar layer (`bracket_basis`, `bracket_vec`, `jacobi_sides`) computes
-exact `Fraction` or `RatFunc` values.  It only formats witnesses and serves
-as the reference oracle in tests.
+exact `Fraction` or `RatFunc` values.  It only formats witnesses.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -191,11 +190,19 @@ class Window:
 
     @classmethod
     def parse(cls, text: str) -> "Window":
-        m, _, i = text.strip().lower().partition("x")
-        return cls(int(m), int(i))
+        return cls(*parse_dims(text, "MxI", 1))
 
     def __str__(self) -> str:
         return f"{self.m_max}x{self.i_max}"
+
+
+def parse_dims(text: str, form: str, least: int) -> tuple[int, int]:
+    """The two integers of text written like `form` ('MxI', 'RxS'); ParseError
+    unless both are at least `least`."""
+    match = re.fullmatch(r"\s*([0-9]+)\s*[xX]\s*([0-9]+)\s*", text)
+    if match and min(dims := (int(match[1]), int(match[2]))) >= least:
+        return dims
+    raise ParseError(f"malformed {form} {text!r}", expected=(f"{form} with integers >= {least}",))
 
 
 # monomial key: exponents of (m, i, n, j, q)
@@ -375,12 +382,6 @@ class CompiledAlgebra:
         """The evaluated structure constant of [x, y]."""
         return self.pair[(x.parity, y.parity)](x.m, x.i, y.m, y.i)
 
-    def to_scalar(self, v) -> Scalar:
-        """Divide the uniform scale back out, returning the true coefficient."""
-        if self.generic:
-            return RatFunc(Poly(Fraction(c, self.den) for c in v))
-        return Fraction(v) / self.scale
-
     def raw(self, table: dict) -> dict:
         """A nonzero multiple of a scalar table, as ints or int q-coefficient tuples.
 
@@ -506,7 +507,7 @@ def check_identity(cases: Iterable[tuple[BasisIndex, ...]],
                    residual: Callable[..., object],
                    sides: Callable[..., tuple[object, object]], checked: int,
                    proof: Iterable[tuple[BasisIndex, ...]] | None = None,
-                   orbits: Callable[[int], Iterable[tuple[tuple[BasisIndex, ...], int]]]
+                   orbits: Callable[[], Iterable[tuple[tuple[BasisIndex, ...], int]]]
                    | None = None) -> VerificationReport:
     """The identity-check kernel of every suite.
 
@@ -517,19 +518,17 @@ def check_identity(cases: Iterable[tuple[BasisIndex, ...]],
     passes without enumerating them.  `checked` counts the cases covered.
 
     With `orbits`, the walk over `cases` stops once the report keeps
-    MAX_REPORT_VIOLATIONS witnesses, after the first `walked` cases, and
-    `orbits(walked)` counts the rest: it yields one (case, weight) for each
-    class of cases on which the residual vanishes or not together, where
-    weight is the number of the class's cases after the first `walked`.
+    MAX_REPORT_VIOLATIONS witnesses, and `orbits()` counts the total: it
+    yields one (case, weight) for each class of `cases` on which the residual
+    vanishes or not together, where weight is the class's size.
     """
     log = _ViolationLog()
     if proof is None or any(residual(*case) for case in proof):
-        for walked, case in enumerate(cases, 1):
+        for case in cases:
             if residual(*case):
                 log.record(case, lambda: sides(*case))
                 if orbits is not None and len(log.items) == MAX_REPORT_VIOLATIONS:
-                    log.total += sum(weight for rep, weight in orbits(walked)
-                                     if residual(*rep))
+                    log.total = sum(weight for rep, weight in orbits() if residual(*rep))
                     break
     return log.report(checked)
 
@@ -569,11 +568,6 @@ def _antisymmetry(alg: AlgebraSpec, w: Window, grid: Window | None) -> Verificat
         len(basis) * (len(basis) + 1) // 2,
         combinations_with_replacement(grid.basis(alg.parities), 2) if grid and grid <= w
         else None)
-
-
-def antisymmetry_by_enumeration(alg: AlgebraSpec, w: Window) -> VerificationReport:
-    """Evaluate antisymmetry on every unordered basis pair in w."""
-    return _antisymmetry(alg, w, None)
 
 
 def verify_antisymmetry(alg: AlgebraSpec, w: Window) -> VerificationReport:
@@ -619,11 +613,6 @@ def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationRep
         product(basis, repeat=3), residual,
         lambda x, y, z: jacobi_sides(alg, x, y, z), len(basis) ** 3,
         product(grid.basis(alg.parities), repeat=3) if grid and grid <= w else None)
-
-
-def jacobi_by_enumeration(alg: AlgebraSpec, w: Window) -> VerificationReport:
-    """Evaluate the graded Jacobi identity on every basis triple in w."""
-    return _jacobi(alg, w, None)
 
 
 def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:

@@ -5,7 +5,8 @@ or an --expect comparison failed, or a classified degree did not stabilize
 (with or without --expect), 2 unusable input (bad flags, parse errors, maps or
 products requested at an invalid q).
 
-Windows are written MxI (m_max x i_max), ladders as a comma list; q is
+Windows are written MxI (m_max x i_max, both positive), ladders as a comma
+list, and degree bounds RxS (|r| <= R, |s| <= S, zero allowed); q is
 'generic' or an exact rational like 7/3 (decimals are rejected).  --map
 parse errors carry a line and a column, like those of .alg files.
 """
@@ -17,7 +18,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import Window, parity_from_name, verify_antisymmetry, verify_jacobi
+from .algebra import (Window, parity_from_name, parse_dims, verify_antisymmetry,
+                      verify_jacobi)
 from .errors import BlockqError, ParseError
 from .halfder import MapCombo, builtin_map, classify, shift_map
 from .homlie import hom_jacobi_check
@@ -107,8 +109,7 @@ def cmd_classify(args) -> int:
     if not windows:
         raise ParseError("no windows given")
     if args.bounds:
-        bw = Window.parse(args.bounds)
-        bounds = (bw.m_max, bw.i_max)
+        bounds = parse_dims(args.bounds, "RxS", 0)
     else:
         bounds = (windows[0].m_max, windows[0].i_max)
     shift = parity_from_name(args.shift)

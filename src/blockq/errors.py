@@ -44,10 +44,6 @@ class DuplicateRule(ParseError):
     """The same parity pair was given more than one bracket rule."""
 
 
-class UnboundVariable(BlockqError):
-    """Expression evaluation met a variable with no binding."""
-
-
 class UnknownAlgebra(BlockqError):
     """Built-in algebra name not recognized."""
 

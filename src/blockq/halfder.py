@@ -15,7 +15,7 @@ nested windows.
 
 Row coefficients are stored denominator-cleared (see CompiledAlgebra); the
 null space is unaffected by row scaling.  `build_constraints` lists the rows
-in natural pair order; classification instead solves each degree with
+in lexicographic pair order; classification instead solves each degree with
 `solve_degree`, in two steps:
 
 * streamed assembly with early exit: pairs are generated shell by shell from
@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, CompiledAlgebra, Parity,
-                      SparseVector, VerificationReport, Window, bracket_basis,
+                      SparseVector, VerificationReport, Window, bracket_coeff,
                       bracket_vec, check_identity, parity_name)
 from .errors import (IntegralityViolation, OddMapOnNonSuper, UnknownMapName,
                      WrongQ)
@@ -99,14 +99,6 @@ class GradedMap:
             return SparseVector()
         return SparseVector.basis(self.image_index(x), c)
 
-    def apply_vec(self, v: SparseVector) -> SparseVector:
-        out = SparseVector()
-        for idx, c in v.entries.items():
-            d = self.table.get(idx)
-            if d:
-                out.add_term(self.image_index(idx), d * c)
-        return out
-
     @property
     def is_zero(self) -> bool:
         return not self.table
@@ -140,8 +132,8 @@ class ConstraintSystem:
     """Linear system in the d-coefficients over one window.
 
     Row values are denominator-cleared (integers in fixed mode, integer
-    q-coefficient tuples in generic mode); `scalar_rows` recovers the true
-    field values.  Each row carries the generating pair as provenance.
+    q-coefficient tuples in generic mode).  Each row carries the generating
+    pair as provenance.
     """
 
     algebra: AlgebraSpec
@@ -149,14 +141,6 @@ class ConstraintSystem:
     window: Window
     unknowns: list[BasisIndex]
     rows: list[Row]
-
-    def scalar_rows(self) -> list[dict[BasisIndex, Scalar]]:
-        comp = self.algebra.compiled()
-        return [{self.unknowns[u]: comp.to_scalar(v) for u, v in entries}
-                for entries, _x, _y in self.rows]
-
-    def provenances(self) -> list[tuple[BasisIndex, BasisIndex]]:
-        return [(x, y) for _e, x, y in self.rows]
 
 
 def _parity_pairs(alg: AlgebraSpec, deg: MapDegree) -> list[tuple[Parity, Parity]]:
@@ -172,31 +156,14 @@ def _parity_pairs(alg: AlgebraSpec, deg: MapDegree) -> list[tuple[Parity, Parity
 Pair = tuple[Parity, Parity, int, int, int, int]
 
 
-def _natural_pairs(w: Window, combos: list[tuple[Parity, Parity]]) -> Iterable[Pair]:
-    """Every unordered in-window pair (p1, p2, m1, i1, m2, i2), in that lexicographic order.
+def _shell_pairs(w: Window, combos: list[tuple[Parity, Parity]]) -> Iterable[Pair]:
+    """Every unordered in-window pair (p1, p2, m1, i1, m2, i2), shell by shell
+    from the outside in.
 
     Both points and their sum lie in the window; a same-parity pair is
-    taken once, with (m1, i1) <= (m2, i2).
-    """
-    mm, ii = w.m_max, w.i_max
-    for p1, p2 in combos:
-        same = p1 == p2
-        for m1 in range(-mm, mm + 1):
-            m2lo = max(-mm, -mm - m1)
-            m2hi = min(mm, mm - m1)
-            for i1 in range(-ii, ii + 1):
-                i2lo = max(-ii, -ii - i1)
-                i2hi = min(ii, ii - i1)
-                for m2 in range(max(m2lo, m1) if same else m2lo, m2hi + 1):
-                    for i2 in range(max(i2lo, i1) if same and m2 == m1 else i2lo, i2hi + 1):
-                        yield p1, p2, m1, i1, m2, i2
-
-
-def _shell_pairs(w: Window, combos: list[tuple[Parity, Parity]]) -> Iterable[Pair]:
-    """The pairs of `_natural_pairs`, shell by shell from the outside in.
-
-    Shell k holds the pairs with max(|m1|, |i1|, |m2|, |i2|) = k, so both
-    points lie in the box |m|, |i| <= k and one coordinate is on its rim.
+    taken once, with (m1, i1) <= (m2, i2).  Shell k holds the pairs with
+    max(|m1|, |i1|, |m2|, |i2|) = k, so both points lie in the box
+    |m|, |i| <= k and one coordinate is on its rim.
     """
     mm, ii = w.m_max, w.i_max
     for k in range(max(mm, ii), -1, -1):
@@ -271,13 +238,12 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window,
 def build_constraints(alg: AlgebraSpec, deg: MapDegree, w: Window) -> ConstraintSystem:
     """One row per unordered in-window basis pair, zero rows dropped.
 
-    Rows come in the order of `_natural_pairs`; `check_map` keeps its first
-    witnesses in this order.
+    Rows come in lexicographic pair order (p1, p2, m1, i1, m2, i2);
+    `check_map` keeps its first witnesses in this order.
     """
-    combos = _parity_pairs(alg, deg)
     rows: list[Row] = [(entries, BasisIndex(p1, m1, i1), BasisIndex(p2, m2, i2))
-                       for entries, (p1, p2, m1, i1, m2, i2)
-                       in _rows(alg, deg, w, _natural_pairs(w, combos))]
+                       for entries, (p1, p2, m1, i1, m2, i2) in _rows(
+                           alg, deg, w, sorted(_shell_pairs(w, _parity_pairs(alg, deg))))]
     return ConstraintSystem(algebra=alg, degree=deg, window=w,
                             unknowns=w.basis(alg.parities), rows=rows)
 
@@ -753,18 +719,20 @@ def shift_map(alg: AlgebraSpec, w: Window) -> GradedMap:
 
 # --- membership and verification ---------------------------------------------------
 
-def half_derivation_sides(alg: AlgebraSpec, gm: GradedMap, x: BasisIndex,
+def half_derivation_sides(alg: AlgebraSpec, phi: Callable[[BasisIndex], SparseVector],
+                          odd: Parity, x: BasisIndex,
                           y: BasisIndex) -> tuple[SparseVector, SparseVector]:
-    """Scalar-layer 2*phi([x,y]) and [phi(x),y] + (-1)^{|phi||x|}[x,phi(y)]."""
-    two = from_fraction(2, alg.q)
-    lhs = gm.apply_vec(bracket_basis(alg, x, y)).scale(two)
-    tx = bracket_vec(alg, gm.apply_basis(x), SparseVector.basis(y, scalar_one(alg.q)))
-    ty = bracket_vec(alg, SparseVector.basis(x, scalar_one(alg.q)), gm.apply_basis(y))
-    if gm.degree.parity_shift and x.parity:
-        rhs = tx - ty
-    else:
-        rhs = tx + ty
-    return lhs, rhs
+    """Scalar-layer 2 phi([x,y]) and [phi(x),y] + (-1)^{odd |x|}[x,phi(y)].
+
+    phi is given on basis elements and has parity `odd`: a graded map's
+    `apply_basis`, or a left multiplication z.u with odd = |z|.  [x,y] is a
+    single term c (x+y), so 2 phi([x,y]) = 2c phi(x+y).
+    """
+    one = scalar_one(alg.q)
+    lhs = phi(x.plus(y)).scale(from_fraction(2, alg.q) * bracket_coeff(alg, x, y))
+    tx = bracket_vec(alg, phi(x), SparseVector.basis(y, one))
+    ty = bracket_vec(alg, SparseVector.basis(x, one), phi(y))
+    return lhs, tx - ty if odd and x.parity else tx + ty
 
 
 def check_map(alg: AlgebraSpec, gm: GradedMap, w: Window) -> VerificationReport:
@@ -776,7 +744,9 @@ def check_map(alg: AlgebraSpec, gm: GradedMap, w: Window) -> VerificationReport:
     rows = {(x, y): entries for entries, x, y in cs.rows}
     violated = _row_violated(ivec, comp)
     return check_identity(rows, lambda x, y: violated(rows[x, y]),
-                          lambda x, y: half_derivation_sides(alg, gm, x, y), len(cs.rows))
+                          lambda x, y: half_derivation_sides(alg, gm.apply_basis,
+                                                             gm.degree.parity_shift, x, y),
+                          len(cs.rows))
 
 
 # --- classification ------------------------------------------------------------------

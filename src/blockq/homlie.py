@@ -41,14 +41,10 @@ unchanged by rotating (x, y, z), so it is evaluated at most once per triple:
 
 * a witness walk evaluates it in window order and stops once the report
   keeps its 100 witnesses;
-* the violations after the walked prefix are counted over rotation orbits,
-  one evaluation per orbit that reaches past the prefix, weighted by its
-  members past it (3, or 1 when x = y = z);
+* the total is then counted over rotation orbits, one evaluation per orbit,
+  weighted by its size (3, or 1 when x = y = z);
 * the literal flag comes from a search in window order that stops at the
   first nonzero literal sum.
-
-`hom_jacobi_by_enumeration` evaluates both sums on every triple in window
-order; it remains only as the oracle in tests.
 """
 
 from __future__ import annotations
@@ -142,28 +138,18 @@ def _cyclic_sums(comp: CompiledAlgebra, phi: dict):
     return standard, literal
 
 
-def _rotation_orbits(basis: list[BasisIndex], walked: int):
-    """(triple, weight) for each orbit of window triples under rotating
-    (x, y, z) that reaches past the first `walked` triples in window order.
+def _rotation_orbits(basis: list[BasisIndex]):
+    """(triple, size) for each orbit of window triples under rotating
+    (x, y, z): size 3, or 1 when x = y = z.
 
-    The triple is the orbit's first member past them, the weight the number
-    of its members past them: at most 3, and 1 when x = y = z.  Each orbit
-    is met once, at the positions (a, b, c) in the basis with a <= b, a <= c
-    and not c == a < b, whose rotations lie at a*n^2 or later.
+    Each orbit is met once, at the positions (a, b, c) in the basis with
+    a <= b, a <= c and not c == a < b.
     """
     n = len(basis)
     for a in range(n):
-        full = a * n * n >= walked
         for b in range(a, n):
             for c in range(a if b == a else a + 1, n):
-                if full:
-                    yield (basis[a], basis[b], basis[c]), 1 if a == b == c else 3
-                    continue
-                past = sorted({p for p in ((a * n + b) * n + c, (b * n + c) * n + a,
-                                           (c * n + a) * n + b) if p >= walked})
-                if past:
-                    p = past[0]
-                    yield (basis[p // (n * n)], basis[p // n % n], basis[p % n]), len(past)
+                yield (basis[a], basis[b], basis[c]), 1 if a == b == c else 3
 
 
 def _is_dense(gm: GradedMap, basis: list[BasisIndex]) -> bool:
@@ -207,7 +193,7 @@ def _proved_terms(comp: CompiledAlgebra, terms: MapCombo, basis: list[BasisIndex
         if not phi or not _is_dense(term[1], basis):
             std, lit = _sparse_proof(standard, literal_sum, basis, phi)
         elif grid_basis is not None:
-            std = not any(standard(*t) for t, _ in _rotation_orbits(grid_basis, 0))
+            std = not any(standard(*t) for t, _ in _rotation_orbits(grid_basis))
             lit = False
         else:
             return None
@@ -239,31 +225,9 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
         if literal is None:
             report = check_identity(product(basis, repeat=3), standard,
                                     _witness(alg, terms), checked,
-                                    orbits=lambda walked: _rotation_orbits(basis, walked))
+                                    orbits=lambda: _rotation_orbits(basis))
         elif grid_basis is not None:
             candidates = chain(product(grid_basis, repeat=3), candidates)
         literal = not any(literal_sum(*t) for t in candidates)
     report.notes["conventions"] = {"standard": report.passed, "literal": literal}
-    return report
-
-
-def hom_jacobi_by_enumeration(alg: AlgebraSpec, maps: GradedMap | MapCombo,
-                              w: Window) -> VerificationReport:
-    """Both identities for the whole combination on every basis triple in w."""
-    terms = _as_combo(maps, alg)
-    comp = alg.compiled()
-    basis = w.basis(alg.parities)
-    standard, literal = _cyclic_sums(
-        comp, comp.raw_vectors({b: combo_apply(terms, b) for b in basis}))
-    literal_violations = 0
-
-    def residual(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> dict:
-        nonlocal literal_violations
-        literal_violations += bool(literal(x, y, z))
-        return standard(x, y, z)
-
-    report = check_identity(product(basis, repeat=3), residual, _witness(alg, terms),
-                            len(basis) ** 3)
-    report.notes["conventions"] = {"standard": report.passed,
-                                   "literal": literal_violations == 0}
     return report

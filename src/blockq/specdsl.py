@@ -26,9 +26,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .algebra import EVEN, ODD, AlgebraSpec, BracketRule, Monomials, Parity, parity_name
-from .errors import (DuplicateRule, ParseError, UnboundVariable, UnknownAlgebra,
-                     UnknownVariable)
-from .scalars import RatFunc, Scalar, Tokens
+from .errors import DuplicateRule, ParseError, UnknownAlgebra, UnknownVariable
+from .scalars import Tokens
 
 VARIABLES = ("m", "i", "n", "j", "q")
 
@@ -69,41 +68,6 @@ class Mul:
 
 
 Expr = Lit | Var | Neg | Add | Sub | Mul
-
-
-def eval_expr(e: Expr, bindings: dict[str, Scalar], generic: bool = True) -> Scalar:
-    """Exact evaluation over the active field.
-
-    In generic mode an unbound q stays formal; in fixed mode every variable,
-    q included, must come from the bindings.  Integer and rational bindings
-    are lifted into the field.
-    """
-    def lift(c: Fraction) -> Scalar:
-        return RatFunc.const(c) if generic else Fraction(c)
-
-    def run(node: Expr) -> Scalar:
-        if isinstance(node, Lit):
-            return lift(node.value)
-        if isinstance(node, Var):
-            if node.name in bindings:
-                val = bindings[node.name]
-                if isinstance(val, (int, Fraction)) and generic:
-                    return RatFunc.const(val)
-                return val
-            if node.name == "q" and generic:
-                return RatFunc.q()
-            raise UnboundVariable(f"variable {node.name!r} has no binding")
-        if isinstance(node, Neg):
-            return -run(node.arg)
-        if isinstance(node, Add):
-            return run(node.left) + run(node.right)
-        if isinstance(node, Sub):
-            return run(node.left) - run(node.right)
-        if isinstance(node, Mul):
-            return run(node.left) * run(node.right)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return run(e)
 
 
 def expand_expr(e: Expr) -> Monomials:

@@ -12,9 +12,10 @@ The verifiers check, exactly and exhaustively over a window:
 * the transposed Leibniz law  2 z.[x,y] = [z.x, y] + (-1)^{|x||z|} [x, z.y],
   evaluated for each z with a product partner only on the pairs (x, y)
   where x, y or x+y is one (every other pair has all three terms zero);
-  `transposed_leibniz_by_enumeration` evaluates every pair, as an oracle;
 * that every left multiplication is a half-(super)derivation.
 
+The Leibniz law says that L_z: u -> z.u is a half-(super)derivation, so its
+witnesses are `halfder.half_derivation_sides` of L_z, as in the last check.
 Both run through `algebra.check_identity`.  Leibniz evaluates on the
 compiled layer, with the product images cleared by one `raw_vectors` call:
 the identity is linear in the product, so that common factor keeps every
@@ -33,9 +34,9 @@ from itertools import chain, product
 
 from .algebra import (EVEN, MAX_REPORT_VIOLATIONS, ODD, AlgebraSpec, BasisIndex,
                       SparseVector, VerificationReport, Window, _ViolationLog,
-                      bracket_basis, bracket_vec, check_identity, index_from_json)
+                      check_identity, index_from_json)
 from .errors import NonHomogeneousMultiplication, ParseError, WrongQ
-from .halfder import GradedMap, MapDegree, check_map
+from .halfder import GradedMap, MapDegree, check_map, half_derivation_sides
 from .scalars import (Scalar, format_scalar, from_fraction, parse_scalar,
                       scalar_one)
 
@@ -233,17 +234,6 @@ def verify_associative(prod: ProductTable, w: Window) -> VerificationReport:
         lambda *case: operator.ne(*sides(*case)), sides, len(universe) ** 3)
 
 
-def _leibniz_sides(alg: AlgebraSpec, prod: ProductTable, z: BasisIndex, x: BasisIndex,
-                   y: BasisIndex) -> tuple[SparseVector, SparseVector]:
-    """Scalar-layer 2 z.[x,y] and [z.x, y] + (-1)^{|x||z|} [x, z.y]."""
-    one = scalar_one(alg.q)
-    lhs = prod.product_vec(SparseVector.basis(z, one), bracket_basis(alg, x, y))
-    zy = bracket_vec(alg, SparseVector.basis(x, one), prod.product(z, y))
-    return lhs.scale(from_fraction(2, alg.q)), (
-        bracket_vec(alg, prod.product(z, x), SparseVector.basis(y, one))
-        + zy.scale(from_fraction(-1 if x.parity and z.parity else 1, alg.q)))
-
-
 def _leibniz(alg: AlgebraSpec, prod: ProductTable, w: Window,
              every_pair: bool) -> VerificationReport:
     """Transposed Leibniz for each active z, on every pair (x, y) or on those
@@ -278,7 +268,8 @@ def _leibniz(alg: AlgebraSpec, prod: ProductTable, w: Window,
     return check_identity(
         ((z, x, y) for z in basis if z in partners for x, y in product(basis, repeat=2)
          if every_pair or not partners[z].isdisjoint((x, y, x.plus(y)))),
-        residual, lambda z, x, y: _leibniz_sides(alg, prod, z, x, y), len(basis) ** 3)
+        residual, lambda z, x, y: half_derivation_sides(
+            alg, lambda u: prod.product(z, u), z.parity, x, y), len(basis) ** 3)
 
 
 def verify_transposed_leibniz(alg: AlgebraSpec, prod: ProductTable,
@@ -291,12 +282,6 @@ def verify_transposed_leibniz(alg: AlgebraSpec, prod: ProductTable,
     evaluated, in window order; `checked` counts every window triple.
     """
     return _leibniz(alg, prod, w, False)
-
-
-def transposed_leibniz_by_enumeration(alg: AlgebraSpec, prod: ProductTable,
-                                      w: Window) -> VerificationReport:
-    """The same check, evaluated on every pair (x, y) for each active z."""
-    return _leibniz(alg, prod, w, True)
 
 
 def left_mult_map(prod: ProductTable, z: BasisIndex, w: Window) -> GradedMap:

@@ -3,7 +3,7 @@
 `verify_antisymmetry` and `verify_jacobi` prove a window on the certifying
 grid, `hom_jacobi_check` proves each term of a combination on the grid or on
 the triples touching its support (and otherwise walks the window for
-witnesses and counts the rest over rotation orbits), and
+witnesses and counts the total over rotation orbits), and
 `verify_transposed_leibniz` evaluates only the pairs touching a product
 partner.  Each must report exactly what
 enumerating the whole window reports: the same counts, flags and witnesses
@@ -14,20 +14,18 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (antisymmetry_by_enumeration, hom_jacobi_by_enumeration,
+                     jacobi_by_enumeration, transposed_leibniz_by_enumeration)
 
 from blockq.algebra import (EVEN, MAX_REPORT_VIOLATIONS, BasisIndex, SparseVector,
-                            Window, antisymmetry_by_enumeration, certifying_grid,
-                            index_from_json, jacobi_by_enumeration,
+                            Window, certifying_grid, index_from_json,
                             verify_antisymmetry, verify_jacobi)
 from blockq.cli import parse_map_expr
 from blockq.halfder import GradedMap, MapDegree, builtin_map, shift_map
-from blockq.homlie import (_rotation_orbits, hom_cyclic_sum, hom_jacobi_by_enumeration,
-                           hom_jacobi_check)
+from blockq.homlie import _rotation_orbits, hom_cyclic_sum, hom_jacobi_check
 from blockq.scalars import from_fraction
 from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
-from blockq.tpverify import (ProductTable, builtin_tp,
-                             transposed_leibniz_by_enumeration,
-                             verify_transposed_leibniz)
+from blockq.tpverify import ProductTable, builtin_tp, verify_transposed_leibniz
 
 B_RULE = "n*(i + q) - m*(j + q)"
 S_RULES = (B_RULE, "n*(i + q) - m*(j + (1/2)*q)", "2*q")
@@ -254,28 +252,26 @@ def walk_stop(report: dict, basis: list[BasisIndex]) -> int | None:
 
 
 class TestHomLieOrbits:
-    """The failing path: a witness walk in window order, the rest counted
+    """The failing path: a witness walk in window order, the total counted
     over rotation orbits, and the literal flag from a search with an early
     exit."""
 
-    def test_orbits_cover_the_rest_of_the_window_once(self):
-        # every triple past the walked prefix is counted once, in the weight
-        # of its orbit; none inside the prefix is
+    def test_orbits_cover_the_window_once(self):
+        # every triple lies in exactly one orbit, met at its first member in
+        # window order, and the weights are the orbit sizes, summing to n^3
         for n in (1, 2, 3, 4):
             basis = [L(0, k) for k in range(n)]
-            for walked in range(n ** 3 + 1):
-                seen = set()
-                for triple, weight in _rotation_orbits(basis, walked):
-                    x, y, z = triple
-                    orbit = {(x, y, z), (y, z, x), (z, x, y)}
-                    past = {t for t in orbit if window_position(basis, t) >= walked}
-                    assert window_position(basis, triple) == min(
-                        window_position(basis, t) for t in past)
-                    assert weight == len(past)
-                    assert not orbit & seen
-                    seen |= orbit
-                assert sum(weight for _, weight in _rotation_orbits(basis, walked)) \
-                    == n ** 3 - walked
+            seen = set()
+            for triple, weight in _rotation_orbits(basis):
+                x, y, z = triple
+                orbit = {(x, y, z), (y, z, x), (z, x, y)}
+                assert window_position(basis, triple) == min(
+                    window_position(basis, t) for t in orbit)
+                assert weight == len(orbit)
+                assert not orbit & seen
+                seen |= orbit
+            assert len(seen) == n ** 3
+            assert sum(weight for _, weight in _rotation_orbits(basis)) == n ** 3
 
     @given(case=hom_cases(windows=(("B", Fraction(2), Window(1, 2)),
                                    ("B", Fraction(0), Window(1, 1)),
@@ -298,8 +294,7 @@ class TestHomLieOrbits:
 
     def test_hundredth_violation_late(self):
         # a single-entry map: its violations touch L[0,2], so the walk
-        # passes half the window, and the orbits that reach back into the
-        # walked prefix are counted in part
+        # passes half the window before the total is counted over orbits
         alg = builtin_algebra("B", Fraction(2))
         w = Window(1, 2)
         gm = GradedMap(MapDegree(EVEN, 0, 0), {L(0, 2): Fraction(1)})

@@ -106,6 +106,32 @@ class TestClassify:
         assert code == 0
         assert "pass" not in rep
 
+    def test_zero_degree_bound(self, capsys):
+        # a degree bound of 0 keeps r = 0 alone; only windows must be positive
+        code, rep = run(capsys, "classify", "--algebra", "B", "--q", "2",
+                        "--bounds", "0x2", "--windows", "2x4,3x5", "--expect", "2")
+        assert code == 0
+        assert rep["bounds"] == [0, 2]
+        assert [(d["r"], d["s"], d["matched_names"]) for d in rep["degrees"]] == [
+            (0, 0, ["id"]), (0, 2, ["alpha"])]
+
+    def test_malformed_window_or_bounds_exit_two(self, capsys):
+        classify = ["classify", "--algebra", "B", "--q", "2"]
+        cases = [(classify + ["--bounds", "1x1", "--windows", "3"], "MxI"),
+                 (classify + ["--bounds", "1x1", "--windows", "0x2,3x3"], "MxI"),
+                 (classify + ["--bounds", "1x1", "--windows", "2xa,3x3"], "MxI"),
+                 (classify + ["--bounds", "2", "--windows", "2x2,3x3"], "RxS"),
+                 (classify + ["--bounds=-1x2", "--windows", "2x2,3x3"], "RxS"),
+                 (classify + ["--bounds", "1x1x1", "--windows", "2x2,3x3"], "RxS"),
+                 (["verify-algebra", "--algebra", "B", "--window", "3"], "MxI"),
+                 (["hom-check", "--algebra", "B", "--q", "1", "--map", "id",
+                   "--window", "x2"], "MxI")]
+        for argv, form in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"expected {form} with integers" in err, err
+            assert "invalid literal" not in err
+
     def test_odd_shift_super(self, capsys):
         code, rep = run(capsys, "classify", "--algebra", "S", "--q", "5",
                         "--shift", "odd", "--bounds", "2x2",

@@ -3,15 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from oracles import UnboundVariable, eval_expr
 
 from blockq.algebra import EVEN, ODD, Window, bracket_basis
-from blockq.errors import (DuplicateRule, ParseError, UnboundVariable,
-                           UnknownAlgebra, UnknownVariable)
+from blockq.errors import DuplicateRule, ParseError, UnknownAlgebra, UnknownVariable
 from blockq.scalars import RatFunc
 from blockq.specdsl import (Add, Lit, Mul, RuleDecl, SpecFile, Sub, Var,
-                            builtin_algebra, builtin_specfile, eval_expr,
-                            expand_expr, make_algebra, parse_expr, parse_spec,
-                            print_expr, print_spec, shipped_alg_text)
+                            builtin_algebra, builtin_specfile, expand_expr,
+                            make_algebra, parse_expr, parse_spec, print_expr,
+                            print_spec, shipped_alg_text)
 
 
 class TestExprParser:

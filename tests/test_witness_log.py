@@ -61,7 +61,8 @@ def test_check_map_shift_matches_eager_oracle():
              if (m2, i2) >= (m1, i1) and w.contains(m1 + m2, i1 + i2)]
     rep = check_map(alg, gm, w)
     kept, total = eager_violations(
-        pairs, lambda x, y: half_derivation_sides(alg, gm, x, y))
+        pairs, lambda x, y: half_derivation_sides(alg, gm.apply_basis,
+                                                  gm.degree.parity_shift, x, y))
     assert total > MAX_REPORT_VIOLATIONS
     assert (rep.violations, rep.total_violations) == (kept, total)
 
@@ -82,9 +83,14 @@ def test_details_are_built_only_while_kept():
 PRODUCTS = [("B", "1", POOLS["products"]["mutated_thalg"], "2x3"),
             ("B", "generic", json.loads((INPUTS / "generic_q_product.json").read_text()), "2x2"),
             ("S", "0", json.loads((INPUTS / "doubled_super.json").read_text()), "2x2")]
+# an odd-odd product: most kept Leibniz witnesses have z and x both odd, the
+# branch where the sign (-1)^{|x||z|} is -1
+ODD_PRODUCT = {"super": True, "entries": [{"x": ["odd", 0, 0], "y": ["odd", 1, 0],
+                                           "value": [["even", 1, 0, "1"]]}]}
 
 
-@pytest.mark.parametrize("name, qtext, table, window", PRODUCTS[:2])
+@pytest.mark.parametrize("name, qtext, table, window",
+                         PRODUCTS[:2] + [("S", "0", ODD_PRODUCT, "1x1")])
 def test_leibniz_matches_eager_oracle(name, qtext, table, window):
     q = parse_q(qtext)
     alg = builtin_algebra(name, q)
