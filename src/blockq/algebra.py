@@ -1,6 +1,6 @@
 """Graded basis indices, sparse vectors, structure-constant brackets and identity checks.
 
-An algebra is a family of bracket rules, one per parity pair, whose
+An algebra is one table of bracket rules, one per ordered parity pair, whose
 coefficients are polynomials in the source indices (m, i, n, j) and the
 parameter q.  Brackets are total on Z x Z indices; a `Window` only limits
 which identities get enumerated, never the evaluation itself.
@@ -210,53 +210,34 @@ Monomials = dict[tuple[int, int, int, int, int], Fraction]
 
 
 @dataclass
-class BracketRule:
-    """Coefficient of [x, y] for one ordered parity pair, as an expanded polynomial."""
-
-    left: Parity
-    right: Parity
-    symmetric: bool
-    monomials: Monomials
-
-    def q_degree(self) -> int:
-        return max((k[4] for k in self.monomials), default=0)
-
-    def swapped(self) -> "BracketRule":
-        """Rule for the reversed parity order via [y,x] = -(-1)^{|x||y|} [x,y]."""
-        sign = 1 if (self.left & self.right) else -1
-        monos = {(en, ej, em, ei, eq): sign * c
-                 for (em, ei, en, ej, eq), c in self.monomials.items()}
-        return BracketRule(self.right, self.left, self.symmetric, monos)
-
-
-@dataclass
 class AlgebraSpec:
     """Bracket rules plus the bound coefficient mode (q = None means generic).
 
+    `rules` maps each ordered parity pair (|x|, |y|) of the algebra to the
+    expanded coefficient of [x, y].  A pair given in one order only gets its
+    reverse here, and nowhere else, by graded skew-symmetry
+    [y, x] = -(-1)^{|x||y|} [x, y]: the index-swapped monomials with that sign.
     Treated as immutable after construction; safe to share between threads.
     """
 
     name: str
     is_super: bool
     q: Fraction | None
-    rules: dict[tuple[Parity, Parity], BracketRule]
+    rules: dict[tuple[Parity, Parity], Monomials]
     _compiled: "CompiledAlgebra | None" = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        rules = dict(self.rules)
+        for (a, b), monos in self.rules.items():
+            if (b, a) not in rules:
+                sign = 1 if a & b else -1
+                rules[(b, a)] = {(en, ej, em, ei, eq): sign * c
+                                 for (em, ei, en, ej, eq), c in monos.items()}
+        self.rules = rules
 
     @property
     def parities(self) -> tuple[Parity, ...]:
         return (EVEN, ODD) if self.is_super else (EVEN,)
-
-    def rule_for(self, pa: Parity, pb: Parity) -> tuple[BracketRule, bool]:
-        """(rule, swapped) covering the ordered pair, or UnknownParityPair."""
-        rule = self.rules.get((pa, pb))
-        if rule is not None:
-            return rule, False
-        rule = self.rules.get((pb, pa))
-        if rule is not None:
-            return rule, True
-        raise UnknownParityPair(
-            f"algebra {self.name!r} has no rule for parities "
-            f"({parity_name(pa)}, {parity_name(pb)})")
 
     def compiled(self) -> "CompiledAlgebra":
         if self._compiled is None:
@@ -325,17 +306,9 @@ class CompiledAlgebra:
     def __init__(self, spec: AlgebraSpec):
         self.q = spec.q
         self.generic = spec.q is None
-        rules = dict(spec.rules)
-        for (pa, pb), rule in list(rules.items()):
-            if pa != pb and (pb, pa) not in rules:
-                rules[(pb, pa)] = rule.swapped()
-
-        self.D = max((r.q_degree() for r in rules.values()), default=0)
-        den = 1
-        for r in rules.values():
-            for c in r.monomials.values():
-                den = lcm(den, c.denominator)
-        self.den = den
+        self.D = max((k[4] for monos in spec.rules.values() for k in monos), default=0)
+        self.den = den = lcm(*(c.denominator for monos in spec.rules.values()
+                               for c in monos.values()))
         if self.generic:
             self.qnum = self.qden = None
             self.scale = Fraction(den)
@@ -344,9 +317,8 @@ class CompiledAlgebra:
             self.qden = spec.q.denominator
             self.scale = Fraction(den * self.qden ** self.D)
 
-        self.pair: dict[tuple[Parity, Parity], Callable[[int, int, int, int], object]] = {}
-        for key, rule in rules.items():
-            self.pair[key] = self._compile(rule)
+        self.pair: dict[tuple[Parity, Parity], Callable[[int, int, int, int], object]] = {
+            key: self._compile(monos) for key, monos in spec.rules.items()}
 
         if self.generic:
             self.vmul, self.vadd, self.vsub = _tup_mul, _tup_add, _tup_sub
@@ -355,9 +327,9 @@ class CompiledAlgebra:
             self.vmul, self.vadd, self.vsub = operator.mul, operator.add, operator.sub
             self.vneg, self.vis_zero = operator.neg, operator.not_
 
-    def _compile(self, rule: BracketRule) -> Callable:
+    def _compile(self, monos: Monomials) -> Callable:
         by_pow: list[dict[tuple[int, int, int, int], int]] = [dict() for _ in range(self.D + 1)]
-        for (em, ei, en, ej, eq), c in rule.monomials.items():
+        for (em, ei, en, ej, eq), c in monos.items():
             ic = c * self.den
             assert ic.denominator == 1
             by_pow[eq][(em, ei, en, ej)] = by_pow[eq].get((em, ei, en, ej), 0) + ic.numerator
@@ -431,12 +403,12 @@ def _monomials_scalar(monos: Monomials, m: int, i: int, n: int, j: int,
 
 def bracket_coeff(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex) -> Scalar:
     """Structure constant of [x, y] (the output index is (m+n, i+j))."""
-    rule, swapped = alg.rule_for(x.parity, y.parity)
-    if not swapped:
-        return _monomials_scalar(rule.monomials, x.m, x.i, y.m, y.i, alg.q)
-    val = _monomials_scalar(rule.monomials, y.m, y.i, x.m, x.i, alg.q)
-    sign = 1 if (x.parity & y.parity) else -1
-    return val if sign == 1 else -val
+    monos = alg.rules.get((x.parity, y.parity))
+    if monos is None:
+        raise UnknownParityPair(
+            f"algebra {alg.name!r} has no rule for parities "
+            f"({parity_name(x.parity)}, {parity_name(y.parity)})")
+    return _monomials_scalar(monos, x.m, x.i, y.m, y.i, alg.q)
 
 
 def bracket_basis(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex) -> SparseVector:
@@ -546,8 +518,8 @@ def certifying_grid(alg: AlgebraSpec, factors: int) -> Window:
     Z x Z.  In generic mode every q-coefficient is such a polynomial, so the
     proof holds for every q.
     """
-    deg = max((e for rule in alg.rules.values() for key in rule.monomials
-               for e in key[:4]), default=0)
+    deg = max((e for monos in alg.rules.values() for key in monos for e in key[:4]),
+              default=0)
     bound = max(1, (factors * deg + 1) // 2)
     return Window(bound, bound)
 

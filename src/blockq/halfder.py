@@ -57,8 +57,8 @@ from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, CompiledAlgebra, Parit
                       bracket_vec, check_identity, parity_name)
 from .errors import (IntegralityViolation, OddMapOnNonSuper, UnknownMapName,
                      WrongQ)
-from .scalars import (RatFunc, Poly, Scalar, format_scalar, from_fraction, inv,
-                      scalar_one)
+from .scalars import (RatFunc, Poly, Scalar, format_q, format_scalar, from_fraction,
+                      inv, scalar_one)
 
 
 @dataclass(frozen=True)
@@ -671,8 +671,7 @@ def builtin_map(name: str, alg: AlgebraSpec, w: Window) -> GradedMap:
         return GradedMap(MapDegree(EVEN, 0, 0), table, rule="id")
     if name == "alpha":
         if q is None or q.denominator != 1:
-            raise IntegralityViolation(
-                f"alpha needs q in Z, got {'generic' if q is None else q}")
+            raise IntegralityViolation(f"alpha needs q in Z, got {format_q(q)}")
         qi = q.numerator
         table = {}
         if w.contains(0, -2 * qi):
@@ -681,14 +680,13 @@ def builtin_map(name: str, alg: AlgebraSpec, w: Window) -> GradedMap:
     if name == "beta":
         _require_super(alg, "beta")
         if q is None or q != 0:
-            raise WrongQ(f"beta needs q = 0, got {'generic' if q is None else q}")
+            raise WrongQ(f"beta needs q = 0, got {format_q(q)}")
         table = {BasisIndex(ODD, 0, 0): one} if w.contains(0, 0) else {}
         return GradedMap(MapDegree(EVEN, 0, 0), table, rule="beta")
     if name == "gamma":
         _require_super(alg, "gamma")
         if q is None or q.denominator != 1 or q.numerator % 2:
-            raise IntegralityViolation(
-                f"gamma needs q in 2Z, got {'generic' if q is None else q}")
+            raise IntegralityViolation(f"gamma needs q in 2Z, got {format_q(q)}")
         qi = q.numerator
         table = {}
         if w.contains(0, -3 * qi // 2):
@@ -697,13 +695,13 @@ def builtin_map(name: str, alg: AlgebraSpec, w: Window) -> GradedMap:
     if name == "delta":
         _require_super(alg, "delta")
         if q is None or q != 0:
-            raise WrongQ(f"delta needs q = 0, got {'generic' if q is None else q}")
+            raise WrongQ(f"delta needs q = 0, got {format_q(q)}")
         table = {BasisIndex(EVEN, 0, 0): one} if w.contains(0, 0) else {}
         return GradedMap(MapDegree(ODD, 0, 0), table, rule="delta")
     if name == "epsilon":
         _require_super(alg, "epsilon")
         if q is None or q != 0:
-            raise WrongQ(f"epsilon needs q = 0, got {'generic' if q is None else q}")
+            raise WrongQ(f"epsilon needs q = 0, got {format_q(q)}")
         table = {BasisIndex(EVEN, m, i): one for m, i in w.points()}
         return GradedMap(MapDegree(ODD, 0, 0), table, rule="epsilon")
     raise UnknownMapName(f"no built-in map named {name!r}")
@@ -758,7 +756,6 @@ class DegreeResult:
     stable_dim: int
     matched_names: list[str]
     basis: NullSpaceBasis
-    warning: bool
 
 
 @dataclass
@@ -773,7 +770,6 @@ class ClassificationReport:
     windows: tuple[Window, ...]
 
     def to_json_dict(self) -> dict:
-        from .scalars import format_q
         return {
             "algebra": self.algebra,
             "q": format_q(self.q),
@@ -824,8 +820,7 @@ def classify(alg: AlgebraSpec, parity_shift: Parity, bounds: tuple[int, int],
                 matched = [name for name, gm in candidates.get(deg, ())
                            if st.basis.contains(gm.table)]
                 degrees.append(DegreeResult(r=r, s=s, stable_dim=st.stable_dim,
-                                            matched_names=matched, basis=st.basis,
-                                            warning=st.warning))
+                                            matched_names=matched, basis=st.basis))
                 total += st.stable_dim
     return ClassificationReport(algebra=alg.name, q=alg.q, parity_shift=parity_shift,
                                 degrees=degrees, total_dim=total, warnings=warnings,

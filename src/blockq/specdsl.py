@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .algebra import EVEN, ODD, AlgebraSpec, BracketRule, Monomials, Parity, parity_name
+from .algebra import EVEN, ODD, AlgebraSpec, Monomials, Parity, parity_name
 from .errors import DuplicateRule, ParseError, UnknownAlgebra, UnknownVariable
 from .scalars import Tokens
 
@@ -317,12 +317,9 @@ def print_spec(sf: SpecFile) -> str:
 
 def make_algebra(sf: SpecFile, q: Fraction | None) -> AlgebraSpec:
     """Bind a parsed spec to a coefficient mode."""
-    rules = {}
-    for decl in sf.rules:
-        rules[(decl.left, decl.right)] = BracketRule(
-            left=decl.left, right=decl.right, symmetric=decl.symmetric,
-            monomials=expand_expr(decl.coeff))
-    return AlgebraSpec(name=sf.name, is_super=sf.is_super, q=q, rules=rules)
+    return AlgebraSpec(name=sf.name, is_super=sf.is_super, q=q,
+                       rules={(decl.left, decl.right): expand_expr(decl.coeff)
+                              for decl in sf.rules})
 
 
 # --- built-in algebras ----------------------------------------------------------

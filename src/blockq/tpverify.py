@@ -37,7 +37,7 @@ from .algebra import (EVEN, MAX_REPORT_VIOLATIONS, ODD, AlgebraSpec, BasisIndex,
                       check_identity, index_from_json)
 from .errors import NonHomogeneousMultiplication, ParseError, WrongQ
 from .halfder import GradedMap, MapDegree, check_map, half_derivation_sides
-from .scalars import (Scalar, format_scalar, from_fraction, parse_scalar,
+from .scalars import (Scalar, format_q, format_scalar, from_fraction, parse_scalar,
                       scalar_one)
 
 PairKey = tuple[BasisIndex, BasisIndex]
@@ -122,16 +122,24 @@ class ProductTable:
             raise ParseError("a product table is an object with a boolean 'super' "
                              "and a list 'entries'")
         prod = cls(is_super=data["super"], q=q)
+
+        def index(item) -> BasisIndex:
+            idx = index_from_json(item)
+            if idx.parity == ODD and not prod.is_super:
+                raise ParseError(f"odd index {idx} in a product table whose 'super' is false")
+            return idx
+
         for item in data["entries"]:
             if not (isinstance(item, dict) and "x" in item and "y" in item
                     and isinstance(item.get("value"), list)):
                 raise ParseError(f"a product entry has 'x', 'y' and a list 'value', got {item!r}")
+            x, y = index(item["x"]), index(item["y"])
             vec = SparseVector()
             for term in item["value"]:
                 if not (isinstance(term, list) and len(term) == 4 and isinstance(term[3], str)):
                     raise ParseError(f"a value term is [parity, m, i, scalar text], got {term!r}")
-                vec.add_term(index_from_json(term[:3]), parse_scalar(term[3], q))
-            prod.put(index_from_json(item["x"]), index_from_json(item["y"]), vec)
+                vec.add_term(index(term[:3]), parse_scalar(term[3], q))
+            prod.put(x, y, vec)
         return prod
 
 
@@ -150,8 +158,7 @@ def builtin_tp(name: str, q: Fraction | None, *, is_super: bool = False) -> Prod
         return ProductTable(is_super=is_super, q=q, name=name)
     if name == "block_thalg":
         if q is None or q.denominator != 1:
-            raise WrongQ(f"block_thalg needs q in Z, got "
-                         f"{'generic' if q is None else q}")
+            raise WrongQ(f"block_thalg needs q in Z, got {format_q(q)}")
         qi = q.numerator
         prod = ProductTable(is_super=False, q=q, name=name)
         src = BasisIndex(EVEN, 0, -2 * qi)
@@ -159,7 +166,7 @@ def builtin_tp(name: str, q: Fraction | None, *, is_super: bool = False) -> Prod
         return prod
     if name in ("super_full", "super_even"):
         if q is None or q != 0:
-            raise WrongQ(f"{name} needs q = 0, got {'generic' if q is None else q}")
+            raise WrongQ(f"{name} needs q = 0, got {format_q(q)}")
         prod = ProductTable(is_super=True, q=q, name=name)
         L = BasisIndex(EVEN, 0, 0)
         one = scalar_one(q)
@@ -241,8 +248,7 @@ def _leibniz(alg: AlgebraSpec, prod: ProductTable, w: Window,
     if alg.is_super != prod.is_super:
         raise WrongQ("algebra and product disagree about the odd part")
     if prod.q is not None and alg.q != prod.q:
-        raise WrongQ(f"product was built at q = {prod.q}, algebra runs at "
-                     f"{'generic' if alg.q is None else alg.q}")
+        raise WrongQ(f"product was built at q = {prod.q}, algebra runs at {format_q(alg.q)}")
     basis = w.basis(alg.parities)
     partners: dict[BasisIndex, set[BasisIndex]] = {}
     for x, y in prod.entries:

@@ -199,6 +199,11 @@ class TestVerifyTp:
                         {"super": False, "entries": [{**entry, "value": [["even", 0, 0, 3]]}]},
                         {"super": "false", "entries": []},
                         {"super": False, "entries": [{**entry, "value": [["even", 0, 0, "2^65"]]}]},
+                        # odd indices in a table whose 'super' is false
+                        {"super": False, "entries": [{**entry, "y": ["even", 1, 0],
+                                                      "value": [["odd", 1, 0, "1"]]}]},
+                        {"super": False, "entries": [{"x": ["odd", 0, 0], "y": ["even", 1, 0],
+                                                      "value": [["odd", 1, 0, "1"]]}]},
                         # deep enough to overflow the Python stack
                         *({"super": False, "entries": [{**entry, "value": [["even", 0, 0, text]]}]}
                           for text in ("(" * 246 + "1" + ")" * 246, "-" * 982 + "1"))):

@@ -140,10 +140,12 @@ class TestBuiltinAlgebras:
         assert list(alg.rules) == [(EVEN, EVEN)]
 
     def test_super_has_three_rules(self):
+        # three declared rules, and (odd, even) completed by graded skew-symmetry
         alg = builtin_algebra("S", None)
         assert alg.is_super
-        assert set(alg.rules) == {(EVEN, EVEN), (EVEN, ODD), (ODD, ODD)}
-        assert alg.rules[(ODD, ODD)].symmetric
+        assert set(alg.rules) == {(EVEN, EVEN), (EVEN, ODD), (ODD, EVEN), (ODD, ODD)}
+        assert alg.rules[(ODD, EVEN)] == {(en, ej, em, ei, eq): -c for (em, ei, en, ej, eq), c
+                                          in alg.rules[(EVEN, ODD)].items()}
 
     def test_builtin_specfiles_are_the_block_rules(self):
         # the shipped files, parsed once, against the rules written out by hand
