@@ -24,8 +24,10 @@ or the box shows a violation, every pair or triple of the window is
 enumerated.  Either way a report's `checked` counts the pairs or triples of
 the window it covers.
 
-The scalar layer (`bracket_basis`, `bracket_vec`, `jacobi_sides`) computes
-exact `Fraction` or `RatFunc` values.  It only formats witnesses.
+The scalar layer (`bracket_coeff`, `bracket_basis`, `bracket_vec`,
+`jacobi_sides`) computes exact `Fraction` or `RatFunc` values by lifting the
+compiled constants back (`CompiledAlgebra.lift`), so no rule is evaluated
+twice.  It only formats witnesses.
 """
 
 from __future__ import annotations
@@ -300,7 +302,7 @@ class CompiledAlgebra:
     ``scale = den * b**D`` in fixed mode (q = a/b in lowest terms, D the
     maximal q-degree over all rules) and ``den`` alone in generic mode.  In
     fixed mode values are ints; in generic mode, (D+1)-tuples of ints holding
-    the q-power coefficients.
+    the q-power coefficients.  `lift` divides a value by ``scale`` again.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -354,6 +356,12 @@ class CompiledAlgebra:
         """The evaluated structure constant of [x, y]."""
         return self.pair[(x.parity, y.parity)](x.m, x.i, y.m, y.i)
 
+    def lift(self, v) -> Scalar:
+        """The true scalar of a compiled value: `v` divided by `scale`."""
+        if self.generic:
+            return RatFunc(Poly(Fraction(c, self.den) for c in v))
+        return Fraction(v) / self.scale
+
     def raw(self, table: dict) -> dict:
         """A nonzero multiple of a scalar table, as ints or int q-coefficient tuples.
 
@@ -387,28 +395,16 @@ class CompiledAlgebra:
 
 # --- scalar layer ------------------------------------------------------------
 
-def _monomials_scalar(monos: Monomials, m: int, i: int, n: int, j: int,
-                      q: Fraction | None) -> Scalar:
-    if q is not None:
-        acc = Fraction(0)
-        for (em, ei, en, ej, eq), c in monos.items():
-            acc += c * m ** em * i ** ei * n ** en * j ** ej * q ** eq
-        return acc
-    deg = max((k[4] for k in monos), default=0)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for (em, ei, en, ej, eq), c in monos.items():
-        coeffs[eq] += c * m ** em * i ** ei * n ** en * j ** ej
-    return RatFunc(Poly(coeffs))
-
-
 def bracket_coeff(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex) -> Scalar:
-    """Structure constant of [x, y] (the output index is (m+n, i+j))."""
-    monos = alg.rules.get((x.parity, y.parity))
-    if monos is None:
+    """Structure constant of [x, y] (the output index is (m+n, i+j)), lifted
+    from the compiled layer."""
+    comp = alg.compiled()
+    rule = comp.pair.get((x.parity, y.parity))
+    if rule is None:
         raise UnknownParityPair(
             f"algebra {alg.name!r} has no rule for parities "
             f"({parity_name(x.parity)}, {parity_name(y.parity)})")
-    return _monomials_scalar(monos, x.m, x.i, y.m, y.i, alg.q)
+    return comp.lift(rule(x.m, x.i, y.m, y.i))
 
 
 def bracket_basis(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex) -> SparseVector:

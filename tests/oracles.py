@@ -8,7 +8,7 @@ from blockq.algebra import _antisymmetry, _jacobi, check_identity
 from blockq.errors import BlockqError
 from blockq.halfder import combo_apply
 from blockq.homlie import _as_combo, _cyclic_sums, _witness
-from blockq.scalars import Poly, RatFunc
+from blockq.scalars import RatFunc
 from blockq.specdsl import Add, Lit, Mul, Neg, Sub, Var
 from blockq.tpverify import _leibniz
 
@@ -50,10 +50,8 @@ def provenances(cs):
 
 def scalar_rows(cs):
     """Each row of a constraint system with its true field values, by unknown."""
-    comp = cs.algebra.compiled()
-    to_scalar = ((lambda v: RatFunc(Poly(Fraction(c, comp.den) for c in v))) if comp.generic
-                 else (lambda v: Fraction(v) / comp.scale))
-    return [{cs.unknowns[u]: to_scalar(v) for u, v in entries} for entries, _x, _y in cs.rows]
+    lift = cs.algebra.compiled().lift
+    return [{cs.unknowns[u]: lift(v) for u, v in entries} for entries, _x, _y in cs.rows]
 
 
 class UnboundVariable(BlockqError):

@@ -1,6 +1,8 @@
 """Brackets, grading, antisymmetry and Jacobi checks for the Block family."""
 
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from blockq.algebra import (EVEN, ODD, BasisIndex, SparseVector, Window,
                             verify_antisymmetry, verify_jacobi)
 from blockq.errors import UnknownParityPair
 from blockq.scalars import RatFunc, specialize_q
-from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
+from blockq.specdsl import builtin_algebra, builtin_specfile, make_algebra, parse_spec
+from oracles import eval_expr
 
 L = lambda m, i: BasisIndex(EVEN, m, i)
 G = lambda m, i: BasisIndex(ODD, m, i)
@@ -75,6 +78,33 @@ class TestBracketBasis:
         for m, i in Window(5, 7).points():
             n, j = -m, int(-2 * q) - i
             assert bracket_basis(alg, L(m, i), L(n, j)).is_zero
+
+
+SPECFILES = {"B": lambda: builtin_specfile("B"), "S": lambda: builtin_specfile("S"),
+             "mutated_S": lambda: parse_spec(
+                 (Path(__file__).parent / "golden" / "inputs" / "mutated_S.alg").read_text())}
+
+
+@pytest.mark.parametrize("q", [None, Fraction(0), Fraction(2), Fraction(-4),
+                               Fraction(1, 2), Fraction(7, 3)], ids=str)
+@pytest.mark.parametrize("name", sorted(SPECFILES))
+def test_bracket_coeff_matches_parsed_rule(name, q):
+    """Every structure constant of a 2x2 window equals its `.alg` rule
+    evaluated on the expression tree; a pair given in the other order gets
+    the graded swap sign -(-1)^{|x||y|}.  The (1/2)*q of both S specs clears
+    to den = 2, and a non-integer q adds q's denominator to the clearing."""
+    sf = SPECFILES[name]()
+    alg = make_algebra(sf, q)
+    decls = {(d.left, d.right): d.coeff for d in sf.rules}
+    bound = {} if q is None else {"q": q}
+    for x, y in product(Window(2, 2).basis(alg.parities), repeat=2):
+        swapped = (x.parity, y.parity) not in decls
+        a, b = (y, x) if swapped else (x, y)
+        want = eval_expr(decls[(a.parity, b.parity)],
+                         {"m": a.m, "i": a.i, "n": b.m, "j": b.i, **bound}, generic=q is None)
+        if swapped and not x.parity & y.parity:
+            want = -want
+        assert bracket_coeff(alg, x, y) == want, (x, y)
 
 
 class TestBracketVec:

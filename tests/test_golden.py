@@ -36,6 +36,13 @@ CASES = {
     "verify_algebra_mutated_S_generic_2x1": (
         ["verify-algebra", "--spec", f"{INPUTS}/mutated_S.alg", "--q", "generic",
          "--window", "2x1"], 1),
+    # recorded before the scalar structure constants were lifted from the
+    # compiled layer: witnesses in ninths at q = 7/3, which pin both cleared
+    # factors (the rules' common denominator and q's denominator to the
+    # maximal q-degree)
+    "verify_algebra_mutated_S_7_3_1x1": (
+        ["verify-algebra", "--spec", f"{INPUTS}/mutated_S.alg", "--q", "7/3",
+         "--window", "1x1"], 1),
     "verify_algebra_cubic_2_2x2": (
         ["verify-algebra", "--spec", f"{INPUTS}/cubic.alg", "--q", "2",
          "--window", "2x2"], 1),
@@ -52,6 +59,11 @@ CASES = {
     # failing super twist, whose cyclic terms carry graded signs
     "hom_check_S_2_shift_1x2": (
         ["hom-check", "--algebra", "S", "--q", "2", "--map", "shift",
+         "--window", "1x2"], 1),
+    # recorded before the scalar structure constants were lifted from the
+    # compiled layer: a failing twist at a non-integer q
+    "hom_check_S_1_2_shift_1x2": (
+        ["hom-check", "--algebra", "S", "--q", "1/2", "--map", "shift",
          "--window", "1x2"], 1),
     "hom_check_B_2_id_minus_2shift_2x2": (
         ["hom-check", "--algebra", "B", "--q", "2", "--map", "id - 2*shift",
