@@ -22,7 +22,9 @@ small box `certifying_grid` returns proves them everywhere (Alon's
 Combinatorial Nullstellensatz).  When the window does not contain that box,
 or the box shows a violation, every pair or triple of the window is
 enumerated.  Either way a report's `checked` counts the pairs or triples of
-the window it covers.
+the window it covers.  Once antisymmetry is proved, a permutation of
+(x, y, z) changes the Jacobi residual only by a sign, so a failing Jacobi
+check counts its total once per multiset {x, y, z} (`s3_orbits`).
 
 The scalar layer (`bracket_coeff`, `bracket_basis`, `bracket_vec`,
 `jacobi_sides`) computes exact `Fraction` or `RatFunc` values by lifting the
@@ -475,7 +477,7 @@ def check_identity(cases: Iterable[tuple[BasisIndex, ...]],
                    residual: Callable[..., object],
                    sides: Callable[..., tuple[object, object]], checked: int,
                    proof: Iterable[tuple[BasisIndex, ...]] | None = None,
-                   orbits: Callable[[], Iterable[tuple[tuple[BasisIndex, ...], int]]]
+                   orbits: Callable[[], Iterable[tuple[tuple[BasisIndex, ...], int]] | None]
                    | None = None) -> VerificationReport:
     """The identity-check kernel of every suite.
 
@@ -485,10 +487,12 @@ def check_identity(cases: Iterable[tuple[BasisIndex, ...]],
     every `proof` case, the caller's proof covers `cases` and the report
     passes without enumerating them.  `checked` counts the cases covered.
 
-    With `orbits`, the walk over `cases` stops once the report keeps
-    MAX_REPORT_VIOLATIONS witnesses, and `orbits()` counts the total: it
-    yields one (case, weight) for each class of `cases` on which the residual
-    vanishes or not together, where weight is the class's size.
+    With `orbits`, `orbits()` is called once the report keeps
+    MAX_REPORT_VIOLATIONS witnesses.  It returns None, and the walk goes on
+    over the rest of `cases`, or it yields one (case, weight) for each class
+    of `cases` on which the residual vanishes or not together, where weight
+    is the class's size; the walk then stops and those classes count the
+    total.  `s3_orbits` builds such a callable for triples.
     """
     log = _ViolationLog()
     if proof is None or any(residual(*case) for case in proof):
@@ -496,9 +500,37 @@ def check_identity(cases: Iterable[tuple[BasisIndex, ...]],
             if residual(*case):
                 log.record(case, lambda: sides(*case))
                 if orbits is not None and len(log.items) == MAX_REPORT_VIOLATIONS:
-                    log.total = sum(weight for rep, weight in orbits() if residual(*rep))
-                    break
+                    classes, orbits = orbits(), None
+                    if classes is not None:
+                        log.total = sum(weight for rep, weight in classes if residual(*rep))
+                        break
     return log.report(checked)
+
+
+def multiset_orbits(basis: list[BasisIndex]) -> Iterable[tuple[tuple[BasisIndex, ...], int]]:
+    """(triple, size) for each orbit of the triples of `basis` under
+    permuting (x, y, z), that is, each multiset {x, y, z}: size 6, 3 when
+    two members are equal, 1 when all three are.
+
+    Each orbit is met once, at its first member in window order: the
+    positions a <= b <= c in the basis.
+    """
+    return (((x, y, z), 1 if x == z else 3 if x == y or y == z else 6)
+            for x, y, z in combinations_with_replacement(basis, 3))
+
+
+def s3_orbits(alg: AlgebraSpec, w: Window,
+              fallback: Iterable | None) -> Callable[[], Iterable | None]:
+    """`check_identity`'s `orbits` for a residual on the triples of w whose
+    vanishing graded antisymmetry makes constant on each S3 orbit of
+    (x, y, z): the Jacobiator, and the Hom-Lie standard sum.
+
+    The call returns `multiset_orbits` of the window basis when
+    `_antisymmetry_proved(alg, w)`, otherwise `fallback`.  The proof runs
+    only when the count is reached, so a passing suite never pays for it.
+    """
+    return lambda: (multiset_orbits(w.basis(alg.parities))
+                    if _antisymmetry_proved(alg, w) else fallback)
 
 
 def certifying_grid(alg: AlgebraSpec, factors: int) -> Window:
@@ -520,17 +552,27 @@ def certifying_grid(alg: AlgebraSpec, factors: int) -> Window:
     return Window(bound, bound)
 
 
-def _antisymmetry(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationReport:
-    comp = alg.compiled()
-
+def _antisymmetry_residual(comp: CompiledAlgebra) -> Callable[[BasisIndex, BasisIndex], bool]:
     def residual(x: BasisIndex, y: BasisIndex) -> bool:
         cxy, cyx = comp.coeff(x, y), comp.coeff(y, x)
         return not comp.vis_zero(comp.vsub(cxy, cyx) if x.parity & y.parity
                                  else comp.vadd(cxy, cyx))
+    return residual
 
+
+def _antisymmetry_proved(alg: AlgebraSpec, w: Window) -> bool:
+    """Graded antisymmetry holds at every index: w contains the certifying
+    box `certifying_grid(alg, 1)`, and the residual vanishes on it."""
+    grid = certifying_grid(alg, 1)
+    residual = _antisymmetry_residual(alg.compiled())
+    return grid <= w and not any(
+        residual(*pair) for pair in combinations_with_replacement(grid.basis(alg.parities), 2))
+
+
+def _antisymmetry(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationReport:
     basis = w.basis(alg.parities)
     return check_identity(
-        combinations_with_replacement(basis, 2), residual,
+        combinations_with_replacement(basis, 2), _antisymmetry_residual(alg.compiled()),
         lambda x, y: (bracket_basis(alg, x, y), bracket_basis(alg, y, x).scale(
             from_fraction(1 if (x.parity & y.parity) else -1, alg.q))),
         len(basis) * (len(basis) + 1) // 2,
@@ -580,7 +622,8 @@ def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationRep
     return check_identity(
         product(basis, repeat=3), residual,
         lambda x, y, z: jacobi_sides(alg, x, y, z), len(basis) ** 3,
-        product(grid.basis(alg.parities), repeat=3) if grid and grid <= w else None)
+        product(grid.basis(alg.parities), repeat=3) if grid and grid <= w else None,
+        s3_orbits(alg, w, None) if grid else None)
 
 
 def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
@@ -588,6 +631,9 @@ def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
     on all basis triples in w; symbolic in q when the algebra is generic.
 
     Proved on the certifying grid when w contains it; otherwise, or when the
-    grid shows a violation, every triple of w is enumerated.
+    grid shows a violation, the triples of w are walked in window order.
+    Once the report keeps its witnesses, the total is counted once per
+    multiset {x, y, z} when antisymmetry is proved (`s3_orbits`), and the
+    walk goes on over every triple otherwise.
     """
     return _jacobi(alg, w, certifying_grid(alg, 2))

@@ -6,9 +6,10 @@ or an --expect comparison failed, or a classified degree did not stabilize
 products requested at an invalid q).
 
 Windows are written MxI (m_max x i_max, both positive), ladders as a comma
-list, and degree bounds RxS (|r| <= R, |s| <= S, zero allowed); q is
-'generic' or an exact rational like 7/3 (decimals are rejected).  --map
-parse errors carry a line and a column, like those of .alg files.
+list of windows each inside the next and not equal to it, and degree bounds
+RxS (|r| <= R, |s| <= S, zero allowed); q is 'generic' or an exact rational
+like 7/3 (decimals are rejected).  --map parse errors carry a line and a
+column, like those of .alg files.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", default=None,
                    help="degree bounds RxS (default: smallest window)")
     p.add_argument("--windows", default="4x6,5x7",
-                   help="ascending window ladder (default 4x6,5x7)")
+                   help="strictly ascending window ladder (default 4x6,5x7)")
     p.add_argument("--expect", type=int, default=None,
                    help="compare the total stable dimension; exit 1 on mismatch")
     p.set_defaults(func=cmd_classify)

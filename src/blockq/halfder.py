@@ -617,12 +617,14 @@ def stabilize(alg: AlgebraSpec, deg: MapDegree,
 
     Kills truncation-boundary solutions without guessing extension behavior;
     the warning flag is set when the last window still changed the answer.
+    Each window must lie inside the next and differ from it: a repeated
+    window changes nothing, so it could never flag an unstable degree.
     """
     if len(windows) < 2:
         raise ValueError("stabilize needs at least two nested windows")
     for a, b in zip(windows, windows[1:]):
-        if not (a <= b):
-            raise ValueError("windows must be ascending")
+        if not (a <= b and a != b):
+            raise ValueError("windows must be strictly ascending")
     w0 = windows[0]
     ns0 = solve_degree(alg, deg, w0)
     window_dims = [ns0.dimension]

@@ -37,12 +37,16 @@ nonzero.
 
 When a term is not proved, the combination is checked over the window as a
 whole, and that check alone decides the report.  The standard sum is
-unchanged by rotating (x, y, z), so it is evaluated at most once per triple:
+unchanged by rotating (x, y, z), and where the bracket is graded
+antisymmetric, swapping two arguments changes it only by a sign, since each
+inner bracket does.  So it is evaluated at most once per triple:
 
 * a witness walk evaluates it in window order and stops once the report
   keeps its 100 witnesses;
-* the total is then counted over rotation orbits, one evaluation per orbit,
-  weighted by its size (3, or 1 when x = y = z);
+* the total is then counted with one evaluation per class, weighted by its
+  size: per multiset {x, y, z} (6, 3 or 1) when antisymmetry is proved for
+  all indices (`algebra.s3_orbits`), otherwise per rotation orbit (3, or 1
+  when x = y = z);
 * the literal flag comes from a search in window order that stops at the
   first nonzero literal sum.
 """
@@ -53,7 +57,7 @@ from itertools import chain, product
 
 from .algebra import (AlgebraSpec, BasisIndex, CompiledAlgebra, SparseVector,
                       VerificationReport, Window, _ViolationLog, bracket_vec,
-                      certifying_grid, check_identity)
+                      certifying_grid, check_identity, s3_orbits)
 from .halfder import GradedMap, MapCombo, combo_apply
 from .scalars import scalar_one
 
@@ -225,7 +229,7 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
         if literal is None:
             report = check_identity(product(basis, repeat=3), standard,
                                     _witness(alg, terms), checked,
-                                    orbits=lambda: _rotation_orbits(basis))
+                                    orbits=s3_orbits(alg, w, _rotation_orbits(basis)))
         elif grid_basis is not None:
             candidates = chain(product(grid_basis, repeat=3), candidates)
         literal = not any(literal_sum(*t) for t in candidates)

@@ -3,24 +3,27 @@
 `verify_antisymmetry` and `verify_jacobi` prove a window on the certifying
 grid, `hom_jacobi_check` proves each term of a combination on the grid or on
 the triples touching its support (and otherwise walks the window for
-witnesses and counts the total over rotation orbits), and
-`verify_transposed_leibniz` evaluates only the pairs touching a product
-partner.  Each must report exactly what
-enumerating the whole window reports: the same counts, flags and witnesses
-in the same order.
+witnesses and counts the total over rotation orbits), a failing Jacobi or
+Hom-Lie check counts its total over multisets {x, y, z} once antisymmetry is
+proved, and `verify_transposed_leibniz` evaluates only the pairs touching a
+product partner.  Each must report exactly what enumerating the whole window
+reports: the same counts, flags and witnesses in the same order.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (antisymmetry_by_enumeration, hom_jacobi_by_enumeration,
                      jacobi_by_enumeration, transposed_leibniz_by_enumeration)
 
+from blockq import algebra
 from blockq.algebra import (EVEN, MAX_REPORT_VIOLATIONS, BasisIndex, SparseVector,
-                            Window, certifying_grid, index_from_json,
-                            verify_antisymmetry, verify_jacobi)
-from blockq.cli import parse_map_expr
+                            Window, _antisymmetry_proved, certifying_grid,
+                            index_from_json, multiset_orbits, verify_antisymmetry,
+                            verify_jacobi)
+from blockq.cli import main, parse_map_expr
 from blockq.halfder import GradedMap, MapDegree, builtin_map, shift_map
 from blockq.homlie import _rotation_orbits, hom_cyclic_sum, hom_jacobi_check
 from blockq.scalars import from_fraction
@@ -34,6 +37,8 @@ MUTATED_B = ("n*(i + q) - m*(j - q)",)
 MUTATED_S = (B_RULE, "n*(i + q) - m*(j - (1/2)*q)", "2*q")
 # passes antisymmetry and Jacobi on the 1x1 grid, fails on 2x1
 CUBIC = B_RULE + " + (m*m*m - m)*(n*n*n - n)"
+# antisymmetric, with a 2x2 antisymmetry box; fails Jacobi on 2x1
+ANTI_CUBIC = (B_RULE + " + m*m*m*n - n*n*n*m",)
 
 VARS = "minjq"
 
@@ -64,14 +69,19 @@ exponents = st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 1))
 
 
 @st.composite
-def perturbed_rules(draw, base: str):
+def perturbed_rules(draw, base: str, swap: str | None = None):
     """base plus up to two monomials, each antisymmetrized when drawn so
-    (which keeps antisymmetry and lets the grid proof of it run)."""
+    (which keeps antisymmetry and lets the grid proof of it run).  With
+    swap ("-" or "+"), one or two monomials, each followed by its
+    index-swapped copy with that sign, which keeps the rule antisymmetric
+    or symmetric."""
     text = base
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0 if swap is None else 1, 2))):
         c, exps = draw(coeffs), draw(exponents)
         text += " + " + monomial_text(c, exps)
-        if draw(st.booleans()):
+        if swap is not None:
+            text += f" {swap} " + monomial_text(c, swapped(exps))
+        elif draw(st.booleans()):
             text += " - " + monomial_text(c, swapped(exps))
     return text
 
@@ -253,8 +263,8 @@ def walk_stop(report: dict, basis: list[BasisIndex]) -> int | None:
 
 class TestHomLieOrbits:
     """The failing path: a witness walk in window order, the total counted
-    over rotation orbits, and the literal flag from a search with an early
-    exit."""
+    over orbits (rotation orbits when antisymmetry is not proved), and the
+    literal flag from a search with an early exit."""
 
     def test_orbits_cover_the_window_once(self):
         # every triple lies in exactly one orbit, met at its first member in
@@ -341,6 +351,112 @@ class TestHomLieOrbits:
                                     (Fraction(-1), ident)], w)
         assert got["pass"] is True
         assert got["conventions"] == {"standard": True, "literal": False}
+
+
+@st.composite
+def antisymmetric_cases(draw):
+    """(algebra, window): a graded antisymmetric spec, Lie or super, at
+    generic or fixed q, whose rules are perturbed so that Jacobi mostly
+    fails.  Every rule has degree at most 2 in each index, so its 1x1
+    antisymmetry box lies in the window."""
+    if draw(st.booleans()):
+        rules = (draw(perturbed_rules(B_RULE, "-")),)
+        w = Window(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    else:
+        rules = draw(st.one_of(
+            st.builds(lambda r: (r,) + S_RULES[1:], perturbed_rules(B_RULE, "-")),
+            st.builds(lambda r: (B_RULE, r, S_RULES[2]), perturbed_rules(S_RULES[1])),
+            st.builds(lambda r: S_RULES[:2] + (r,), perturbed_rules("2*q", "+")),
+            st.just(MUTATED_S)))
+        w = Window(1, 1)
+    return spec(rules, draw(qs)), w
+
+
+def spy_on(monkeypatch, module, name) -> list:
+    """Record the arguments of each call of module.name, which still runs."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestS3Orbits:
+    """With antisymmetry proved on its box, a failing Jacobi or Hom-Lie
+    standard check counts its total once per multiset {x, y, z}."""
+
+    def test_multiset_orbits_cover_the_window_once(self):
+        # every triple lies in exactly one class, met at its first member in
+        # window order, and the weights are the class sizes, summing to n^3
+        for n in (1, 2, 3, 4):
+            basis = [L(0, k) for k in range(n)]
+            seen = set()
+            for triple, weight in multiset_orbits(basis):
+                orbit = set(permutations(triple))
+                assert window_position(basis, triple) == min(
+                    window_position(basis, t) for t in orbit)
+                assert weight == len(orbit)
+                assert not orbit & seen
+                seen |= orbit
+            assert len(seen) == n ** 3
+            assert sum(weight for _, weight in multiset_orbits(basis)) == n ** 3
+
+    @given(case=antisymmetric_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_jacobi_counts_match_enumeration(self, case):
+        alg, w = case
+        assert _antisymmetry_proved(alg, w)
+        got = verify_jacobi(alg, w).to_json_dict()
+        assume(got.get("total_violations", 0) > MAX_REPORT_VIOLATIONS)
+        assert got == jacobi_by_enumeration(alg, w).to_json_dict()
+
+    @given(case=antisymmetric_cases(), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_hom_counts_match_enumeration(self, case, data):
+        alg, w = case
+        assert _antisymmetry_proved(alg, w)
+        terms = [(from_fraction(1, alg.q), shift_map(alg, w))]
+        if data.draw(st.booleans()):
+            terms.append((from_fraction(data.draw(coeffs), alg.q),
+                          random_map(data.draw, alg, w)))
+        got = hom_jacobi_check(alg, terms, w).to_json_dict()
+        assume(got.get("total_violations", 0) > MAX_REPORT_VIOLATIONS)
+        assert got == hom_jacobi_by_enumeration(alg, terms, w).to_json_dict()
+
+    def test_unproved_antisymmetry_keeps_the_old_count(self, monkeypatch):
+        # the mutated B spec fails antisymmetry; the antisymmetric cubic
+        # spec needs a 2x2 box, larger than its window: Jacobi enumerates
+        # every triple and Hom-Lie counts rotation orbits
+        proofs = spy_on(monkeypatch, algebra, "_antisymmetry_proved")
+        multisets = spy_on(monkeypatch, algebra, "multiset_orbits")
+        for rules, q, w in ((MUTATED_B, None, Window(2, 2)),
+                            (ANTI_CUBIC, Fraction(2), Window(2, 1))):
+            alg = spec(rules, q)
+            jac = verify_jacobi(alg, w).to_json_dict()
+            assert jac["total_violations"] > MAX_REPORT_VIOLATIONS
+            assert jac == jacobi_by_enumeration(alg, w).to_json_dict()
+            got = assert_hom_same(alg, shift_map(alg, w), w)
+            assert got["total_violations"] > MAX_REPORT_VIOLATIONS
+        assert len(proofs) == 4 and not multisets
+
+    def test_passing_suites_skip_the_proof(self, monkeypatch, capsys):
+        proofs = spy_on(monkeypatch, algebra, "_antisymmetry_proved")
+        for argv in (["verify-algebra", "--algebra", "S", "--q", "generic", "--window", "2x2"],
+                     ["verify-algebra", "--algebra", "B", "--q", "2", "--window", "1x1"],
+                     ["hom-check", "--algebra", "B", "--q", "2", "--map", "id + alpha",
+                      "--window", "1x4"],
+                     ["hom-check", "--algebra", "S", "--q", "0", "--map", "gamma",
+                      "--window", "1x1"]):
+            assert main(argv + ["--quiet"]) == 0, argv
+        # id - id: the cubic spec's 3x3 grid does not fit, so the zero
+        # combination is walked over the whole window
+        alg = spec(ANTI_CUBIC, Fraction(2))
+        w = Window(2, 1)
+        ident = builtin_map("id", alg, w)
+        assert hom_jacobi_check(alg, [(Fraction(1), ident), (Fraction(-1), ident)], w).passed
+        assert not proofs
 
 
 @st.composite

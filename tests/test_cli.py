@@ -132,6 +132,15 @@ class TestClassify:
             assert err.startswith("error: ") and f"expected {form} with integers" in err, err
             assert "invalid literal" not in err
 
+    def test_window_ladder_must_strictly_ascend(self, capsys):
+        # a repeated window cannot change the intersection, so a degree that
+        # does not stabilize could never be flagged
+        for windows in ("2x2,2x2", "2x2,3x3,3x3", "3x3,2x2", "2x3,3x2"):
+            assert main(["classify", "--algebra", "B", "--q", "2", "--bounds", "1x1",
+                         "--windows", windows]) == 2, windows
+            err = capsys.readouterr().err
+            assert err == "error: windows must be strictly ascending\n", err
+
     def test_odd_shift_super(self, capsys):
         code, rep = run(capsys, "classify", "--algebra", "S", "--q", "5",
                         "--shift", "odd", "--bounds", "2x2",
