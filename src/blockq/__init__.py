@@ -10,7 +10,8 @@ from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, SparseVector,
                       verify_antisymmetry, verify_jacobi)
 from .halfder import (ClassificationReport, ConstraintSystem, GradedMap,
                       MapDegree, NullSpaceBasis, build_constraints, builtin_map,
-                      check_map, classify, null_space, stabilize)
+                      check_map, classify, half_derivation_system, null_space,
+                      stabilize)
 from .scalars import Poly, RatFunc, Rational, Scalar, parse_q, specialize_q
 from .specdsl import builtin_algebra, make_algebra, parse_spec, print_spec
 
@@ -20,7 +21,7 @@ __all__ = [
     "verify_antisymmetry", "verify_jacobi",
     "ClassificationReport", "ConstraintSystem", "GradedMap", "MapDegree",
     "NullSpaceBasis", "build_constraints", "builtin_map", "check_map",
-    "classify", "null_space", "stabilize",
+    "classify", "half_derivation_system", "null_space", "stabilize",
     "Poly", "RatFunc", "Rational", "Scalar", "parse_q", "specialize_q",
     "builtin_algebra", "make_algebra", "parse_spec", "print_spec",
 ]

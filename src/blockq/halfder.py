@@ -1,43 +1,42 @@
-"""Half-derivation constraint systems, exact null spaces and window-stabilized classification.
+"""Linear systems over a row source, one exact solver, and window-stabilized classification.
 
-A homogeneous map of degree (parity shift, r, s) sends basis (p, m, i) to
-d(p, m, i) times basis (p + shift, m + r, i + s).  Requiring the map to be a
-half-(super)derivation,
+A `ConstraintSystem` is a list of unknown labels and a stream of rows, each
+row's `Entries` the raw (denominator-cleared, see CompiledAlgebra) values of
+its nonzero coefficients; row scaling leaves the null space unchanged.
+`null_space` is the one solver.  It reads the rows in order:
 
-    2 phi([x, y]) = [phi(x), y] + (-1)^{|phi||x|} [x, phi(y)],
+* each row is fed to zero propagation as it is read.  A row with one live
+  unknown forces that unknown to zero, which holds in every solution of the
+  rows seen so far and hence of the whole system.  The rows propagation
+  keeps, forced columns dropped, also go in batches to an incremental
+  row-echelon pass modulo a word-size prime (generic rows evaluated at a
+  fixed q0 first).  Once every unknown is forced, or once that pass reaches
+  rank equal to the number of live unknowns, the kernel is zero, proved
+  (reducing mod p and specialising q can only lower rank), and the remaining
+  rows are never read, so a lazy row source never builds them;
+* otherwise, after the last row and one more batch, the kept rows that
+  became pivots of that same pass are solved exactly over the active field
+  on the live unknowns, certified by checking every kept row against every
+  kernel vector in integer arithmetic.  If one row fails, the mod-p rank fell
+  short, and all kept rows are solved exactly instead.
+
+The result is the exact space in canonical reduced echelon form, pivots at
+the least labels.  `stabilize` takes a system per window and intersects the
+kernels of nested windows, restricted to the unknowns of the smallest;
+truncation artifacts at the window boundary die there.
+
+The systems classification solves are the half-(super)derivation ones.  A
+homogeneous map of degree (parity shift, r, s) sends basis (p, m, i) to
+d(p, m, i) times basis (p + shift, m + r, i + s).  Requiring
+
+    2 phi([x, y]) = [phi(x), y] + (-1)^{|phi||x|} [x, phi(y)]
 
 and projecting onto the single graded output index turns every unordered
-basis pair into one linear equation in the d-coefficients.  Rows are only
-generated when all three source indices (m,i), (n,j), (m+n,i+j) lie in the
-window, so boundary unknowns may be under-constrained; `stabilize` removes
-those truncation artifacts by intersecting restrictions of null spaces from
-nested windows.
-
-Row coefficients are stored denominator-cleared (see CompiledAlgebra); the
-null space is unaffected by row scaling.  `build_constraints` lists the rows
-in lexicographic pair order; classification instead solves each degree with
-`solve_degree`, in two steps:
-
-* streamed assembly with early exit: pairs are generated shell by shell from
-  the outside in (shell k = max(|m1|, |i1|, |m2|, |i2|)), and each row is fed
-  to zero propagation as it is made.  A row with one live unknown forces
-  that unknown to zero, which holds in every solution of the rows seen so
-  far and hence of the whole system.  The rows propagation keeps, forced
-  columns dropped, also go in batches to an incremental row-echelon pass
-  modulo a word-size prime (generic rows evaluated at a fixed q0 first).
-  Once every unknown is forced, or once that pass reaches rank equal to the
-  number of live unknowns, the kernel is zero, proved (reducing mod p and
-  specialising q can only lower rank), and the remaining rows are never
-  built;
-* an exact solve: otherwise, after the last row and one more batch, the kept
-  rows that became pivots of that same pass are solved exactly over the
-  active field on the live unknowns, certified by checking every kept row
-  against every kernel vector in integer arithmetic.  If one row fails, the
-  mod-p rank fell short, and all kept rows are solved exactly instead.
-
-`null_space` runs the same two steps on the rows of a given system.
-Either way the result is the same exact space, returned in canonical reduced
-echelon form with unknowns ordered (parity, m, i) lexicographically.
+basis pair whose two points and sum lie in the window into one row in the
+d-coefficients.  `half_derivation_system` streams these rows shell by shell
+from the outside in (shell k = max(|m1|, |i1|, |m2|, |i2|)), which reaches
+the early stop soonest; `build_constraints` lists them in lexicographic pair
+order, the order `check_map` keeps its witnesses in.
 
 One echelon routine, `_insert_row` (leftmost pivot, mutually reduced rows),
 does all exact elimination: the kernel, the reduced echelon form of a span,
@@ -103,11 +102,6 @@ class GradedMap:
     def is_zero(self) -> bool:
         return not self.table
 
-    def table_json(self) -> list[dict]:
-        return [{"parity": parity_name(k.parity), "m": k.m, "i": k.i,
-                 "value": format_scalar(v)}
-                for k, v in sorted(self.table.items())]
-
 
 MapCombo = list[tuple[Scalar, GradedMap]]
 
@@ -124,23 +118,22 @@ def combo_apply(terms: MapCombo, x: BasisIndex) -> SparseVector:
 # --- constraint assembly -------------------------------------------------------
 
 Entries = tuple[tuple[int, object], ...]  # (unknown, raw coefficient), by unknown
-Row = tuple[Entries, BasisIndex, BasisIndex]
 
 
 @dataclass
 class ConstraintSystem:
-    """Linear system in the d-coefficients over one window.
+    """A homogeneous linear system: unknown labels (hashable, ordered) and a stream of rows.
 
-    Row values are denominator-cleared (integers in fixed mode, integer
-    q-coefficient tuples in generic mode).  Each row carries the generating
-    pair as provenance.
+    Each row is a tuple whose first item is its Entries, unknown k standing
+    for unknowns[k]; provenance may follow.  Values are raw values of
+    `algebra` (ints in fixed mode, int q-coefficient tuples in generic
+    mode).  `rows` may be lazy: `null_space` reads it once, in order, and
+    may stop early.
     """
 
-    algebra: AlgebraSpec
-    degree: MapDegree
-    window: Window
-    unknowns: list[BasisIndex]
-    rows: list[Row]
+    algebra: CompiledAlgebra
+    unknowns: list
+    rows: Iterable[tuple]
 
 
 def _parity_pairs(alg: AlgebraSpec, deg: MapDegree) -> list[tuple[Parity, Parity]]:
@@ -235,17 +228,24 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window,
             yield entries, pair
 
 
+def half_derivation_system(alg: AlgebraSpec,
+                           deg: MapDegree) -> Callable[[Window], ConstraintSystem]:
+    """The half-derivation system of each window, its rows built lazily, shell by shell."""
+    return lambda w: ConstraintSystem(
+        alg.compiled(), w.basis(alg.parities),
+        _rows(alg, deg, w, _shell_pairs(w, _parity_pairs(alg, deg))))
+
+
 def build_constraints(alg: AlgebraSpec, deg: MapDegree, w: Window) -> ConstraintSystem:
-    """One row per unordered in-window basis pair, zero rows dropped.
+    """The half-derivation system of w, materialised, each row (entries, x, y).
 
     Rows come in lexicographic pair order (p1, p2, m1, i1, m2, i2);
     `check_map` keeps its first witnesses in this order.
     """
-    rows: list[Row] = [(entries, BasisIndex(p1, m1, i1), BasisIndex(p2, m2, i2))
-                       for entries, (p1, p2, m1, i1, m2, i2) in _rows(
-                           alg, deg, w, sorted(_shell_pairs(w, _parity_pairs(alg, deg))))]
-    return ConstraintSystem(algebra=alg, degree=deg, window=w,
-                            unknowns=w.basis(alg.parities), rows=rows)
+    rows = [(entries, BasisIndex(p1, m1, i1), BasisIndex(p2, m2, i2))
+            for entries, (p1, p2, m1, i1, m2, i2) in _rows(
+                alg, deg, w, sorted(_shell_pairs(w, _parity_pairs(alg, deg))))]
+    return ConstraintSystem(alg.compiled(), w.basis(alg.parities), rows)
 
 
 # --- exact linear algebra --------------------------------------------------------
@@ -469,14 +469,13 @@ def _row_violated(ivec: dict, comp: CompiledAlgebra) -> Callable[[Entries], bool
 class NullSpaceBasis:
     """Exact solution space in canonical reduced echelon form.
 
-    Vectors are tables over BasisIndex unknowns; the pivot of each vector is
-    its first nonzero unknown in (parity, m, i) order, with coefficient one
-    and zeros at the pivots of the other vectors.
+    Vectors are tables over the unknown labels (BasisIndex, ordered
+    (parity, m, i), for half-derivations); the pivot of each vector is its
+    least label, with coefficient one and zeros at the pivots of the other
+    vectors.
     """
 
     dimension: int
-    degree: MapDegree
-    window: Window
     vectors: list[dict[BasisIndex, Scalar]]
 
     def contains(self, table: dict[BasisIndex, Scalar]) -> bool:
@@ -484,7 +483,9 @@ class NullSpaceBasis:
         return len(_rref_vectors(self.vectors + [table])) == self.dimension
 
     def tables_json(self) -> list[list[dict]]:
-        return [GradedMap(self.degree, dict(v)).table_json() for v in self.vectors]
+        return [[{"parity": parity_name(k.parity), "m": k.m, "i": k.i,
+                  "value": format_scalar(v)} for k, v in sorted(vec.items())]
+                for vec in self.vectors]
 
 
 # The early-stop echelon takes what propagation did at most every _BATCH
@@ -493,23 +494,24 @@ class NullSpaceBasis:
 _BATCH = 64
 
 
-def _solve(alg: AlgebraSpec, unknowns: list[BasisIndex], deg: MapDegree, w: Window,
-           rows: Iterable[tuple]) -> NullSpaceBasis:
-    """Zero-propagate each row's Entries (row[0]) until the kernel is proved zero, then solve.
+def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
+    """The exact null space of cs, in canonical reduced echelon form.
 
-    Each batch gives the echelon `ech` mod _PRIME a unit row for each
-    column forced since the last batch, then the rows propagation kept since
-    then, forced columns dropped.  A unit row stands for the rows that
-    forced its column, which propagation does not keep; the echelon's rank
-    is the number of forced columns plus the rank of the kept rows on the
-    live ones.  Rank n, that is rank `prop.left` on the live columns, proves
-    the kernel zero: a forced unknown is zero in every solution, a kept row
-    restricted to the live columns is a row of the system restricted to
-    them, and reducing mod p or fixing q = _Q0 can only lower rank.
+    Each row's Entries (row[0]) are zero-propagated as the row is read,
+    until the kernel is proved zero or the rows run out.  Each batch gives
+    the echelon `ech` mod _PRIME a unit row for each column forced since the
+    last batch, then the rows propagation kept since then, forced columns
+    dropped.  A unit row stands for the rows that forced its column, which
+    propagation does not keep; the echelon's rank is the number of forced
+    columns plus the rank of the kept rows on the live ones.  Rank n, that
+    is rank `prop.left` on the live columns, proves the kernel zero: a
+    forced unknown is zero in every solution, a kept row restricted to the
+    live columns is a row of the system restricted to them, and reducing
+    mod p or fixing q = _Q0 can only lower rank.
 
     A batch runs every _BATCH rows, but waits while some live unknown lies
     in no kept row, since the rank on the live columns cannot be full then.
-    This delays no stop, and a degree that propagation settles alone feeds
+    This delays no stop, and a system that propagation settles alone feeds
     the echelon much less.  After the last row one more batch runs, unless
     no kept row has a live entry left.  The kept rows that became pivots
     then span the kept rows on the live columns mod p, so their exact rank
@@ -519,7 +521,7 @@ def _solve(alg: AlgebraSpec, unknowns: list[BasisIndex], deg: MapDegree, w: Wind
     arithmetic.  When one does not, the mod-p rank fell short of the exact
     rank, and all kept rows are solved exactly instead.
     """
-    comp = alg.compiled()
+    comp, unknowns = cs.algebra, cs.unknowns
     n = len(unknowns)
     prop = _ZeroPropagation(n)
     forced, counts, occ = prop.forced, prop.counts, prop.occ
@@ -541,8 +543,8 @@ def _solve(alg: AlgebraSpec, unknowns: list[BasisIndex], deg: MapDegree, w: Wind
         pivot_rows.extend(ids[k - len(new_units)] for k in chosen if k >= len(new_units))
         return len(ech.pivots) == n
 
-    zero = NullSpaceBasis(dimension=0, degree=deg, window=w, vectors=[])
-    for k, row in enumerate(rows, 1):
+    zero = NullSpaceBasis(dimension=0, vectors=[])
+    for k, row in enumerate(cs.rows, 1):
         if prop.add(row[0]):
             return zero
         if not k % _BATCH and all(occ[u] for u in range(n) if not forced[u]) and batch():
@@ -565,27 +567,7 @@ def _solve(alg: AlgebraSpec, unknowns: list[BasisIndex], deg: MapDegree, w: Wind
            for vec in vecs):
         vecs = kernel(residual)
     tables = _rref_vectors([{unknowns[u]: v for u, v in vec.items()} for vec in vecs])
-    return NullSpaceBasis(dimension=len(tables), degree=deg, window=w, vectors=tables)
-
-
-def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
-    """Exact reduced null-space basis; deterministic given the unknown order.
-
-    The rows are streamed through `_solve` in their listed order, so a zero
-    kernel may be proved before the last row.
-    """
-    return _solve(cs.algebra, cs.unknowns, cs.degree, cs.window, cs.rows)
-
-
-def solve_degree(alg: AlgebraSpec, deg: MapDegree, w: Window) -> NullSpaceBasis:
-    """null_space(build_constraints(alg, deg, w)), assembled shell by shell from the outside in.
-
-    Each row is fed to zero propagation as it is made; once every unknown is
-    forced, or the kept rows reach full rank on the live unknowns mod p, the
-    kernel is zero and the remaining rows are never built.
-    """
-    rows = _rows(alg, deg, w, _shell_pairs(w, _parity_pairs(alg, deg)))
-    return _solve(alg, w.basis(alg.parities), deg, w, rows)
+    return NullSpaceBasis(dimension=len(tables), vectors=tables)
 
 
 # --- window stabilization ---------------------------------------------------------
@@ -611,9 +593,10 @@ def _intersect(U: list[dict], V: list[dict]) -> list[dict]:
             for row in _rref_vectors(rows) if min(row)[0] == 1]
 
 
-def stabilize(alg: AlgebraSpec, deg: MapDegree,
+def stabilize(system: Callable[[Window], ConstraintSystem],
               windows: Sequence[Window]) -> StabilizeResult:
-    """Intersect restrictions of null spaces from nested windows onto the smallest.
+    """Intersect the null spaces of system(w) over nested windows, restricted
+    to the unknowns of system(windows[0]).
 
     Kills truncation-boundary solutions without guessing extension behavior;
     the warning flag is set when the last window still changed the answer.
@@ -625,8 +608,9 @@ def stabilize(alg: AlgebraSpec, deg: MapDegree,
     for a, b in zip(windows, windows[1:]):
         if not (a <= b and a != b):
             raise ValueError("windows must be strictly ascending")
-    w0 = windows[0]
-    ns0 = solve_degree(alg, deg, w0)
+    cs0 = system(windows[0])
+    labels0 = set(cs0.unknowns)
+    ns0 = null_space(cs0)
     window_dims = [ns0.dimension]
     current = ns0.vectors
     inter_dims = [len(current)]
@@ -635,15 +619,13 @@ def stabilize(alg: AlgebraSpec, deg: MapDegree,
             # intersections only shrink; an empty one is final
             inter_dims.append(0)
             continue
-        ns = solve_degree(alg, deg, w)
+        ns = null_space(system(w))
         window_dims.append(ns.dimension)
-        restricted = [{k: v for k, v in vec.items() if w0.contains_index(k)}
-                      for vec in ns.vectors]
+        restricted = [{k: v for k, v in vec.items() if k in labels0} for vec in ns.vectors]
         current = _intersect(current, restricted)
         inter_dims.append(len(current))
     warning = inter_dims[-1] != inter_dims[-2]
-    basis = NullSpaceBasis(dimension=len(current), degree=deg, window=w0,
-                           vectors=current)
+    basis = NullSpaceBasis(dimension=len(current), vectors=current)
     return StabilizeResult(stable_dim=len(current), basis=basis,
                            window_dims=window_dims, intersection_dims=inter_dims,
                            warning=warning)
@@ -738,7 +720,7 @@ def half_derivation_sides(alg: AlgebraSpec, phi: Callable[[BasisIndex], SparseVe
 def check_map(alg: AlgebraSpec, gm: GradedMap, w: Window) -> VerificationReport:
     """Evaluate every generated constraint row at the map's table."""
     cs = build_constraints(alg, gm.degree, w)
-    comp = alg.compiled()
+    comp = cs.algebra
     table = gm.table
     ivec = comp.raw({u: table[idx] for u, idx in enumerate(cs.unknowns) if idx in table})
     rows = {(x, y): entries for entries, x, y in cs.rows}
@@ -806,15 +788,14 @@ def classify(alg: AlgebraSpec, parity_shift: Parity, bounds: tuple[int, int],
              windows: Sequence[Window]) -> ClassificationReport:
     """Stabilized null-space dimensions for every degree |r| <= R, |s| <= S."""
     R, S = bounds
-    w0 = windows[0]
-    candidates = named_candidates(alg, w0)
+    candidates = named_candidates(alg, windows[0])
     degrees: list[DegreeResult] = []
     warnings: list[str] = []
     total = 0
     for r in range(-R, R + 1):
         for s in range(-S, S + 1):
             deg = MapDegree(parity_shift, r, s)
-            st = stabilize(alg, deg, windows)
+            st = stabilize(half_derivation_system(alg, deg), windows)
             if st.warning:
                 warnings.append(f"degree ({r},{s}) did not stabilize: "
                                 f"intersection dims {st.intersection_dims}")

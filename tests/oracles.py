@@ -50,7 +50,7 @@ def provenances(cs):
 
 def scalar_rows(cs):
     """Each row of a constraint system with its true field values, by unknown."""
-    lift = cs.algebra.compiled().lift
+    lift = cs.algebra.lift
     return [{cs.unknowns[u]: lift(v) for u, v in entries} for entries, _x, _y in cs.rows]
 
 

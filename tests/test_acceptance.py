@@ -15,7 +15,7 @@ from blockq.algebra import EVEN, ODD, BasisIndex, Window, bracket_basis
 from blockq.cli import main
 from blockq.errors import IntegralityViolation, WrongQ
 from blockq.halfder import (MapDegree, build_constraints, builtin_map, check_map,
-                            classify, stabilize)
+                            classify, half_derivation_system, stabilize)
 from blockq.scalars import specialize_q
 from blockq.specdsl import (builtin_algebra, make_algebra, parse_spec,
                             print_spec, shipped_alg_text)
@@ -172,14 +172,15 @@ def test_criterion_6_tp_axiom_suites(tmp_path):
         alg = builtin_algebra("B", q)
         prod = builtin_tp("block_thalg", q)
         lm = left_mult_map(prod, L(0, -4), Window(4, 6))
-        st = stabilize(alg, lm.degree, BLOCK_WINDOWS)
+        st = stabilize(half_derivation_system(alg, lm.degree), BLOCK_WINDOWS)
         assert st.basis.contains(lm.table)
         alg0 = builtin_algebra("S", Q(0))
         for structure in ("super_full", "super_even"):
             prod0 = builtin_tp(structure, Q(0))
             for z in prod0.factor_indices():
                 lm = left_mult_map(prod0, z, Window(3, 3))
-                st = stabilize(alg0, lm.degree, [Window(3, 3), Window(4, 4)])
+                st = stabilize(half_derivation_system(alg0, lm.degree),
+                               [Window(3, 3), Window(4, 4)])
                 assert st.basis.contains(lm.table), (structure, z)
         # mutation with a non-central image fails the Leibniz law
         mutated = {"super": False,

@@ -16,8 +16,8 @@ from blockq.errors import (IntegralityViolation, OddMapOnNonSuper,
 from blockq.halfder import (ConstraintSystem, GradedMap, MapDegree, NullSpaceBasis,
                             _intersect, _kernel, _parity_pairs, _rref_vectors,
                             _shell_pairs, build_constraints, builtin_map,
-                            check_map, classify, null_space, shift_map,
-                            solve_degree, stabilize)
+                            check_map, classify, half_derivation_system,
+                            null_space, shift_map, stabilize)
 from blockq.scalars import Poly, RatFunc, scalar_one, specialize_q
 from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
 
@@ -72,8 +72,8 @@ class TestBuildConstraints:
 
     def test_rows_reference_window_unknowns_only(self):
         alg = builtin_algebra("S", Fraction(2))
-        cs = build_constraints(alg, MapDegree(ODD, 1, -1), Window(2, 3))
-        w = cs.window
+        w = Window(2, 3)
+        cs = build_constraints(alg, MapDegree(ODD, 1, -1), w)
         for row in scalar_rows(cs):
             for idx in row:
                 assert w.contains_index(idx)
@@ -100,8 +100,7 @@ class TestNullSpace:
     def test_empty_system(self):
         alg = builtin_algebra("B", Fraction(1))
         unknowns = [L(0, 0), L(1, 0), L(1, 1)]
-        cs = ConstraintSystem(algebra=alg, degree=MapDegree(EVEN, 0, 0),
-                              window=Window(1, 1), unknowns=unknowns, rows=[])
+        cs = ConstraintSystem(alg.compiled(), unknowns, [])
         ns = null_space(cs)
         assert ns.dimension == 3
         assert ns.vectors == [{u: Fraction(1)} for u in unknowns]
@@ -111,8 +110,7 @@ class TestNullSpace:
         unknowns = [L(0, 0), L(1, 0), L(1, 1)]
         rows = [(((0, 1), (1, -1)), L(0, 0), L(1, 0)),
                 (((1, 1),), L(1, 0), L(1, 0))]
-        cs = ConstraintSystem(algebra=alg, degree=MapDegree(EVEN, 0, 0),
-                              window=Window(1, 1), unknowns=unknowns, rows=rows)
+        cs = ConstraintSystem(alg.compiled(), unknowns, rows)
         ns = null_space(cs)
         assert ns.dimension == 1
         assert ns.vectors == [{L(1, 1): Fraction(1)}]
@@ -130,10 +128,8 @@ class TestNullSpace:
         ns1 = null_space(cs)
         rng = random.Random(7)
         for _ in range(3):
-            shuffled = ConstraintSystem(
-                algebra=cs.algebra, degree=cs.degree, window=cs.window,
-                unknowns=cs.unknowns,
-                rows=rng.sample(cs.rows, len(cs.rows)))
+            shuffled = ConstraintSystem(cs.algebra, cs.unknowns,
+                                        rng.sample(cs.rows, len(cs.rows)))
             ns2 = null_space(shuffled)
             assert ns2.dimension == ns1.dimension
             assert ns2.vectors == ns1.vectors
@@ -151,10 +147,11 @@ class TestNullSpace:
         alg = builtin_algebra("B", Fraction(2))
         deg = MapDegree(EVEN, 0, 2)
         big = null_space(build_constraints(alg, deg, Window(4, 5)))
-        small = build_constraints(alg, deg, Window(3, 4))
+        w_small = Window(3, 4)
+        small = build_constraints(alg, deg, w_small)
         for vec in big.vectors:
             restricted = {k: v for k, v in vec.items()
-                          if small.window.contains_index(k)}
+                          if w_small.contains_index(k)}
             for row in scalar_rows(small):
                 acc = sum(c * restricted.get(u, Fraction(0))
                           for u, c in row.items())
@@ -208,9 +205,8 @@ class TestCertifiedNullSpace:
         generic, n, entries = system
         alg = builtin_algebra("B", None if generic else Fraction(1))
         unknowns = [L(0, i) for i in range(n)]
-        cs = ConstraintSystem(algebra=alg, degree=MapDegree(EVEN, 0, 0),
-                              window=Window(1, n), unknowns=unknowns,
-                              rows=[(e, L(0, 0), L(0, 0)) for e in entries])
+        cs = ConstraintSystem(alg.compiled(), unknowns,
+                              [(e, L(0, 0), L(0, 0)) for e in entries])
         with mock.patch.object(halfder, "_PRIME", prime):
             got = null_space(cs)
         lift = (lambda v: RatFunc(Poly(v))) if generic else Fraction
@@ -304,7 +300,7 @@ class TestCertifiedNullSpace:
             prop.add(entries)
         fed = self._spy_fed(monkeypatch)
         calls = _spy_kernel(monkeypatch)
-        assert solve_degree(alg, deg, w).dimension == dim
+        assert null_space(half_derivation_system(alg, deg)(w)).dimension == dim
         # a forced column enters as a unit row, a kept row with two or more
         # live entries
         units = [row[0][0] for row in fed if len(row) == 1]
@@ -319,7 +315,7 @@ class TestCertifiedNullSpace:
         alg = builtin_algebra("S", Fraction(2))
         deg, w = MapDegree(ODD, 0, 1), Window(2, 6)
         fed = self._spy_fed(monkeypatch)
-        assert solve_degree(alg, deg, w).dimension == 1
+        assert null_space(half_derivation_system(alg, deg)(w)).dimension == 1
         assert fed == []
 
 
@@ -347,7 +343,7 @@ def degree_problems(draw):
 
 
 def _count_rows(monkeypatch) -> list[int]:
-    """Count the rows `solve_degree` takes from the row generator."""
+    """Count the rows `null_space` takes from the half-derivation row generator."""
     taken = [0]
     rows = halfder._rows
 
@@ -370,7 +366,7 @@ class TestStreamedSolve:
         # 40 % of the examples
         with mock.patch.object(halfder, "_BATCH", 10**9):
             expected = null_space(build_constraints(alg, deg, w))
-        got = solve_degree(alg, deg, w)
+        got = null_space(half_derivation_system(alg, deg)(w))
         assert got.vectors == expected.vectors
         assert got.dimension == expected.dimension
 
@@ -396,7 +392,7 @@ class TestStreamedSolve:
         deg, w = MapDegree(EVEN, 3, 3), Window(3, 6)
         total = len(build_constraints(alg, deg, w).rows)
         taken = _count_rows(monkeypatch)
-        assert solve_degree(alg, deg, w).dimension == 0
+        assert null_space(half_derivation_system(alg, deg)(w)).dimension == 0
         assert 0 < taken[0] < total
 
     def test_open_zero_kernel_stops_at_full_rank(self, monkeypatch):
@@ -405,7 +401,7 @@ class TestStreamedSolve:
         cs = build_constraints(alg, deg, w)
         assert _left_after_propagation(cs) > 0
         taken = _count_rows(monkeypatch)
-        assert solve_degree(alg, deg, w).dimension == 0
+        assert null_space(half_derivation_system(alg, deg)(w)).dimension == 0
         assert 0 < taken[0] < len(cs.rows)
 
     def test_prime_two_gives_the_same_vectors(self, monkeypatch):
@@ -413,16 +409,17 @@ class TestStreamedSolve:
         alg = builtin_algebra("S", Fraction(2))
         w = Window(2, 6)
         degrees = [MapDegree(ODD, r, s) for r in range(-3, 4) for s in range(-3, 4)]
-        expected = [solve_degree(alg, deg, w).vectors for deg in degrees]
+        systems = [half_derivation_system(alg, deg) for deg in degrees]
+        expected = [null_space(system(w)).vectors for system in systems]
         monkeypatch.setattr(halfder, "_PRIME", 2)
-        assert [solve_degree(alg, deg, w).vectors for deg in degrees] == expected
+        assert [null_space(system(w)).vectors for system in systems] == expected
 
     def test_alpha_degree_takes_every_row(self, monkeypatch):
         alg = builtin_algebra("B", Fraction(2))
         deg, w = MapDegree(EVEN, 0, 2), Window(3, 6)
         total = len(build_constraints(alg, deg, w).rows)
         taken = _count_rows(monkeypatch)
-        ns = solve_degree(alg, deg, w)
+        ns = null_space(half_derivation_system(alg, deg)(w))
         assert taken[0] == total
         assert ns.dimension == 1
         assert ns.contains(builtin_map("alpha", alg, w).table)
@@ -479,8 +476,7 @@ class TestIntersectAndContains:
     def basis() -> NullSpaceBasis:
         vectors = _rref_vectors([{L(0, 0): Fraction(1), L(0, 1): Fraction(2)},
                                  {L(0, 1): Fraction(1), L(1, 1): Fraction(-1, 3)}])
-        return NullSpaceBasis(dimension=2, degree=MapDegree(EVEN, 0, 0),
-                              window=Window(1, 1), vectors=vectors)
+        return NullSpaceBasis(dimension=2, vectors=vectors)
 
     def test_explicit_zero_entries(self):
         ns = self.basis()
@@ -506,33 +502,86 @@ class TestIntersectAndContains:
 class TestStabilize:
     def test_block_generic_identity_degree(self):
         alg = builtin_algebra("B", None)
-        st = stabilize(alg, MapDegree(EVEN, 0, 0),
+        st = stabilize(half_derivation_system(alg, MapDegree(EVEN, 0, 0)),
                        [Window(3, 3), Window(4, 4), Window(5, 5)])
         assert st.stable_dim == 1
         assert not st.warning
 
     def test_block_alpha_degree(self):
         alg = builtin_algebra("B", Fraction(2))
-        st = stabilize(alg, MapDegree(EVEN, 0, 2), [Window(4, 6), Window(5, 7)])
+        st = stabilize(half_derivation_system(alg, MapDegree(EVEN, 0, 2)),
+                       [Window(4, 6), Window(5, 7)])
         assert st.stable_dim == 1
         alpha = builtin_map("alpha", alg, Window(4, 6))
         assert st.basis.vectors == [alpha.table]
 
     def test_block_shift_degree_dies(self):
         alg = builtin_algebra("B", Fraction(2))
-        st = stabilize(alg, MapDegree(EVEN, 1, 0), [Window(3, 3), Window(4, 4)])
+        st = stabilize(half_derivation_system(alg, MapDegree(EVEN, 1, 0)),
+                       [Window(3, 3), Window(4, 4)])
         assert st.stable_dim == 0
 
     def test_needs_two_windows(self):
         alg = builtin_algebra("B", Fraction(2))
         with pytest.raises(ValueError):
-            stabilize(alg, MapDegree(EVEN, 0, 0), [Window(3, 3)])
+            stabilize(half_derivation_system(alg, MapDegree(EVEN, 0, 0)), [Window(3, 3)])
 
     @pytest.mark.parametrize("deg", [(1, 1), (2, 0), (-1, 2), (0, 1), (3, -3)])
     def test_block_q2_other_degrees_vanish(self, deg):
         alg = builtin_algebra("B", Fraction(2))
-        st = stabilize(alg, MapDegree(EVEN, *deg), [Window(3, 4), Window(4, 5)])
+        st = stabilize(half_derivation_system(alg, MapDegree(EVEN, *deg)),
+                       [Window(3, 4), Window(4, 5)])
         assert st.stable_dim == 0
+
+    @staticmethod
+    def center_system(alg):
+        """The center on each window: one row {x: [x, y]} per pair with [x, y] != 0.
+
+        [sum c_x x, y] = sum c_x [x, y] has one term per x at the distinct
+        index x + y, so each nonzero [x, y] forces c_x = 0.
+        """
+        comp = alg.compiled()
+
+        def system(w):
+            unknowns = w.basis(alg.parities)
+            rows = [(((u, c),), x, y) for u, x in enumerate(unknowns) for y in unknowns
+                    if not comp.vis_zero(c := comp.coeff(x, y))]
+            return ConstraintSystem(comp, unknowns, rows)
+        return system
+
+    @pytest.mark.parametrize("name,q,center", [
+        # [L[0,-q], L[n,j]] = n(-q + q) L[n,j-q] = 0
+        ("B", Fraction(2), [L(0, -2)]),
+        ("B", Fraction(7, 3), []),
+        ("B", None, []),
+        ("S", Fraction(0), [L(0, 0), G(0, 0)]),
+    ])
+    def test_a_system_that_is_not_a_half_derivation_system(self, name, q, center):
+        alg = builtin_algebra(name, q)
+        st = stabilize(self.center_system(alg), [Window(3, 6), Window(4, 7)])
+        one = scalar_one(alg.q)
+        assert st.basis.vectors == [{x: one} for x in center]
+        assert st.stable_dim == len(center) and not st.warning
+
+    def test_classify_solves_each_window_through_null_space(self, monkeypatch):
+        # w0 of every degree, then the next window while the intersection lives
+        alg = builtin_algebra("B", Fraction(2))
+        windows = [Window(3, 6), Window(4, 7)]
+        expected = classify(alg, EVEN, (1, 1), windows).to_json_dict()
+        calls = []
+
+        def spy(cs):
+            ns = null_space(cs)
+            calls.append((len(cs.unknowns), ns.dimension))
+            return ns
+
+        monkeypatch.setattr(halfder, "null_space", spy)
+        assert classify(alg, EVEN, (1, 1), windows).to_json_dict() == expected
+        n0, n1 = (len(w.basis(alg.parities)) for w in windows)
+        w0_dims = [dim for n, dim in calls if n == n0]
+        assert len(w0_dims) == 9 and any(w0_dims)
+        assert [n for n, _dim in calls] == [n for dim in w0_dims
+                                            for n in ([n0, n1] if dim else [n0])]
 
 
 class TestBuiltinMaps:

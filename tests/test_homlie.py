@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from blockq.algebra import Window
-from blockq.halfder import GradedMap, MapDegree, builtin_map, shift_map, stabilize
+from blockq.halfder import (GradedMap, MapDegree, builtin_map, half_derivation_system,
+                            shift_map, stabilize)
 from blockq.homlie import hom_jacobi_check
 from blockq.scalars import from_fraction
 from blockq.specdsl import builtin_algebra
@@ -51,7 +52,7 @@ class TestBlockTwists:
         w = Window(3, 4)
         combo = []
         for deg in (MapDegree(0, 0, 0), MapDegree(0, 0, 2)):
-            st = stabilize(alg, deg, [Window(3, 4), Window(4, 5)])
+            st = stabilize(half_derivation_system(alg, deg), [Window(3, 4), Window(4, 5)])
             assert st.stable_dim == 1
             combo.extend((Fraction(5), GradedMap(deg, v)) for v in st.basis.vectors)
         rep = hom_jacobi_check(alg, combo, w)

@@ -7,7 +7,7 @@ import pytest
 
 from blockq.algebra import EVEN, ODD, BasisIndex, SparseVector, Window, bracket_basis
 from blockq.errors import ModeMismatch, NonHomogeneousMultiplication, ParseError, WrongQ
-from blockq.halfder import MapDegree, stabilize
+from blockq.halfder import MapDegree, half_derivation_system, stabilize
 from blockq.specdsl import builtin_algebra
 from blockq.tpverify import (ProductTable, builtin_tp, left_mult_map,
                              verify_associative, verify_left_multiplications,
@@ -191,7 +191,7 @@ class TestLeftMultiplication:
         prod = builtin_tp("block_thalg", q)
         alg = builtin_algebra("B", q)
         lm = left_mult_map(prod, L(0, -4), Window(4, 6))
-        st = stabilize(alg, lm.degree, [Window(4, 6), Window(5, 7)])
+        st = stabilize(half_derivation_system(alg, lm.degree), [Window(4, 6), Window(5, 7)])
         assert st.basis.contains(lm.table)
 
 
