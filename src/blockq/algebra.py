@@ -519,18 +519,19 @@ def multiset_orbits(basis: list[BasisIndex]) -> Iterable[tuple[tuple[BasisIndex,
             for x, y, z in combinations_with_replacement(basis, 3))
 
 
-def s3_orbits(alg: AlgebraSpec, w: Window,
-              fallback: Iterable | None) -> Callable[[], Iterable | None]:
+def s3_orbits(alg: AlgebraSpec, w: Window, fallback: Iterable | None,
+              antisymmetry: VerificationReport | None = None) -> Callable[[], Iterable | None]:
     """`check_identity`'s `orbits` for a residual on the triples of w whose
     vanishing graded antisymmetry makes constant on each S3 orbit of
     (x, y, z): the Jacobiator, and the Hom-Lie standard sum.
 
     The call returns `multiset_orbits` of the window basis when
-    `_antisymmetry_proved(alg, w)`, otherwise `fallback`.  The proof runs
-    only when the count is reached, so a passing suite never pays for it.
+    `_antisymmetry_proved(alg, w, antisymmetry)`, otherwise `fallback`.  The
+    proof runs only when the count is reached, so a passing suite never pays
+    for it.
     """
     return lambda: (multiset_orbits(w.basis(alg.parities))
-                    if _antisymmetry_proved(alg, w) else fallback)
+                    if _antisymmetry_proved(alg, w, antisymmetry) else fallback)
 
 
 def certifying_grid(alg: AlgebraSpec, factors: int) -> Window:
@@ -560,12 +561,19 @@ def _antisymmetry_residual(comp: CompiledAlgebra) -> Callable[[BasisIndex, Basis
     return residual
 
 
-def _antisymmetry_proved(alg: AlgebraSpec, w: Window) -> bool:
+def _antisymmetry_proved(alg: AlgebraSpec, w: Window,
+                         report: VerificationReport | None = None) -> bool:
     """Graded antisymmetry holds at every index: w contains the certifying
-    box `certifying_grid(alg, 1)`, and the residual vanishes on it."""
+    box `certifying_grid(alg, 1)`, and the residual vanishes on it.  With the
+    box inside w, `verify_antisymmetry`'s `report` on w passes exactly then.
+    """
     grid = certifying_grid(alg, 1)
+    if not grid <= w:
+        return False
+    if report is not None:
+        return report.passed
     residual = _antisymmetry_residual(alg.compiled())
-    return grid <= w and not any(
+    return not any(
         residual(*pair) for pair in combinations_with_replacement(grid.basis(alg.parities), 2))
 
 
@@ -606,7 +614,8 @@ def jacobi_sides(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex,
     return lhs, rhs
 
 
-def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationReport:
+def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None,
+            antisymmetry: VerificationReport | None = None) -> VerificationReport:
     comp = alg.compiled()
     pair = comp.pair
     vmul, vadd, vsub, vis_zero = comp.vmul, comp.vadd, comp.vsub, comp.vis_zero
@@ -623,10 +632,11 @@ def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationRep
         product(basis, repeat=3), residual,
         lambda x, y, z: jacobi_sides(alg, x, y, z), len(basis) ** 3,
         product(grid.basis(alg.parities), repeat=3) if grid and grid <= w else None,
-        s3_orbits(alg, w, None) if grid else None)
+        s3_orbits(alg, w, None, antisymmetry) if grid else None)
 
 
-def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
+def verify_jacobi(alg: AlgebraSpec, w: Window,
+                  antisymmetry: VerificationReport | None = None) -> VerificationReport:
     """Check the graded Jacobi identity [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]
     on all basis triples in w; symbolic in q when the algebra is generic.
 
@@ -634,6 +644,7 @@ def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
     grid shows a violation, the triples of w are walked in window order.
     Once the report keeps its witnesses, the total is counted once per
     multiset {x, y, z} when antisymmetry is proved (`s3_orbits`), and the
-    walk goes on over every triple otherwise.
+    walk goes on over every triple otherwise; `verify_antisymmetry`'s
+    report on w, when given, stands in for that proof.
     """
-    return _jacobi(alg, w, certifying_grid(alg, 2))
+    return _jacobi(alg, w, certifying_grid(alg, 2), antisymmetry)

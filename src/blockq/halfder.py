@@ -2,8 +2,10 @@
 
 A `ConstraintSystem` is a list of unknown labels and a stream of rows, each
 row's `Entries` the raw (denominator-cleared, see CompiledAlgebra) values of
-its nonzero coefficients; row scaling leaves the null space unchanged.
-`null_space` is the one solver.  It reads the rows in order:
+its nonzero coefficients; row scaling leaves the null space unchanged.  The
+stream may be a function of the solver's forced flags (fresh per call), so a
+lazy source can leave out rows with no live unknown.  `null_space` is the one
+solver.  It reads the rows in order:
 
 * each row is fed to zero propagation as it is read.  A row with one live
   unknown forces that unknown to zero, which holds in every solution of the
@@ -23,7 +25,8 @@ its nonzero coefficients; row scaling leaves the null space unchanged.
 The result is the exact space in canonical reduced echelon form, pivots at
 the least labels.  `stabilize` takes a system per window and intersects the
 kernels of nested windows, restricted to the unknowns of the smallest;
-truncation artifacts at the window boundary die there.
+truncation artifacts at the window boundary die there.  Later windows are
+seeded with zeros off the running intersection's support (see `stabilize`).
 
 The systems classification solves are the half-(super)derivation ones.  A
 homogeneous map of degree (parity shift, r, s) sends basis (p, m, i) to
@@ -35,8 +38,10 @@ and projecting onto the single graded output index turns every unordered
 basis pair whose two points and sum lie in the window into one row in the
 d-coefficients.  `half_derivation_system` streams these rows shell by shell
 from the outside in (shell k = max(|m1|, |i1|, |m2|, |i2|)), which reaches
-the early stop soonest; `build_constraints` lists them in lexicographic pair
-order, the order `check_map` keeps its witnesses in.
+the early stop soonest, and skips a pair before evaluating any rule when the
+solver has forced its unknowns at x, y and x + y (its row has no live entry).
+`build_constraints` lists every row in lexicographic pair order, the order
+`check_map` keeps its witnesses in.
 
 One echelon routine, `_insert_row` (leftmost pivot, mutually reduced rows),
 does all exact elimination: the kernel, the reduced echelon form of a span,
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, CompiledAlgebra, Parity,
@@ -128,12 +134,13 @@ class ConstraintSystem:
     for unknowns[k]; provenance may follow.  Values are raw values of
     `algebra` (ints in fixed mode, int q-coefficient tuples in generic
     mode).  `rows` may be lazy: `null_space` reads it once, in order, and
-    may stop early.
+    may stop early.  It may be a function of the solver's flags (`forced[k]`
+    set once unknown k is proved zero) that leaves out rows with no live one.
     """
 
     algebra: CompiledAlgebra
     unknowns: list
-    rows: Iterable[tuple]
+    rows: Iterable[tuple] | Callable[[bytearray], Iterable[tuple]]
 
 
 def _parity_pairs(alg: AlgebraSpec, deg: MapDegree) -> list[tuple[Parity, Parity]]:
@@ -180,17 +187,20 @@ def _shell_pairs(w: Window, combos: list[tuple[Parity, Parity]]) -> Iterable[Pai
                             yield p1, p2, m1, i1, m2, i2
 
 
-def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window,
-          pairs: Iterable[Pair]) -> Iterable[tuple[Entries, Pair]]:
+def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window, pairs: Iterable[Pair],
+          forced: bytearray | None = None) -> Iterable[tuple[Entries, Pair]]:
     """The row of each pair, as (entries, pair); pairs whose row is zero are skipped.
 
-    Unknown k is w.basis(alg.parities)[k].
+    Unknown k is w.basis(alg.parities)[k].  A pair whose unknowns at x, y and
+    x + y are all `forced`, flags the reader sets as it reads, is skipped.
     """
     comp = alg.compiled()
     shift, r, s = deg.parity_shift, deg.r, deg.s
     mm, ii = w.m_max, w.i_max
     width = 2 * ii + 1
     npts = (2 * mm + 1) * width
+    if forced is None:
+        forced = bytes(len(alg.parities) * npts)
 
     if comp.generic:
         def dbl(v):
@@ -210,17 +220,19 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window,
     for pair in pairs:
         p1, p2, m1, i1, m2, i2 = pair
         f_out, f_x, f_y, flip_y, base1, base2, base_out = setup[p1, p2]
+        u_x, u_y = base1 + m1 * width + i1, base2 + m2 * width + i2
+        u_out = base_out + (m1 + m2) * width + i1 + i2
+        if forced[u_out] and forced[u_x] and forced[u_y]:
+            continue
         c_out = f_out(m1, i1, m2, i2)
         c_x = f_x(m1 + r, i1 + s, m2, i2)
         c_y = f_y(m1, i1, m2 + r, i2 + s)
         d: dict[int, object] = {}
         if not is0(c_out):
-            d[base_out + (m1 + m2) * width + i1 + i2] = dbl(c_out)
+            d[u_out] = dbl(c_out)
         if not is0(c_x):
-            u_x = base1 + m1 * width + i1
             d[u_x] = vsub(d[u_x], c_x) if u_x in d else vneg(c_x)
         if not is0(c_y):
-            u_y = base2 + m2 * width + i2
             t = c_y if flip_y else vneg(c_y)
             d[u_y] = vadd(d[u_y], t) if u_y in d else t
         entries = tuple((u, v) for u, v in sorted(d.items()) if not is0(v))
@@ -231,9 +243,10 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window,
 def half_derivation_system(alg: AlgebraSpec,
                            deg: MapDegree) -> Callable[[Window], ConstraintSystem]:
     """The half-derivation system of each window, its rows built lazily, shell by shell."""
+    combos = _parity_pairs(alg, deg)
     return lambda w: ConstraintSystem(
         alg.compiled(), w.basis(alg.parities),
-        _rows(alg, deg, w, _shell_pairs(w, _parity_pairs(alg, deg))))
+        lambda forced: _rows(alg, deg, w, _shell_pairs(w, combos), forced))
 
 
 def build_constraints(alg: AlgebraSpec, deg: MapDegree, w: Window) -> ConstraintSystem:
@@ -544,7 +557,8 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
         return len(ech.pivots) == n
 
     zero = NullSpaceBasis(dimension=0, vectors=[])
-    for k, row in enumerate(cs.rows, 1):
+    rows = cs.rows(forced) if callable(cs.rows) else cs.rows
+    for k, row in enumerate(rows, 1):
         if prop.add(row[0]):
             return zero
         if not k % _BATCH and all(occ[u] for u in range(n) if not forced[u]) and batch():
@@ -574,6 +588,8 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
 
 @dataclass
 class StabilizeResult:
+    """`window_dims` counts, after the first window, the seeded kernels."""
+
     stable_dim: int
     basis: NullSpaceBasis
     window_dims: list[int]
@@ -593,6 +609,16 @@ def _intersect(U: list[dict], V: list[dict]) -> list[dict]:
             for row in _rref_vectors(rows) if min(row)[0] == 1]
 
 
+def _seeded(cs: ConstraintSystem, zeros: set) -> ConstraintSystem:
+    """cs with a unit row in front of its rows for each unknown labelled in `zeros`."""
+    one = (1,) if cs.algebra.generic else 1
+    seeds = [(((u, one),),) for u, label in enumerate(cs.unknowns) if label in zeros]
+    rows = cs.rows
+    return ConstraintSystem(
+        cs.algebra, cs.unknowns,
+        (lambda forced: chain(seeds, rows(forced))) if callable(rows) else chain(seeds, rows))
+
+
 def stabilize(system: Callable[[Window], ConstraintSystem],
               windows: Sequence[Window]) -> StabilizeResult:
     """Intersect the null spaces of system(w) over nested windows, restricted
@@ -602,6 +628,12 @@ def stabilize(system: Callable[[Window], ConstraintSystem],
     the warning flag is set when the last window still changed the answer.
     Each window must lie inside the next and differ from it: a repeated
     window changes nothing, so it could never flag an unstable degree.
+
+    Each later window is seeded with a unit row for each first-window
+    unknown off the support of the running intersection `current`.  Exact
+    for any systems: a v in ker(w) whose restriction lies in span(current)
+    is zero off its support, so it survives the unit rows.  They are real
+    rows, so `null_space`'s certificate and fallback hold as they are.
     """
     if len(windows) < 2:
         raise ValueError("stabilize needs at least two nested windows")
@@ -619,7 +651,8 @@ def stabilize(system: Callable[[Window], ConstraintSystem],
             # intersections only shrink; an empty one is final
             inter_dims.append(0)
             continue
-        ns = null_space(system(w))
+        support = {k for vec in current for k in vec}
+        ns = null_space(_seeded(system(w), labels0 - support))
         window_dims.append(ns.dimension)
         restricted = [{k: v for k, v in vec.items() if k in labels0} for vec in ns.vectors]
         current = _intersect(current, restricted)

@@ -6,7 +6,7 @@ from itertools import product
 
 from blockq.algebra import _antisymmetry, _jacobi, check_identity
 from blockq.errors import BlockqError
-from blockq.halfder import combo_apply
+from blockq.halfder import _intersect, combo_apply, null_space
 from blockq.homlie import _as_combo, _cyclic_sums, _witness
 from blockq.scalars import RatFunc
 from blockq.specdsl import Add, Lit, Mul, Neg, Sub, Var
@@ -52,6 +52,17 @@ def scalar_rows(cs):
     """Each row of a constraint system with its true field values, by unknown."""
     lift = cs.algebra.lift
     return [{cs.unknowns[u]: lift(v) for u, v in entries} for entries, _x, _y in cs.rows]
+
+
+def stabilized_by_full_kernels(systems):
+    """The first system's kernel intersected with the full kernel of each
+    later system, restricted to the first system's unknowns; nothing seeded."""
+    labels0 = set(systems[0].unknowns)
+    current = null_space(systems[0]).vectors
+    for cs in systems[1:]:
+        current = _intersect(current, [{k: v for k, v in vec.items() if k in labels0}
+                                       for vec in null_space(cs).vectors])
+    return current
 
 
 class UnboundVariable(BlockqError):

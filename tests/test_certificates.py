@@ -12,7 +12,9 @@ reports: the same counts, flags and witnesses in the same order.
 
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (antisymmetry_by_enumeration, hom_jacobi_by_enumeration,
@@ -39,6 +41,9 @@ MUTATED_S = (B_RULE, "n*(i + q) - m*(j - (1/2)*q)", "2*q")
 CUBIC = B_RULE + " + (m*m*m - m)*(n*n*n - n)"
 # antisymmetric, with a 2x2 antisymmetry box; fails Jacobi on 2x1
 ANTI_CUBIC = (B_RULE + " + m*m*m*n - n*n*n*m",)
+# a symmetric cubic term that vanishes for |m|, |n| <= 1: passes antisymmetry
+# on 1xK, not on its 2x2 box, and fails Jacobi on 1xK
+RIM_CUBIC = (B_RULE + " + (m*m*m - m) + (n*n*n - n)",)
 
 VARS = "minjq"
 
@@ -440,6 +445,42 @@ class TestS3Orbits:
             got = assert_hom_same(alg, shift_map(alg, w), w)
             assert got["total_violations"] > MAX_REPORT_VIOLATIONS
         assert len(proofs) == 4 and not multisets
+
+    def test_verify_algebra_proves_antisymmetry_once(self, monkeypatch, tmp_path):
+        # the mutated S spec passes antisymmetry on its 1x1 box of 171 pairs
+        # and fails Jacobi past the witness limit: the S3 count takes the
+        # antisymmetry report's verdict instead of evaluating the box again
+        calls = [0]
+        residual_for = algebra._antisymmetry_residual
+
+        def counting(comp):
+            residual = residual_for(comp)
+
+            def spy(x, y):
+                calls[0] += 1
+                return residual(x, y)
+            return spy
+
+        monkeypatch.setattr(algebra, "_antisymmetry_residual", counting)
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.chdir(root)
+        out = tmp_path / "report.json"
+        assert main(["verify-algebra", "--spec", "tests/golden/inputs/mutated_S.alg",
+                     "--q", "generic", "--window", "2x1", "--out", str(out)]) == 1
+        golden = root / "tests" / "golden" / "verify_algebra_mutated_S_generic_2x1.json"
+        assert out.read_bytes() == golden.read_bytes()
+        assert calls[0] == 171
+
+    @pytest.mark.parametrize("q", [None, Fraction(2)])
+    def test_a_pass_off_the_box_proves_nothing(self, q):
+        # the antisymmetry report passes on 1x2 but does not cover the box,
+        # so the Jacobi total is not counted over multisets
+        alg, w = spec(RIM_CUBIC, q), Window(1, 2)
+        anti = verify_antisymmetry(alg, w)
+        assert anti.passed and not _antisymmetry_proved(alg, Window(2, 2))
+        got = verify_jacobi(alg, w, anti).to_json_dict()
+        assert got["total_violations"] > MAX_REPORT_VIOLATIONS
+        assert got == jacobi_by_enumeration(alg, w).to_json_dict()
 
     def test_passing_suites_skip_the_proof(self, monkeypatch, capsys):
         proofs = spy_on(monkeypatch, algebra, "_antisymmetry_proved")

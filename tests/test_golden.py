@@ -101,6 +101,12 @@ CASES = {
     "classify_S_2_odd_3x3_2x6_3x7": (
         ["classify", "--algebra", "S", "--q", "2", "--shift", "odd", "--bounds", "3x3",
          "--windows", "2x6,3x7", "--expect", "1"], 0),
+    # recorded before later windows were seeded with the zeros of the
+    # running intersection: the benchmark's S(-4) odd job, whose gamma at
+    # G[0,6] lies on the rim of the first window
+    "classify_S_-4_odd_3x3_2x6_3x7": (
+        ["classify", "--algebra", "S", "--q", "-4", "--shift", "odd", "--bounds", "3x3",
+         "--windows", "2x6,3x7", "--expect", "1"], 0),
     # recorded before the streamed mod-p echelon also picked the rows for
     # the exact solve: the benchmark's B(2) job, with id and alpha
     "classify_B_2_3x3_3x6_4x7": (

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import provenances, scalar_rows
+from oracles import provenances, scalar_rows, stabilized_by_full_kernels
 
 from blockq import halfder
 from blockq.algebra import EVEN, ODD, BasisIndex, Window
@@ -582,6 +582,167 @@ class TestStabilize:
         assert len(w0_dims) == 9 and any(w0_dims)
         assert [n for n, _dim in calls] == [n for dim in w0_dims
                                             for n in ([n0, n1] if dim else [n0])]
+
+
+def _spy_seeds(monkeypatch) -> list[int]:
+    """Record how many unit rows `stabilize` puts in front of each later window."""
+    seeds: list[int] = []
+    seeded = halfder._seeded
+
+    def spy(cs, zeros):
+        seeds.append(sum(label in zeros for label in cs.unknowns))
+        return seeded(cs, zeros)
+
+    monkeypatch.setattr(halfder, "_seeded", spy)
+    return seeds
+
+
+def _count_rule_calls(monkeypatch, alg) -> list[int]:
+    """Count the calls of the compiled bracket-rule closures of alg."""
+    calls = [0]
+    pair = alg.compiled().pair
+    for key, f in list(pair.items()):
+        def counted(*args, f=f):
+            calls[0] += 1
+            return f(*args)
+        monkeypatch.setitem(pair, key, counted)
+    return calls
+
+
+@st.composite
+def system_ladders(draw):
+    """Random raw systems on three ascending windows, labelled by L(0, k):
+    each window's labels a random choice of 0..7, nested or not."""
+    generic = draw(st.booleans())
+    alg = builtin_algebra("B", None if generic else Fraction(1))
+    systems = {}
+    for w in (Window(1, 1), Window(2, 2), Window(3, 3)):
+        labels = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+        n = len(labels)
+        rows = draw(st.lists(
+            st.dictionaries(st.integers(0, n - 1), _raw_value(generic),
+                            min_size=1, max_size=3),
+            max_size=10))
+        systems[w] = ([L(0, k) for k in labels], [tuple(sorted(row.items())) for row in rows])
+    return alg, systems
+
+
+class TestSeedAndSkip:
+    """Later windows start from unit rows for the w0 labels off the running
+    intersection's support, and the lazy source skips pairs whose three
+    unknowns are forced; neither changes a stabilized answer."""
+
+    @pytest.mark.parametrize("name,q,deg,windows,seeded", [
+        ("B", Fraction(2), MapDegree(EVEN, 0, 0), [Window(3, 6), Window(4, 7)], False),
+        ("B", Fraction(2), MapDegree(EVEN, 0, 2), [Window(3, 6), Window(4, 7)], True),
+        # gamma at G[0,6] lies on the rim of w0
+        ("S", Fraction(-4), MapDegree(ODD, 0, -2), [Window(2, 6), Window(3, 7)], True),
+        ("S", Fraction(0), MapDegree(ODD, 0, 0), [Window(2, 3), Window(3, 4)], True),
+    ])
+    def test_seeded_ladder_matches_full_kernels(self, monkeypatch, name, q, deg, windows,
+                                                seeded):
+        alg = builtin_algebra(name, q)
+        expected = stabilized_by_full_kernels([build_constraints(alg, deg, w)
+                                               for w in windows])
+        seeds = _spy_seeds(monkeypatch)
+        st = stabilize(half_derivation_system(alg, deg), windows)
+        assert st.basis.vectors == expected and st.stable_dim == len(expected)
+        assert st.intersection_dims[-1] == len(expected)
+        assert bool(seeds and seeds[0]) == seeded
+
+    def test_generic_hand_built_system(self, monkeypatch):
+        # w0: the centralizer of L[0,0] in generic B, the line m = 0, since
+        # [L[0,0], L[n,j]] = nq L[n,j].  The next window: maps constant on
+        # each line m, whose full kernel has one vector per line.  Seeding
+        # zeros the lines 0 < |m| <= 2, leaving the lines m = 0 and |m| = 3.
+        alg = builtin_algebra("B", None)
+        comp = alg.compiled()
+        windows = [Window(2, 2), Window(3, 3)]
+
+        def system(w):
+            unknowns = w.basis(alg.parities)
+            if w == windows[0]:
+                rows = [(((u, c),),) for u, x in enumerate(unknowns)
+                        if not comp.vis_zero(c := comp.coeff(L(0, 0), x))]
+            else:
+                index = {x: u for u, x in enumerate(unknowns)}
+                rows = [(((index[L(m, i)], (1,)), (index[L(m, i + 1)], (-1,))),)
+                        for m, i in w.points() if i < w.i_max]
+            return ConstraintSystem(comp, unknowns, rows)
+
+        seeds = _spy_seeds(monkeypatch)
+        st = stabilize(system, windows)
+        one = scalar_one(None)
+        assert st.basis.vectors == [{L(0, i): one for i in range(-2, 3)}]
+        assert st.basis.vectors == stabilized_by_full_kernels([system(w) for w in windows])
+        assert seeds == [20] and st.window_dims == [5, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ladder=system_ladders())
+    def test_any_ladder_matches_full_kernels(self, ladder):
+        alg, systems = ladder
+
+        def system(w):
+            unknowns, rows = systems[w]
+            return ConstraintSystem(alg.compiled(), unknowns, [(e,) for e in rows])
+
+        windows = list(systems)
+        st = stabilize(system, windows)
+        assert st.basis.vectors == stabilized_by_full_kernels([system(w) for w in windows])
+
+    @pytest.mark.parametrize("name,q,deg,windows", [
+        ("S", Fraction(-4), MapDegree(ODD, 0, -2), [Window(2, 6), Window(3, 7)]),
+        ("B", Fraction(2), MapDegree(EVEN, 0, 2), [Window(3, 6), Window(4, 7)]),
+    ])
+    def test_only_pairs_with_three_forced_unknowns_are_skipped(self, name, q, deg,
+                                                                 windows):
+        alg = builtin_algebra(name, q)
+        skipped = [0]
+
+        def system(w):
+            cs = half_derivation_system(alg, deg)(w)
+            pairs = list(_shell_pairs(w, _parity_pairs(alg, deg)))
+            index = {label: u for u, label in enumerate(cs.unknowns)}
+
+            def rows(forced):
+                pos = 0
+                for row in cs.rows(forced):
+                    k = pairs.index(row[1], pos)
+                    # no row was read since these pairs were passed over,
+                    # so the flags are the ones they were checked against
+                    for omitted in pairs[pos:k]:
+                        if not list(halfder._rows(alg, deg, w, [omitted])):
+                            continue  # a zero row, omitted without the flags
+                        p1, p2, m1, i1, m2, i2 = omitted
+                        assert all(forced[index[x]] for x in (
+                            BasisIndex(p1, m1, i1), BasisIndex(p2, m2, i2),
+                            BasisIndex(p1 ^ p2, m1 + m2, i1 + i2)))
+                        skipped[0] += 1
+                    pos = k + 1
+                    yield row
+            return ConstraintSystem(cs.algebra, cs.unknowns, rows)
+
+        st = stabilize(system, windows)
+        assert st.basis.vectors == stabilized_by_full_kernels(
+            [build_constraints(alg, deg, w) for w in windows])
+        assert skipped[0] > 0
+
+    def test_skipping_halves_the_rule_calls(self, monkeypatch):
+        # the benchmark's S(-4) odd job made 107,970 rule calls before pairs
+        # were skipped and later windows seeded
+        alg = builtin_algebra("S", Fraction(-4))
+        calls = _count_rule_calls(monkeypatch, alg)
+        report = classify(alg, ODD, (3, 3), [Window(2, 6), Window(3, 7)])
+        assert [(d.r, d.s, d.matched_names) for d in report.degrees] == [(0, -2, ["gamma"])]
+        assert calls[0] <= 46_000
+
+    def test_materialised_rows_skip_nothing(self):
+        # build_constraints, and so check_map, reads every pair with a nonzero row
+        alg = builtin_algebra("S", Fraction(-4))
+        deg, w = MapDegree(ODD, 0, -2), Window(2, 6)
+        pairs = list(_shell_pairs(w, _parity_pairs(alg, deg)))
+        nonzero = [p for p in pairs if list(halfder._rows(alg, deg, w, [p]))]
+        assert len(build_constraints(alg, deg, w).rows) == len(nonzero)
 
 
 class TestBuiltinMaps:
