@@ -19,12 +19,14 @@ layer with one common factor.
 Antisymmetry and Jacobi first try a proof for all indices: their residuals
 are polynomials in the free indices of bounded degree, so vanishing on the
 small box `certifying_grid` returns proves them everywhere (Alon's
-Combinatorial Nullstellensatz).  When the window does not contain that box,
-or the box shows a violation, every pair or triple of the window is
-enumerated.  Either way a report's `checked` counts the pairs or triples of
-the window it covers.  Once antisymmetry is proved, a permutation of
-(x, y, z) changes the Jacobi residual only by a sign, so a failing Jacobi
-check counts its total once per multiset {x, y, z} (`s3_orbits`).
+Combinatorial Nullstellensatz).  Brackets are total, so the box need not lie
+in the window.  When the box shows a violation, every pair or triple of the
+window is enumerated.  Either way a report's `checked` counts the pairs or
+triples of the window it covers.  Antisymmetry is proved once per compiled
+algebra (`CompiledAlgebra.antisymmetric`).  Where it holds, a permutation of
+(x, y, z) changes the Jacobi residual only by a sign, so every triple walk
+takes one triple per multiset {x, y, z} (`triple_orbits`): the Jacobi box
+proof, and the total of a failing Jacobi check.
 
 The scalar layer (`bracket_coeff`, `bracket_basis`, `bracket_vec`,
 `jacobi_sides`) computes exact `Fraction` or `RatFunc` values by lifting the
@@ -38,6 +40,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import lcm
 from typing import Callable, Iterable, NamedTuple
@@ -323,6 +326,7 @@ class CompiledAlgebra:
 
         self.pair: dict[tuple[Parity, Parity], Callable[[int, int, int, int], object]] = {
             key: self._compile(monos) for key, monos in spec.rules.items()}
+        self.antisymmetry_box = certifying_grid(spec, 1).basis(spec.parities)
 
         if self.generic:
             self.vmul, self.vadd, self.vsub = _tup_mul, _tup_add, _tup_sub
@@ -353,6 +357,15 @@ class CompiledAlgebra:
             body = " + ".join(parts) if parts else "0"
         fn = eval("lambda m,i,n,j: " + body, {"__builtins__": {}}, {})  # noqa: S307 - self-generated source
         return fn
+
+    @cached_property
+    def antisymmetric(self) -> bool:
+        """Graded antisymmetry holds at every index: its residual vanishes on
+        `antisymmetry_box`, the basis of `certifying_grid(spec, 1)`.  Brackets
+        are total on Z x Z, so no window limits this proof."""
+        residual = _antisymmetry_residual(self)
+        return not any(residual(*pair)
+                       for pair in combinations_with_replacement(self.antisymmetry_box, 2))
 
     def coeff(self, x: BasisIndex, y: BasisIndex):
         """The evaluated structure constant of [x, y]."""
@@ -476,34 +489,32 @@ class _ViolationLog:
 def check_identity(cases: Iterable[tuple[BasisIndex, ...]],
                    residual: Callable[..., object],
                    sides: Callable[..., tuple[object, object]], checked: int,
-                   proof: Iterable[tuple[BasisIndex, ...]] | None = None,
-                   orbits: Callable[[], Iterable[tuple[tuple[BasisIndex, ...], int]] | None]
-                   | None = None) -> VerificationReport:
+                   proved: bool = False,
+                   orbits: Iterable[tuple[tuple[BasisIndex, ...], int]] | None = None
+                   ) -> VerificationReport:
     """The identity-check kernel of every suite.
 
     `residual(*case)` is truthy where the identity fails at a case (a tuple
     of basis indices); `sides(*case)` builds a witness's scalar (lhs, rhs)
-    only while the report keeps witnesses.  When the residual vanishes on
-    every `proof` case, the caller's proof covers `cases` and the report
-    passes without enumerating them.  `checked` counts the cases covered.
+    only while the report keeps witnesses.  `proved` is the caller's verdict
+    that the identity holds on every case; the report then passes without a
+    walk.  Otherwise `cases` are walked in order.  `checked` counts the
+    cases covered.
 
-    With `orbits`, `orbits()` is called once the report keeps
-    MAX_REPORT_VIOLATIONS witnesses.  It returns None, and the walk goes on
-    over the rest of `cases`, or it yields one (case, weight) for each class
-    of `cases` on which the residual vanishes or not together, where weight
-    is the class's size; the walk then stops and those classes count the
-    total.  `s3_orbits` builds such a callable for triples.
+    `orbits`, when given, yields one (case, weight) for each class of
+    `cases` on which the residual vanishes or not together, where weight is
+    the class's size (`triple_orbits` for triples).  Once the report keeps
+    MAX_REPORT_VIOLATIONS witnesses the walk stops, and those classes count
+    the total.
     """
     log = _ViolationLog()
-    if proof is None or any(residual(*case) for case in proof):
+    if not proved:
         for case in cases:
             if residual(*case):
                 log.record(case, lambda: sides(*case))
                 if orbits is not None and len(log.items) == MAX_REPORT_VIOLATIONS:
-                    classes, orbits = orbits(), None
-                    if classes is not None:
-                        log.total = sum(weight for rep, weight in classes if residual(*rep))
-                        break
+                    log.total = sum(weight for rep, weight in orbits if residual(*rep))
+                    break
     return log.report(checked)
 
 
@@ -519,19 +530,25 @@ def multiset_orbits(basis: list[BasisIndex]) -> Iterable[tuple[tuple[BasisIndex,
             for x, y, z in combinations_with_replacement(basis, 3))
 
 
-def s3_orbits(alg: AlgebraSpec, w: Window, fallback: Iterable | None,
-              antisymmetry: VerificationReport | None = None) -> Callable[[], Iterable | None]:
-    """`check_identity`'s `orbits` for a residual on the triples of w whose
-    vanishing graded antisymmetry makes constant on each S3 orbit of
-    (x, y, z): the Jacobiator, and the Hom-Lie standard sum.
+def triple_orbits(comp: "CompiledAlgebra", basis: list[BasisIndex]
+                  ) -> Iterable[tuple[tuple[BasisIndex, ...], int]] | None:
+    """The orbit rule of every walk over the triples of `basis` whose residual
+    a permutation of (x, y, z) changes only by a sign once graded
+    antisymmetry holds: the Jacobiator, and the Hom-Lie standard sum.
 
-    The call returns `multiset_orbits` of the window basis when
-    `_antisymmetry_proved(alg, w, antisymmetry)`, otherwise `fallback`.  The
-    proof runs only when the count is reached, so a passing suite never pays
-    for it.
+    When `comp.antisymmetric`, `multiset_orbits`: one (triple, size) per
+    multiset {x, y, z}.  Otherwise None, and a walk takes every triple.
     """
-    return lambda: (multiset_orbits(w.basis(alg.parities))
-                    if _antisymmetry_proved(alg, w, antisymmetry) else fallback)
+    return multiset_orbits(basis) if comp.antisymmetric else None
+
+
+def vanishes_on_triples(comp: "CompiledAlgebra", residual: Callable[..., object],
+                        basis: list[BasisIndex]) -> bool:
+    """Whether `residual` vanishes on every triple of `basis`, evaluated on
+    the triples `triple_orbits` takes."""
+    orbits = triple_orbits(comp, basis)
+    triples = product(basis, repeat=3) if orbits is None else (t for t, _ in orbits)
+    return not any(residual(*t) for t in triples)
 
 
 def certifying_grid(alg: AlgebraSpec, factors: int) -> Window:
@@ -561,40 +578,22 @@ def _antisymmetry_residual(comp: CompiledAlgebra) -> Callable[[BasisIndex, Basis
     return residual
 
 
-def _antisymmetry_proved(alg: AlgebraSpec, w: Window,
-                         report: VerificationReport | None = None) -> bool:
-    """Graded antisymmetry holds at every index: w contains the certifying
-    box `certifying_grid(alg, 1)`, and the residual vanishes on it.  With the
-    box inside w, `verify_antisymmetry`'s `report` on w passes exactly then.
-    """
-    grid = certifying_grid(alg, 1)
-    if not grid <= w:
-        return False
-    if report is not None:
-        return report.passed
-    residual = _antisymmetry_residual(alg.compiled())
-    return not any(
-        residual(*pair) for pair in combinations_with_replacement(grid.basis(alg.parities), 2))
-
-
-def _antisymmetry(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationReport:
+def _antisymmetry(alg: AlgebraSpec, w: Window, proved: bool) -> VerificationReport:
     basis = w.basis(alg.parities)
     return check_identity(
         combinations_with_replacement(basis, 2), _antisymmetry_residual(alg.compiled()),
         lambda x, y: (bracket_basis(alg, x, y), bracket_basis(alg, y, x).scale(
             from_fraction(1 if (x.parity & y.parity) else -1, alg.q))),
-        len(basis) * (len(basis) + 1) // 2,
-        combinations_with_replacement(grid.basis(alg.parities), 2) if grid and grid <= w
-        else None)
+        len(basis) * (len(basis) + 1) // 2, proved)
 
 
 def verify_antisymmetry(alg: AlgebraSpec, w: Window) -> VerificationReport:
     """Check [x,y] + (-1)^{|x||y|} [y,x] = 0 on all unordered basis pairs in w.
 
-    Proved on the certifying grid when w contains it; otherwise, or when the
-    grid shows a violation, every pair of w is enumerated.
+    Passes without a walk when `CompiledAlgebra.antisymmetric` proves it at
+    every index; otherwise every pair of w is enumerated.
     """
-    return _antisymmetry(alg, w, certifying_grid(alg, 1))
+    return _antisymmetry(alg, w, alg.compiled().antisymmetric)
 
 
 def jacobi_sides(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex,
@@ -614,8 +613,7 @@ def jacobi_sides(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex,
     return lhs, rhs
 
 
-def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None,
-            antisymmetry: VerificationReport | None = None) -> VerificationReport:
+def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationReport:
     comp = alg.compiled()
     pair = comp.pair
     vmul, vadd, vsub, vis_zero = comp.vmul, comp.vadd, comp.vsub, comp.vis_zero
@@ -628,23 +626,21 @@ def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None,
         return not vis_zero((vadd if px & py else vsub)(vsub(x_yz, xy_z), y_xz))
 
     basis = w.basis(alg.parities)
+    proved = grid is not None and vanishes_on_triples(comp, residual, grid.basis(alg.parities))
     return check_identity(
         product(basis, repeat=3), residual,
-        lambda x, y, z: jacobi_sides(alg, x, y, z), len(basis) ** 3,
-        product(grid.basis(alg.parities), repeat=3) if grid and grid <= w else None,
-        s3_orbits(alg, w, None, antisymmetry) if grid else None)
+        lambda x, y, z: jacobi_sides(alg, x, y, z), len(basis) ** 3, proved,
+        triple_orbits(comp, basis) if grid else None)
 
 
-def verify_jacobi(alg: AlgebraSpec, w: Window,
-                  antisymmetry: VerificationReport | None = None) -> VerificationReport:
+def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
     """Check the graded Jacobi identity [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]
     on all basis triples in w; symbolic in q when the algebra is generic.
 
-    Proved on the certifying grid when w contains it; otherwise, or when the
-    grid shows a violation, the triples of w are walked in window order.
-    Once the report keeps its witnesses, the total is counted once per
-    multiset {x, y, z} when antisymmetry is proved (`s3_orbits`), and the
-    walk goes on over every triple otherwise; `verify_antisymmetry`'s
-    report on w, when given, stands in for that proof.
+    Passes without a walk when the residual vanishes on the certifying grid
+    `certifying_grid(alg, 2)`, which proves it at every index, whatever the
+    window.  Otherwise the triples of w are walked in window order until the
+    report keeps its witnesses, and the total is counted by `triple_orbits`.
+    The grid proof takes its triples from `triple_orbits` too.
     """
-    return _jacobi(alg, w, certifying_grid(alg, 2), antisymmetry)
+    return _jacobi(alg, w, certifying_grid(alg, 2))

@@ -95,7 +95,7 @@ def cmd_verify_algebra(args) -> int:
     label, alg = _load_algebra(args)
     w = Window.parse(args.window)
     rep_anti = verify_antisymmetry(alg, w)
-    rep_jac = verify_jacobi(alg, w, rep_anti)
+    rep_jac = verify_jacobi(alg, w)
     passed = rep_anti.passed and rep_jac.passed
     _emit(args, {"algebra": label, "q": format_q(alg.q), "window": str(w),
                  "antisymmetry": rep_anti.to_json_dict(),

@@ -18,8 +18,9 @@ terms does, and each term is first proved on its own with less work:
   basis (`id`, `epsilon`, `shift`), agrees on the window with a map defined
   on all of Z x Z.  Its standard residual is then a polynomial in the
   indices, of the degree a Jacobi residual has, so it is proved on the
-  certifying grid (`algebra.certifying_grid`) when the window contains that
-  grid.  The literal middle term [phi(y),[z,y]] puts y in both slots of one
+  certifying grid (`algebra.certifying_grid`), over the triples
+  `algebra.triple_orbits` takes, when the window contains that grid.  The
+  literal middle term [phi(y),[z,y]] puts y in both slots of one
   bracket, which that degree bound does not cover, so a dense term never
   proves the literal form;
 * any other term (or one that is zero on the window) is sparse.  Its
@@ -39,14 +40,13 @@ When a term is not proved, the combination is checked over the window as a
 whole, and that check alone decides the report.  The standard sum is
 unchanged by rotating (x, y, z), and where the bracket is graded
 antisymmetric, swapping two arguments changes it only by a sign, since each
-inner bracket does.  So it is evaluated at most once per triple:
+inner bracket does.  So:
 
 * a witness walk evaluates it in window order and stops once the report
   keeps its 100 witnesses;
-* the total is then counted with one evaluation per class, weighted by its
-  size: per multiset {x, y, z} (6, 3 or 1) when antisymmetry is proved for
-  all indices (`algebra.s3_orbits`), otherwise per rotation orbit (3, or 1
-  when x = y = z);
+* when the compiled algebra is antisymmetric, the total is then counted with
+  one evaluation per multiset {x, y, z}, weighted by its size (6, 3 or 1);
+  otherwise the walk goes on over every triple (`algebra.triple_orbits`);
 * the literal flag comes from a search in window order that stops at the
   first nonzero literal sum.
 """
@@ -57,7 +57,8 @@ from itertools import chain, product
 
 from .algebra import (AlgebraSpec, BasisIndex, CompiledAlgebra, SparseVector,
                       VerificationReport, Window, _ViolationLog, bracket_vec,
-                      certifying_grid, check_identity, s3_orbits)
+                      certifying_grid, check_identity, triple_orbits,
+                      vanishes_on_triples)
 from .halfder import GradedMap, MapCombo, combo_apply
 from .scalars import scalar_one
 
@@ -142,20 +143,6 @@ def _cyclic_sums(comp: CompiledAlgebra, phi: dict):
     return standard, literal
 
 
-def _rotation_orbits(basis: list[BasisIndex]):
-    """(triple, size) for each orbit of window triples under rotating
-    (x, y, z): size 3, or 1 when x = y = z.
-
-    Each orbit is met once, at the positions (a, b, c) in the basis with
-    a <= b, a <= c and not c == a < b.
-    """
-    n = len(basis)
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(a if b == a else a + 1, n):
-                yield (basis[a], basis[b], basis[c]), 1 if a == b == c else 3
-
-
 def _is_dense(gm: GradedMap, basis: list[BasisIndex]) -> bool:
     """The table is one constant per parity (maybe zero) on the window basis."""
     values: dict[int, set] = {}
@@ -197,7 +184,7 @@ def _proved_terms(comp: CompiledAlgebra, terms: MapCombo, basis: list[BasisIndex
         if not phi or not _is_dense(term[1], basis):
             std, lit = _sparse_proof(standard, literal_sum, basis, phi)
         elif grid_basis is not None:
-            std = not any(standard(*t) for t, _ in _rotation_orbits(grid_basis))
+            std = vanishes_on_triples(comp, standard, grid_basis)
             lit = False
         else:
             return None
@@ -229,7 +216,7 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
         if literal is None:
             report = check_identity(product(basis, repeat=3), standard,
                                     _witness(alg, terms), checked,
-                                    orbits=s3_orbits(alg, w, _rotation_orbits(basis)))
+                                    orbits=triple_orbits(comp, basis))
         elif grid_basis is not None:
             candidates = chain(product(grid_basis, repeat=3), candidates)
         literal = not any(literal_sum(*t) for t in candidates)

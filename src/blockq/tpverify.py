@@ -58,7 +58,6 @@ class ProductTable:
     is_super: bool
     entries: dict[PairKey, SparseVector] = field(default_factory=dict)
     q: Fraction | None = None
-    name: str | None = None
 
     def put(self, x: BasisIndex, y: BasisIndex, value: SparseVector) -> None:
         if (y, x) < (x, y):
@@ -155,19 +154,19 @@ def builtin_tp(name: str, q: Fraction | None, *, is_super: bool = False) -> Prod
     trivial:               the zero product (the baseline answer).
     """
     if name == "trivial":
-        return ProductTable(is_super=is_super, q=q, name=name)
+        return ProductTable(is_super=is_super, q=q)
     if name == "block_thalg":
         if q is None or q.denominator != 1:
             raise WrongQ(f"block_thalg needs q in Z, got {format_q(q)}")
         qi = q.numerator
-        prod = ProductTable(is_super=False, q=q, name=name)
+        prod = ProductTable(is_super=False, q=q)
         src = BasisIndex(EVEN, 0, -2 * qi)
         prod.put(src, src, SparseVector.basis(BasisIndex(EVEN, 0, -qi), scalar_one(q)))
         return prod
     if name in ("super_full", "super_even"):
         if q is None or q != 0:
             raise WrongQ(f"{name} needs q = 0, got {format_q(q)}")
-        prod = ProductTable(is_super=True, q=q, name=name)
+        prod = ProductTable(is_super=True, q=q)
         L = BasisIndex(EVEN, 0, 0)
         one = scalar_one(q)
         prod.put(L, L, SparseVector.basis(L, one))

@@ -15,7 +15,7 @@ from blockq.tpverify import _leibniz
 
 def antisymmetry_by_enumeration(alg, w):
     """Evaluate antisymmetry on every unordered basis pair in w."""
-    return _antisymmetry(alg, w, None)
+    return _antisymmetry(alg, w, False)
 
 
 def jacobi_by_enumeration(alg, w):

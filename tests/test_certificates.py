@@ -3,11 +3,12 @@
 `verify_antisymmetry` and `verify_jacobi` prove a window on the certifying
 grid, `hom_jacobi_check` proves each term of a combination on the grid or on
 the triples touching its support (and otherwise walks the window for
-witnesses and counts the total over rotation orbits), a failing Jacobi or
-Hom-Lie check counts its total over multisets {x, y, z} once antisymmetry is
-proved, and `verify_transposed_leibniz` evaluates only the pairs touching a
-product partner.  Each must report exactly what enumerating the whole window
-reports: the same counts, flags and witnesses in the same order.
+witnesses), a failing Jacobi or Hom-Lie check counts its total over
+multisets {x, y, z} once the compiled algebra proves antisymmetry and over
+every triple otherwise, and `verify_transposed_leibniz` evaluates only the
+pairs touching a product partner.  Each must report exactly what
+enumerating the whole window reports: the same counts, flags and witnesses
+in the same order.
 """
 
 from fractions import Fraction
@@ -22,12 +23,11 @@ from oracles import (antisymmetry_by_enumeration, hom_jacobi_by_enumeration,
 
 from blockq import algebra
 from blockq.algebra import (EVEN, MAX_REPORT_VIOLATIONS, BasisIndex, SparseVector,
-                            Window, _antisymmetry_proved, certifying_grid,
-                            index_from_json, multiset_orbits, verify_antisymmetry,
-                            verify_jacobi)
+                            Window, certifying_grid, index_from_json, multiset_orbits,
+                            verify_antisymmetry, verify_jacobi)
 from blockq.cli import main, parse_map_expr
 from blockq.halfder import GradedMap, MapDegree, builtin_map, shift_map
-from blockq.homlie import _rotation_orbits, hom_cyclic_sum, hom_jacobi_check
+from blockq.homlie import hom_cyclic_sum, hom_jacobi_check
 from blockq.scalars import from_fraction
 from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
 from blockq.tpverify import ProductTable, builtin_tp, verify_transposed_leibniz
@@ -268,25 +268,8 @@ def walk_stop(report: dict, basis: list[BasisIndex]) -> int | None:
 
 class TestHomLieOrbits:
     """The failing path: a witness walk in window order, the total counted
-    over orbits (rotation orbits when antisymmetry is not proved), and the
-    literal flag from a search with an early exit."""
-
-    def test_orbits_cover_the_window_once(self):
-        # every triple lies in exactly one orbit, met at its first member in
-        # window order, and the weights are the orbit sizes, summing to n^3
-        for n in (1, 2, 3, 4):
-            basis = [L(0, k) for k in range(n)]
-            seen = set()
-            for triple, weight in _rotation_orbits(basis):
-                x, y, z = triple
-                orbit = {(x, y, z), (y, z, x), (z, x, y)}
-                assert window_position(basis, triple) == min(
-                    window_position(basis, t) for t in orbit)
-                assert weight == len(orbit)
-                assert not orbit & seen
-                seen |= orbit
-            assert len(seen) == n ** 3
-            assert sum(weight for _, weight in _rotation_orbits(basis)) == n ** 3
+    over multisets (over every triple when antisymmetry is not proved), and
+    the literal flag from a search with an early exit."""
 
     @given(case=hom_cases(windows=(("B", Fraction(2), Window(1, 2)),
                                    ("B", Fraction(0), Window(1, 1)),
@@ -388,6 +371,24 @@ def spy_on(monkeypatch, module, name) -> list:
     return calls
 
 
+def count_antisymmetry_residuals(monkeypatch) -> dict:
+    """Calls of every antisymmetry residual built from now on, by compiled
+    algebra."""
+    calls: dict = {}
+    residual_for = algebra._antisymmetry_residual
+
+    def counting(comp):
+        residual = residual_for(comp)
+        calls.setdefault(comp, 0)
+
+        def spy(x, y):
+            calls[comp] += 1
+            return residual(x, y)
+        return spy
+    monkeypatch.setattr(algebra, "_antisymmetry_residual", counting)
+    return calls
+
+
 class TestS3Orbits:
     """With antisymmetry proved on its box, a failing Jacobi or Hom-Lie
     standard check counts its total once per multiset {x, y, z}."""
@@ -412,7 +413,7 @@ class TestS3Orbits:
     @settings(max_examples=25, deadline=None)
     def test_jacobi_counts_match_enumeration(self, case):
         alg, w = case
-        assert _antisymmetry_proved(alg, w)
+        assert alg.compiled().antisymmetric
         got = verify_jacobi(alg, w).to_json_dict()
         assume(got.get("total_violations", 0) > MAX_REPORT_VIOLATIONS)
         assert got == jacobi_by_enumeration(alg, w).to_json_dict()
@@ -421,7 +422,7 @@ class TestS3Orbits:
     @settings(max_examples=25, deadline=None)
     def test_hom_counts_match_enumeration(self, case, data):
         alg, w = case
-        assert _antisymmetry_proved(alg, w)
+        assert alg.compiled().antisymmetric
         terms = [(from_fraction(1, alg.q), shift_map(alg, w))]
         if data.draw(st.booleans()):
             terms.append((from_fraction(data.draw(coeffs), alg.q),
@@ -430,26 +431,40 @@ class TestS3Orbits:
         assume(got.get("total_violations", 0) > MAX_REPORT_VIOLATIONS)
         assert got == hom_jacobi_by_enumeration(alg, terms, w).to_json_dict()
 
-    def test_unproved_antisymmetry_keeps_the_old_count(self, monkeypatch):
-        # the mutated B spec fails antisymmetry; the antisymmetric cubic
-        # spec needs a 2x2 box, larger than its window: Jacobi enumerates
-        # every triple and Hom-Lie counts rotation orbits
-        proofs = spy_on(monkeypatch, algebra, "_antisymmetry_proved")
+    def test_unproved_antisymmetry_walks_every_triple(self, monkeypatch):
+        # the mutated B spec fails antisymmetry: Jacobi and Hom-Lie walk
+        # every triple, and no multiset is counted
         multisets = spy_on(monkeypatch, algebra, "multiset_orbits")
-        for rules, q, w in ((MUTATED_B, None, Window(2, 2)),
-                            (ANTI_CUBIC, Fraction(2), Window(2, 1))):
-            alg = spec(rules, q)
-            jac = verify_jacobi(alg, w).to_json_dict()
-            assert jac["total_violations"] > MAX_REPORT_VIOLATIONS
-            assert jac == jacobi_by_enumeration(alg, w).to_json_dict()
-            got = assert_hom_same(alg, shift_map(alg, w), w)
-            assert got["total_violations"] > MAX_REPORT_VIOLATIONS
-        assert len(proofs) == 4 and not multisets
+        alg, w = spec(MUTATED_B, None), Window(2, 2)
+        assert not alg.compiled().antisymmetric
+        jac = verify_jacobi(alg, w).to_json_dict()
+        assert jac["total_violations"] > MAX_REPORT_VIOLATIONS
+        assert jac == jacobi_by_enumeration(alg, w).to_json_dict()
+        got = assert_hom_same(alg, shift_map(alg, w), w)
+        assert got["total_violations"] > MAX_REPORT_VIOLATIONS
+        assert not multisets
+
+    def test_antisymmetry_is_proved_off_the_window(self, monkeypatch):
+        # the antisymmetric cubic spec's 2x2 box exceeds the 2x1 window;
+        # brackets are total on Z x Z, so the box proves antisymmetry anyway,
+        # and the Jacobi box proof and the failing Jacobi and Hom-Lie totals
+        # take multisets
+        multisets = spy_on(monkeypatch, algebra, "multiset_orbits")
+        alg, w = spec(ANTI_CUBIC, Fraction(2)), Window(2, 1)
+        assert not certifying_grid(alg, 1) <= w
+        assert alg.compiled().antisymmetric
+        assert verify_antisymmetry(alg, w).passed
+        jac = verify_jacobi(alg, w).to_json_dict()
+        assert jac["total_violations"] > MAX_REPORT_VIOLATIONS
+        assert jac == jacobi_by_enumeration(alg, w).to_json_dict()
+        got = assert_hom_same(alg, shift_map(alg, w), w)
+        assert got["total_violations"] > MAX_REPORT_VIOLATIONS
+        assert len(multisets) == 3
 
     def test_verify_algebra_proves_antisymmetry_once(self, monkeypatch, tmp_path):
         # the mutated S spec passes antisymmetry on its 1x1 box of 171 pairs
-        # and fails Jacobi past the witness limit: the S3 count takes the
-        # antisymmetry report's verdict instead of evaluating the box again
+        # and fails Jacobi past the witness limit: the S3 count reads the
+        # compiled algebra's verdict instead of evaluating the box again
         calls = [0]
         residual_for = algebra._antisymmetry_residual
 
@@ -473,17 +488,47 @@ class TestS3Orbits:
 
     @pytest.mark.parametrize("q", [None, Fraction(2)])
     def test_a_pass_off_the_box_proves_nothing(self, q):
-        # the antisymmetry report passes on 1x2 but does not cover the box,
-        # so the Jacobi total is not counted over multisets
+        # the antisymmetry report passes on 1x2 but not on the 2x2 box, so
+        # the Jacobi total is not counted over multisets
         alg, w = spec(RIM_CUBIC, q), Window(1, 2)
         anti = verify_antisymmetry(alg, w)
-        assert anti.passed and not _antisymmetry_proved(alg, Window(2, 2))
-        got = verify_jacobi(alg, w, anti).to_json_dict()
+        assert anti.passed and not alg.compiled().antisymmetric
+        got = verify_jacobi(alg, w).to_json_dict()
         assert got["total_violations"] > MAX_REPORT_VIOLATIONS
         assert got == jacobi_by_enumeration(alg, w).to_json_dict()
 
-    def test_passing_suites_skip_the_proof(self, monkeypatch, capsys):
-        proofs = spy_on(monkeypatch, algebra, "_antisymmetry_proved")
+    def test_library_sequence_proves_antisymmetry_once(self, monkeypatch):
+        # the library calls of verify-algebra with no report in between, as
+        # perfbench/jobs.py makes them: the box is evaluated once, for the
+        # compiled algebra, and read by both suites
+        root = Path(__file__).resolve().parents[1]
+        text = (root / "tests" / "golden" / "inputs" / "mutated_S.alg").read_text()
+        alg, w = make_algebra(parse_spec(text), None), Window(2, 1)
+        calls = count_antisymmetry_residuals(monkeypatch)
+        assert verify_antisymmetry(alg, w).passed
+        assert verify_jacobi(alg, w).total_violations > MAX_REPORT_VIOLATIONS
+        assert sum(calls.values()) == 171
+
+    def test_jacobi_box_takes_one_triple_per_multiset(self):
+        # S's 1x1 Jacobi box has 18 basis elements: 1,140 multisets, not
+        # 5,832 triples, and each residual evaluates six structure constants
+        alg, w = builtin_algebra("S", None), Window(2, 2)
+        assert verify_antisymmetry(alg, w).passed
+        comp, calls = alg.compiled(), [0]
+
+        def counting(rule):
+            def spy(*args):
+                calls[0] += 1
+                return rule(*args)
+            return spy
+        comp.pair = {key: counting(rule) for key, rule in comp.pair.items()}
+        assert verify_jacobi(alg, w).passed
+        assert calls[0] == 6 * 1140
+
+    def test_each_algebra_proves_antisymmetry_once(self, monkeypatch, capsys):
+        # passing suites evaluate each algebra's antisymmetry box at most
+        # once and walk no window pair
+        calls = count_antisymmetry_residuals(monkeypatch)
         for argv in (["verify-algebra", "--algebra", "S", "--q", "generic", "--window", "2x2"],
                      ["verify-algebra", "--algebra", "B", "--q", "2", "--window", "1x1"],
                      ["hom-check", "--algebra", "B", "--q", "2", "--map", "id + alpha",
@@ -497,7 +542,11 @@ class TestS3Orbits:
         w = Window(2, 1)
         ident = builtin_map("id", alg, w)
         assert hom_jacobi_check(alg, [(Fraction(1), ident), (Fraction(-1), ident)], w).passed
-        assert not proofs
+        # gamma's sparse proof at S(0) never asks for antisymmetry
+        assert len(calls) == 4
+        for comp, n in calls.items():
+            box = len(comp.antisymmetry_box)
+            assert n <= box * (box + 1) // 2
 
 
 @st.composite

@@ -65,6 +65,12 @@ CASES = {
     "hom_check_S_1_2_shift_1x2": (
         ["hom-check", "--algebra", "S", "--q", "1/2", "--map", "shift",
          "--window", "1x2"], 1),
+    # recorded before the orbit rule for triples moved onto the compiled
+    # algebra: a failing twist of a spec that fails antisymmetry, so its
+    # total is counted over every triple
+    "hom_check_mutated_B_2_shift_2x2": (
+        ["hom-check", "--spec", f"{INPUTS}/mutated_B.alg", "--q", "2", "--map", "shift",
+         "--window", "2x2"], 1),
     "hom_check_B_2_id_minus_2shift_2x2": (
         ["hom-check", "--algebra", "B", "--q", "2", "--map", "id - 2*shift",
          "--window", "2x2"], 1),
