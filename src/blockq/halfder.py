@@ -16,11 +16,15 @@ solver.  It reads the rows in order:
   rank equal to the number of live unknowns, the kernel is zero, proved
   (reducing mod p and specialising q can only lower rank), and the remaining
   rows are never read, so a lazy row source never builds them;
-* otherwise, after the last row and one more batch, the kept rows that
-  became pivots of that same pass are solved exactly over the active field
-  on the live unknowns, certified by checking every kept row against every
-  kernel vector in integer arithmetic.  If one row fails, the mod-p rank fell
-  short, and all kept rows are solved exactly instead.
+* otherwise, after the last row and one more batch, the kernel is read off
+  that same echelon: one vector per live non-pivot column, each residue
+  lifted to Q by rational reconstruction (a q-free constant in generic
+  mode).  The lift is certified in three parts: the exact kernel has at
+  most that many dimensions (the mod-p rank can only be lower), each vector
+  is zero on the forced unknowns and satisfies every kept row in integer
+  arithmetic, and the vectors are independent, each having its own free
+  column.  So they span the kernel.  If a residue has no lift or a row
+  fails, all kept rows are solved exactly instead.
 
 The result is the exact space in canonical reduced echelon form, pivots at
 the least labels.  `stabilize` takes a system per window and intersects the
@@ -47,7 +51,7 @@ One echelon routine, `_insert_row` (leftmost pivot, mutually reduced rows),
 does all exact elimination: the kernel, the reduced echelon form of a span,
 the intersection of two spans by the Zassenhaus algorithm, membership by rank.
 One more, `_modp_pivot_rows`, does all elimination mod p: the early stop and
-the choice of rows for the exact solve.
+the lifted kernel.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd, isqrt
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, CompiledAlgebra, Parity,
@@ -401,21 +406,21 @@ class _ModpEchelon:
 
 
 def _modp_pivot_rows(ech: _ModpEchelon, rows: Iterable[Sequence[tuple[int, object]]],
-                     generic: bool, ncols: int) -> list[int]:
-    """Add rows to the echelon mod _PRIME; indices of those that became pivots.
+                     generic: bool, ncols: int) -> None:
+    """Add rows to the echelon mod _PRIME; stop at ncols pivots (full column rank).
 
-    Stops once the echelon holds ncols pivots (full column rank).  The
-    number r of pivots bounds the exact rank of the rows fed from below: an
-    r x r minor that is nonzero mod _PRIME at q = _Q0 is nonzero over Q,
-    and over Q(q).  A new row needs one pass over the pivot rows of its own
-    columns, since pivot rows are mutually reduced.
+    The number r of pivots bounds the exact rank of the rows fed from below:
+    an r x r minor that is nonzero mod _PRIME at q = _Q0 is nonzero over Q,
+    and over Q(q).  So ncols - r, the non-pivot columns, bounds their exact
+    kernel's dimension from above (`_lifted_kernel`).  A new row needs one
+    pass over the pivot rows of its own columns, since pivot rows are
+    mutually reduced.
     """
     p, q0 = _PRIME, _Q0
     pivots, users = ech.pivots, ech.users
-    chosen: list[int] = []
     # the row subtractions are written out: a call per subtraction cost
     # about 7 % of classify at fixed q
-    for k, entries in enumerate(rows):
+    for entries in rows:
         row = {}
         for u, v in entries:
             if generic:
@@ -457,10 +462,52 @@ def _modp_pivot_rows(ech: _ModpEchelon, rows: Iterable[Sequence[tuple[int, objec
         for c in new:
             if c != piv:
                 users.setdefault(c, set()).add(piv)
-        chosen.append(k)
         if len(pivots) == ncols:
             break
-    return chosen
+
+
+def _reconstruct(u: int) -> Fraction | None:
+    """The fraction a/b = u mod _PRIME with |a|, b <= isqrt(_PRIME // 2), or None.
+
+    Wang's rational reconstruction: the extended Euclidean algorithm on
+    (_PRIME, u), stopped at the first remainder within the bound, finds a/b
+    whenever it exists (von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 5).  For an odd prime two such fractions a/b and c/d have
+    |ad - bc| < _PRIME, so at most one exists.
+    """
+    p = _PRIME
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, u % p, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1 = r1, r0 - k * r1
+        t0, t1 = t1, t0 - k * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lifted_kernel(ech: _ModpEchelon, live: Sequence[int], forced: bytearray,
+                   q: Fraction | None) -> list[dict] | None:
+    """One vector per live non-pivot column f of the echelon: one at f and
+    minus column f at each pivot, every residue lifted by `_reconstruct` (to
+    a q-free constant in generic mode).  None when a residue has no lift or
+    a vector has an entry at a forced column; the caller checks the rows.
+    """
+    p, pivots, users = _PRIME, ech.pivots, ech.users
+    one = scalar_one(q)
+    vecs = []
+    for f in live:
+        if f in pivots:
+            continue
+        vec = {f: one}
+        for piv in users.get(f, ()):
+            c = _reconstruct(-pivots[piv][f] % p)
+            if c is None or forced[piv]:
+                return None
+            vec[piv] = from_fraction(c, q)
+        vecs.append(vec)
+    return vecs
 
 
 def _row_violated(ivec: dict, comp: CompiledAlgebra) -> Callable[[Entries], bool]:
@@ -526,13 +573,19 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
     in no kept row, since the rank on the live columns cannot be full then.
     This delays no stop, and a system that propagation settles alone feeds
     the echelon much less.  After the last row one more batch runs, unless
-    no kept row has a live entry left.  The kept rows that became pivots
-    then span the kept rows on the live columns mod p, so their exact rank
-    is at least the echelon's rank on them.  The kernel of those rows, on
-    the live columns, is solved exactly; it contains the true kernel and is
-    the answer once every kept row vanishes on it, checked in integer
-    arithmetic.  When one does not, the mod-p rank fell short of the exact
-    rank, and all kept rows are solved exactly instead.
+    no kept row has a live entry left.
+
+    The kernel is then lifted from the echelon, one vector per live
+    non-pivot column (`_lifted_kernel`), and certified in three parts.
+    Upper bound: as for the early stop, the exact kernel's dimension is at
+    most the number of live non-pivot columns (a forced column the echelon
+    has not seen would add a unit row).  Exact check: each vector is zero
+    on the forced unknowns and every kept row vanishes on it, in integer
+    arithmetic.  Independence: each vector has its own free column.  So
+    the vectors span the kernel.  When a residue has no lift or a kept row
+    fails (the kernel depends on q, an entry lies beyond the reconstruction
+    bound, or the mod-p rank fell short), all kept rows are solved exactly
+    instead.
     """
     comp, unknowns = cs.algebra, cs.unknowns
     n = len(unknowns)
@@ -541,7 +594,6 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
     ech = _ModpEchelon()
     unit = (1,) if comp.generic else 1
     units = kept = 0  # forced columns and kept rows the echelon has seen
-    pivot_rows: list[int] = []  # kept rows that became pivots
 
     def batch() -> bool:
         """Feed `ech` what propagation did since the last batch; True at rank n."""
@@ -549,11 +601,10 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
         new_units = prop.order[units:]
         ids = [rid for rid in range(kept, len(counts)) if counts[rid] >= 2]
         units, kept = len(prop.order), len(counts)
-        chosen = _modp_pivot_rows(
+        _modp_pivot_rows(
             ech, [[(u, unit)] for u in new_units]
             + [[(u, v) for u, v in prop.rows[rid] if not forced[u]] for rid in ids],
             comp.generic, n)
-        pivot_rows.extend(ids[k - len(new_units)] for k in chosen if k >= len(new_units))
         return len(ech.pivots) == n
 
     zero = NullSpaceBasis(dimension=0, vectors=[])
@@ -563,23 +614,17 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
             return zero
         if not k % _BATCH and all(occ[u] for u in range(n) if not forced[u]) and batch():
             return zero
-    residual = [rid for rid, count in enumerate(counts) if count >= 2]
+    residual = [prop.rows[rid] for rid, count in enumerate(counts) if count >= 2]
     if residual and batch():
         return zero
 
     live = [u for u in range(n) if not forced[u]]
-    lift = (lambda v: RatFunc(Poly(v))) if comp.generic else Fraction
-    one = scalar_one(comp.q)
-
-    def kernel(rids: Iterable[int]) -> list[dict]:
-        return _kernel([{u: lift(v) for u, v in prop.rows[rid] if not forced[u]}
-                        for rid in rids], live, one)
-
-    # a pivot row whose columns were all forced later is empty on the live ones
-    vecs = kernel(rid for rid in pivot_rows if counts[rid] >= 2)
-    if any(any(map(_row_violated(comp.raw(vec), comp), (prop.rows[rid] for rid in residual)))
-           for vec in vecs):
-        vecs = kernel(residual)
+    vecs = _lifted_kernel(ech, live, forced, comp.q)
+    if vecs is None or any(any(map(_row_violated(comp.raw(vec), comp), residual))
+                           for vec in vecs):
+        lift = (lambda v: RatFunc(Poly(v))) if comp.generic else Fraction
+        vecs = _kernel([{u: lift(v) for u, v in row if not forced[u]} for row in residual],
+                       live, scalar_one(comp.q))
     tables = _rref_vectors([{unknowns[u]: v for u, v in vec.items()} for vec in vecs])
     return NullSpaceBasis(dimension=len(tables), vectors=tables)
 

@@ -19,10 +19,10 @@ terms does, and each term is first proved on its own with less work:
   on all of Z x Z.  Its standard residual is then a polynomial in the
   indices, of the degree a Jacobi residual has, so it is proved on the
   certifying grid (`algebra.certifying_grid`), over the triples
-  `algebra.triple_orbits` takes, when the window contains that grid.  The
-  literal middle term [phi(y),[z,y]] puts y in both slots of one
-  bracket, which that degree bound does not cover, so a dense term never
-  proves the literal form;
+  `algebra.triple_orbits` takes for a cyclic residual, when the window
+  contains that grid.  The literal middle term [phi(y),[z,y]] puts y in
+  both slots of one bracket, which that degree bound does not cover, so a
+  dense term never proves the literal form;
 * any other term (or one that is zero on the window) is sparse.  Its
   residuals vanish unless x, y or z lies in its support, so only window
   triples touching the support are evaluated, in window order: those with
@@ -44,9 +44,10 @@ inner bracket does.  So:
 
 * a witness walk evaluates it in window order and stops once the report
   keeps its 100 witnesses;
-* when the compiled algebra is antisymmetric, the total is then counted with
-  one evaluation per multiset {x, y, z}, weighted by its size (6, 3 or 1);
-  otherwise the walk goes on over every triple (`algebra.triple_orbits`);
+* the total is then counted by `algebra.triple_orbits` for a cyclic
+  residual: one evaluation per multiset {x, y, z}, weighted by its size
+  (6, 3 or 1), when the compiled algebra is antisymmetric, and otherwise one
+  per rotation orbit, weighted by its size (3, or 1 when x = y = z);
 * the literal flag comes from a search in window order that stops at the
   first nonzero literal sum.
 """
@@ -184,7 +185,7 @@ def _proved_terms(comp: CompiledAlgebra, terms: MapCombo, basis: list[BasisIndex
         if not phi or not _is_dense(term[1], basis):
             std, lit = _sparse_proof(standard, literal_sum, basis, phi)
         elif grid_basis is not None:
-            std = vanishes_on_triples(comp, standard, grid_basis)
+            std = vanishes_on_triples(comp, standard, grid_basis, cyclic=True)
             lit = False
         else:
             return None
@@ -216,7 +217,7 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
         if literal is None:
             report = check_identity(product(basis, repeat=3), standard,
                                     _witness(alg, terms), checked,
-                                    orbits=triple_orbits(comp, basis))
+                                    orbits=triple_orbits(comp, basis, cyclic=True))
         elif grid_basis is not None:
             candidates = chain(product(grid_basis, repeat=3), candidates)
         literal = not any(literal_sum(*t) for t in candidates)

@@ -4,8 +4,8 @@
 grid, `hom_jacobi_check` proves each term of a combination on the grid or on
 the triples touching its support (and otherwise walks the window for
 witnesses), a failing Jacobi or Hom-Lie check counts its total over
-multisets {x, y, z} once the compiled algebra proves antisymmetry and over
-every triple otherwise, and `verify_transposed_leibniz` evaluates only the
+multisets {x, y, z} once the compiled algebra proves antisymmetry, and
+otherwise Jacobi over every triple and Hom-Lie over rotation orbits, and `verify_transposed_leibniz` evaluates only the
 pairs touching a product partner.  Each must report exactly what
 enumerating the whole window reports: the same counts, flags and witnesses
 in the same order.
@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from oracles import (antisymmetry_by_enumeration, hom_jacobi_by_enumeration,
                      jacobi_by_enumeration, transposed_leibniz_by_enumeration)
 
-from blockq import algebra
+from blockq import algebra, homlie
 from blockq.algebra import (EVEN, MAX_REPORT_VIOLATIONS, BasisIndex, SparseVector,
                             Window, certifying_grid, index_from_json, multiset_orbits,
-                            verify_antisymmetry, verify_jacobi)
+                            rotation_orbits, verify_antisymmetry, verify_jacobi)
 from blockq.cli import main, parse_map_expr
 from blockq.halfder import GradedMap, MapDegree, builtin_map, shift_map
 from blockq.homlie import hom_cyclic_sum, hom_jacobi_check
@@ -266,10 +266,81 @@ def walk_stop(report: dict, basis: list[BasisIndex]) -> int | None:
     return window_position(basis, last) + 1
 
 
+@st.composite
+def unantisymmetric_hom_cases(draw):
+    """(algebra, combination, window): a Lie or super spec that fails graded
+    antisymmetry, twisted by shift, maybe plus a random table."""
+    if draw(st.booleans()):
+        rules = draw(st.one_of(st.just(MUTATED_B),
+                               st.builds(lambda r: (r,), perturbed_rules(B_RULE, "+"))))
+        w = Window(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    else:
+        rules = draw(st.one_of(
+            st.builds(lambda r: S_RULES[:2] + (r,), perturbed_rules("2*q", "-")),
+            st.builds(lambda r: (r,) + S_RULES[1:], perturbed_rules(B_RULE, "+"))))
+        w = Window(1, 1)
+    alg = spec(rules, draw(qs))
+    assume(not alg.compiled().antisymmetric)
+    terms = [(from_fraction(1, alg.q), shift_map(alg, w))]
+    if draw(st.booleans()):
+        terms.append((from_fraction(draw(coeffs), alg.q), random_map(draw, alg, w)))
+    return alg, terms, w
+
+
 class TestHomLieOrbits:
     """The failing path: a witness walk in window order, the total counted
-    over multisets (over every triple when antisymmetry is not proved), and
-    the literal flag from a search with an early exit."""
+    over multisets (over rotation orbits when antisymmetry is not proved),
+    and the literal flag from a search with an early exit."""
+
+    def test_rotation_orbits_cover_the_window_once(self):
+        # every triple lies in exactly one orbit, met at its least rotation
+        # in window order, and the weights are the orbit sizes, summing to n^3
+        for n in (1, 2, 3, 4):
+            basis = [L(0, k) for k in range(n)]
+            seen = set()
+            for (x, y, z), weight in rotation_orbits(basis):
+                orbit = {(x, y, z), (y, z, x), (z, x, y)}
+                assert window_position(basis, (x, y, z)) == min(
+                    window_position(basis, t) for t in orbit)
+                assert weight == len(orbit)
+                assert not orbit & seen
+                seen |= orbit
+            assert len(seen) == n ** 3
+            assert sum(weight for _, weight in rotation_orbits(basis)) == n ** 3
+
+    @given(case=unantisymmetric_hom_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_unantisymmetric_totals_match_enumeration(self, case):
+        assert_hom_same(*case)
+
+    def test_unproved_antisymmetry_counts_rotation_orbits(self, monkeypatch):
+        # the mutated B spec at q = 2, shift on 2x3: 35 basis elements, so
+        # 42,875 triples in 14,315 rotation orbits.  The combination's
+        # standard sum is evaluated on the witness walk, then once per orbit
+        sums = []
+        cyclic_sums = homlie._cyclic_sums
+
+        def counting(comp, phi):
+            standard, literal = cyclic_sums(comp, phi)
+            calls = [0]
+            sums.append(calls)
+
+            def spy(*triple):
+                calls[0] += 1
+                return standard(*triple)
+            return spy, literal
+
+        root = Path(__file__).resolve().parents[1]
+        text = (root / "tests" / "golden" / "inputs" / "mutated_B.alg").read_text()
+        alg, w = make_algebra(parse_spec(text), Fraction(2)), Window(2, 3)
+        assert not alg.compiled().antisymmetric
+        monkeypatch.setattr(homlie, "_cyclic_sums", counting)
+        got = hom_jacobi_check(alg, shift_map(alg, w), w).to_json_dict()
+        monkeypatch.undo()
+        assert got == hom_jacobi_by_enumeration(alg, shift_map(alg, w), w).to_json_dict()
+        basis = w.basis(alg.parities)
+        assert len(basis) ** 3 == 42875
+        assert sums[-1][0] == walk_stop(got, basis) + 14315
 
     @given(case=hom_cases(windows=(("B", Fraction(2), Window(1, 2)),
                                    ("B", Fraction(0), Window(1, 1)),
@@ -432,9 +503,11 @@ class TestS3Orbits:
         assert got == hom_jacobi_by_enumeration(alg, terms, w).to_json_dict()
 
     def test_unproved_antisymmetry_walks_every_triple(self, monkeypatch):
-        # the mutated B spec fails antisymmetry: Jacobi and Hom-Lie walk
-        # every triple, and no multiset is counted
+        # the mutated B spec fails antisymmetry: Jacobi walks every triple,
+        # Hom-Lie counts its total over rotation orbits, and no multiset is
+        # counted
         multisets = spy_on(monkeypatch, algebra, "multiset_orbits")
+        rotations = spy_on(monkeypatch, algebra, "rotation_orbits")
         alg, w = spec(MUTATED_B, None), Window(2, 2)
         assert not alg.compiled().antisymmetric
         jac = verify_jacobi(alg, w).to_json_dict()
@@ -443,6 +516,8 @@ class TestS3Orbits:
         got = assert_hom_same(alg, shift_map(alg, w), w)
         assert got["total_violations"] > MAX_REPORT_VIOLATIONS
         assert not multisets
+        # shift's grid proof on the 1x1 box, then the total on the window
+        assert [len(basis) for basis, in rotations] == [9, 25]
 
     def test_antisymmetry_is_proved_off_the_window(self, monkeypatch):
         # the antisymmetric cubic spec's 2x2 box exceeds the 2x1 window;

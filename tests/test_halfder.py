@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 from unittest import mock
 
 import pytest
@@ -189,12 +190,22 @@ def _spy_kernel(monkeypatch) -> list[int]:
     return calls
 
 
+def _propagated(cs: ConstraintSystem) -> halfder._ZeroPropagation:
+    """Zero propagation of every row of `cs`."""
+    prop = halfder._ZeroPropagation(len(cs.unknowns))
+    for entries, *_provenance in cs.rows:
+        prop.add(entries)
+    return prop
+
+
 def _left_after_propagation(cs: ConstraintSystem) -> int:
     """Unknowns that zero propagation of every row of `cs` leaves unforced."""
-    prop = halfder._ZeroPropagation(len(cs.unknowns))
-    for entries, _x, _y in cs.rows:
-        prop.add(entries)
-    return prop.left
+    return _propagated(cs).left
+
+
+def _kept_after_propagation(cs: ConstraintSystem) -> int:
+    """Rows propagation keeps that still have two or more live entries at the end."""
+    return sum(count >= 2 for count in _propagated(cs).counts)
 
 
 class TestCertifiedNullSpace:
@@ -250,8 +261,9 @@ class TestCertifiedNullSpace:
         monkeypatch.setattr(halfder, "_PRIME", 2)
         got = null_space(cs)
         assert got.vectors == expected.vectors
-        # the pivot rows mod 2 gave too large a kernel; every kept row was solved
-        assert len(calls) == 2 and calls[0] < calls[1]
+        # the echelon mod 2 gave too large a kernel, so a lifted vector broke
+        # a row; one exact solve took every kept row
+        assert calls == [_kept_after_propagation(cs)]
 
     def test_zero_kernel_proved_mod_p(self, monkeypatch):
         cs = build_constraints(builtin_algebra("B", None), MapDegree(EVEN, 0, 1),
@@ -261,9 +273,8 @@ class TestCertifiedNullSpace:
         modp = halfder._modp_pivot_rows
 
         def spy(ech, rows, generic, ncols):
-            chosen = modp(ech, rows, generic, ncols)
+            modp(ech, rows, generic, ncols)
             full.append(len(ech.pivots) == ncols)
-            return chosen
 
         monkeypatch.setattr(halfder, "_modp_pivot_rows", spy)
         calls = _spy_kernel(monkeypatch)
@@ -280,7 +291,7 @@ class TestCertifiedNullSpace:
         def spy(ech, rows, generic, ncols):
             rows = list(rows)
             fed.extend(rows)
-            return modp(ech, rows, generic, ncols)
+            modp(ech, rows, generic, ncols)
 
         monkeypatch.setattr(halfder, "_modp_pivot_rows", spy)
         return fed
@@ -291,8 +302,8 @@ class TestCertifiedNullSpace:
     ])
     def test_each_kept_row_and_forced_column_enters_the_echelon_once(
             self, monkeypatch, q, deg, w, dim):
-        # an open kernel: every row streams past, and the exact solve runs on
-        # rows this one echelon picked
+        # an open kernel: every row streams past, and the kernel is lifted
+        # from this one echelon
         alg = builtin_algebra("B", q)
         prop = halfder._ZeroPropagation(len(w.basis(alg.parities)))
         for entries, _pair in halfder._rows(alg, deg, w,
@@ -306,8 +317,8 @@ class TestCertifiedNullSpace:
         units = [row[0][0] for row in fed if len(row) == 1]
         assert len(set(units)) == len(units) and all(prop.forced[u] for u in units)
         assert len(fed) - len(units) <= len(prop.rows)
-        # one exact solve, on the pivot rows, and the certificate held
-        assert len(calls) == 1 and prop.left - dim <= calls[0] < len(prop.rows)
+        # the lifted kernel passed the row check: no exact solve ran
+        assert calls == []
 
     def test_no_live_kept_row_feeds_nothing(self, monkeypatch):
         # propagation forces 129 of the 130 unknowns and leaves no kept row
@@ -317,6 +328,103 @@ class TestCertifiedNullSpace:
         fed = self._spy_fed(monkeypatch)
         assert null_space(half_derivation_system(alg, deg)(w)).dimension == 1
         assert fed == []
+
+
+def _spy_lifts(monkeypatch, name: str) -> list:
+    """Record what each call of halfder's `name` (a lift helper) returns."""
+    out = []
+    fn = getattr(halfder, name)
+
+    def spy(*args):
+        got = fn(*args)
+        out.append(got)
+        return got
+
+    monkeypatch.setattr(halfder, name, spy)
+    return out
+
+
+class TestLiftedKernel:
+    @pytest.mark.parametrize("prime", [3, 5, 101, 1009])
+    def test_reconstruction_is_exact_inside_the_bound(self, monkeypatch, prime):
+        # every residue: the one fraction inside the bound that maps to it,
+        # or None when none does
+        monkeypatch.setattr(halfder, "_PRIME", prime)
+        bound = isqrt(prime // 2)
+        inside: dict[int, set] = {}
+        for a in range(-bound, bound + 1):
+            for b in range(1, bound + 1):
+                inside.setdefault(a * pow(b, -1, prime) % prime, set()).add(Fraction(a, b))
+        assert all(len(fracs) == 1 for fracs in inside.values())
+        for u in range(prime):
+            want = inside.get(u)
+            assert halfder._reconstruct(u) == (None if want is None else min(want))
+
+    def test_reconstruction_round_trips_at_the_word_prime(self):
+        p = halfder._PRIME
+        bound = isqrt(p // 2)
+        rng = random.Random(11)
+        fracs = [Fraction(a, b) for a in (0, 1, -1, bound, -bound) for b in (1, bound)]
+        fracs += [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(500)]
+        for x in fracs:
+            assert halfder._reconstruct(x.numerator * pow(x.denominator, -1, p) % p) == x
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_lift_has_no_entry_at_a_forced_column(self, generic):
+        # x0 + 2 x1 = 0 mod p: column 1's vector is (-2, 1), which is
+        # rejected once x0 is forced, since x0 = 0 in every solution
+        ech = halfder._ModpEchelon()
+        row = [(0, (1,)), (1, (2,))] if generic else [(0, 1), (1, 2)]
+        halfder._modp_pivot_rows(ech, [row], generic, 2)
+        q = None if generic else Fraction(1)
+        one = scalar_one(q)
+        assert halfder._lifted_kernel(ech, [1], bytearray(2), q) == [{1: one, 0: -(one + one)}]
+        assert halfder._lifted_kernel(ech, [1], bytearray([1, 0]), q) is None
+
+    def test_generic_kernel_that_depends_on_q_falls_back(self, monkeypatch):
+        # q x0 - x1 = 0: the kernel (1, q) has no q-free lift
+        alg = builtin_algebra("B", None)
+        unknowns = [L(0, 0), L(0, 1)]
+        cs = ConstraintSystem(alg.compiled(), unknowns, [(((0, (0, 1)), (1, (-1,))),)])
+        lifts = _spy_lifts(monkeypatch, "_reconstruct")
+        calls = _spy_kernel(monkeypatch)
+        got = null_space(cs)
+        assert lifts and calls == [1]
+        one, q = RatFunc.const(1), RatFunc.q()
+        oracle = _kernel([{0: q, 1: -one}], range(2), one)
+        assert got.vectors == _rref_vectors([{unknowns[u]: v for u, v in vec.items()}
+                                             for vec in oracle])
+        assert got.vectors == [{L(0, 0): one, L(0, 1): q}]
+
+    def test_entry_beyond_the_bound_falls_back(self, monkeypatch):
+        # 65537 x0 - 3 x1 = 0: the kernel vector's entry 3/65537 has a
+        # denominator beyond isqrt(_PRIME // 2)
+        alg = builtin_algebra("B", Fraction(2))
+        unknowns = [L(0, 0), L(0, 1)]
+        cs = ConstraintSystem(alg.compiled(), unknowns, [(((0, 65537), (1, -3)),)])
+        lifts = _spy_lifts(monkeypatch, "_reconstruct")
+        calls = _spy_kernel(monkeypatch)
+        got = null_space(cs)
+        assert lifts and calls == [1]
+        oracle = _kernel([{0: Fraction(65537), 1: Fraction(-3)}], range(2), Fraction(1))
+        assert got.vectors == _rref_vectors([{unknowns[u]: v for u, v in vec.items()}
+                                             for vec in oracle])
+        assert got.vectors == [{L(0, 0): Fraction(1), L(0, 1): Fraction(65537, 3)}]
+
+    @pytest.mark.parametrize("name,bounds,windows", [
+        ("B", (3, 3), [Window(3, 4), Window(4, 5)]),
+        ("S", (2, 2), [Window(2, 2), Window(3, 3)]),
+    ])
+    def test_generic_pool_jobs_lift_every_open_kernel(self, monkeypatch, name, bounds,
+                                                      windows):
+        # the benchmark's classify-generic-q jobs: every open degree is
+        # settled by a certified lift, and no exact solve with rows runs
+        lifted = _spy_lifts(monkeypatch, "_lifted_kernel")
+        calls = _spy_kernel(monkeypatch)
+        report = classify(builtin_algebra(name, None), EVEN, bounds, windows)
+        assert report.total_dim == 1
+        assert lifted and None not in lifted
+        assert not any(calls)
 
 
 MUTATED_B = """algebra B
