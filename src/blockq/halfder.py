@@ -52,13 +52,25 @@ does all exact elimination: the kernel, the reduced echelon form of a span,
 the intersection of two spans by the Zassenhaus algorithm, membership by rank.
 One more, `_modp_pivot_rows`, does all elimination mod p: the early stop and
 the lifted kernel.
+
+`classify` solves the degrees (r, s) and (-r, s) once when `_reflection`
+finds a sign sigma(p) per parity such that T: d(p, m, i) -> sigma(p) d(p, -m, i)
+sends the row of each pair {x, y} of degree (r, s) to plus or minus the row of
+{x', y'} of degree (-r, s), where x' is x with m negated.  Each rule must be
+even or odd in (m, n) (its sign tau, read off the monomials, so for every
+index and q), the signs of each row's three terms must agree under sigma,
+and graded antisymmetry (`CompiledAlgebra.antisymmetric`, proved for all
+indices) makes a same-parity pair's row independent, up to sign, of which
+of its points comes first, an order the reflection may reverse.  Every
+window is symmetric in m, so T maps each window's kernel, the intersection
+and its dimensions onto those of the mirrored degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd, isqrt
 from typing import Callable, Iterable, Sequence
 
@@ -862,18 +874,62 @@ def named_candidates(alg: AlgebraSpec, w: Window) -> dict[MapDegree, list[tuple[
     return out
 
 
+def _reflection(alg: AlgebraSpec, shift: Parity) -> tuple[int, ...] | None:
+    """Signs sigma[p] = +-1 under which m -> -m maps degree (r, s) onto (-r, s), or None.
+
+    tau(p1, p2) = (-1)^(e_m + e_n) must be one sign over the monomials of
+    rule (p1, p2) (1 for a zero rule, which can only reject), and the row of
+    a pair of parities (p1, p2) then changes by tau(p1, p2) sigma(p1 + p2),
+    tau(p1 + shift, p2) sigma(p1) and tau(p1, p2 + shift) sigma(p2) in its
+    three terms, which must agree.  Graded antisymmetry must hold too: the
+    system takes a same-parity pair in one order only, and the reflection
+    may reverse it.
+    """
+    tau = {}
+    for key, monos in alg.rules.items():
+        signs = {(-1) ** (em + en) for em, _ei, en, _ej, _eq in monos}
+        if len(signs) > 1:
+            return None
+        tau[key] = signs.pop() if signs else 1
+    if not alg.compiled().antisymmetric:
+        return None
+    pairs = _parity_pairs(alg, MapDegree(shift, 0, 0))
+    for sigma in product((1, -1), repeat=len(alg.parities)):
+        if all(tau[p1, p2] * sigma[p1 ^ p2] == tau[p1 ^ shift, p2] * sigma[p1]
+               == tau[p1, p2 ^ shift] * sigma[p2] for p1, p2 in pairs):
+            return sigma
+    return None
+
+
+def _mirrored(st: StabilizeResult, sigma: tuple[int, ...]) -> StabilizeResult:
+    """The result of degree (-r, s) from that of (r, s): its basis mapped by
+    T and put back in canonical echelon form; every dimension is the same."""
+    vectors = _rref_vectors([{BasisIndex(k.parity, -k.m, k.i): v if sigma[k.parity] > 0 else -v
+                              for k, v in vec.items()} for vec in st.basis.vectors])
+    return replace(st, basis=NullSpaceBasis(dimension=len(vectors), vectors=vectors))
+
+
 def classify(alg: AlgebraSpec, parity_shift: Parity, bounds: tuple[int, int],
              windows: Sequence[Window]) -> ClassificationReport:
-    """Stabilized null-space dimensions for every degree |r| <= R, |s| <= S."""
+    """Stabilized null-space dimensions for every degree |r| <= R, |s| <= S.
+
+    Every degree is solved by `stabilize`, except that when `_reflection`
+    certifies the spec only r >= 0 is, and each r < 0 degree is mirrored
+    from (-r, s).
+    """
     R, S = bounds
     candidates = named_candidates(alg, windows[0])
+    sigma = _reflection(alg, parity_shift)
+    solved = {(r, s): stabilize(half_derivation_system(alg, MapDegree(parity_shift, r, s)),
+                                windows)
+              for r in range(0 if sigma else -R, R + 1) for s in range(-S, S + 1)}
     degrees: list[DegreeResult] = []
     warnings: list[str] = []
     total = 0
     for r in range(-R, R + 1):
         for s in range(-S, S + 1):
             deg = MapDegree(parity_shift, r, s)
-            st = stabilize(half_derivation_system(alg, deg), windows)
+            st = solved[r, s] if (r, s) in solved else _mirrored(solved[-r, s], sigma)
             if st.warning:
                 warnings.append(f"degree ({r},{s}) did not stabilize: "
                                 f"intersection dims {st.intersection_dims}")

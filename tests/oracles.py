@@ -6,7 +6,8 @@ from itertools import product
 
 from blockq.algebra import _antisymmetry, _jacobi, check_identity
 from blockq.errors import BlockqError
-from blockq.halfder import _intersect, combo_apply, null_space
+from blockq.halfder import (MapDegree, _intersect, combo_apply, half_derivation_system,
+                            null_space, stabilize)
 from blockq.homlie import _as_combo, _cyclic_sums, _witness
 from blockq.scalars import RatFunc
 from blockq.specdsl import Add, Lit, Mul, Neg, Sub, Var
@@ -63,6 +64,21 @@ def stabilized_by_full_kernels(systems):
         current = _intersect(current, [{k: v for k, v in vec.items() if k in labels0}
                                        for vec in null_space(cs).vectors])
     return current
+
+
+def classified_degree_by_degree(alg, shift, bounds, windows):
+    """`classify`'s degrees and warnings with every degree solved by
+    `stabilize`, none mirrored: (r, s, basis vectors) per nonzero degree."""
+    degrees, warnings = [], []
+    for r in range(-bounds[0], bounds[0] + 1):
+        for s in range(-bounds[1], bounds[1] + 1):
+            st = stabilize(half_derivation_system(alg, MapDegree(shift, r, s)), windows)
+            if st.stable_dim:
+                degrees.append((r, s, st.basis.vectors))
+            if st.warning:
+                warnings.append(f"degree ({r},{s}) did not stabilize: "
+                                f"intersection dims {st.intersection_dims}")
+    return degrees, warnings
 
 
 class UnboundVariable(BlockqError):

@@ -123,6 +123,15 @@ CASES = {
     "classify_B_generic_3x3_3x4_4x5": (
         ["classify", "--algebra", "B", "--q", "generic", "--bounds", "3x3",
          "--windows", "3x4,4x5"], 0),
+    # recorded before classify mirrored r < 0 degrees through m -> -m: a
+    # Witt-type spec with a kernel at six degrees r != 0 (the mirrored
+    # path), and the cubic spec, whose mixed monomials solve every degree
+    "classify_witt_generic_1x1_1x2_2x3": (
+        ["classify", "--spec", f"{INPUTS}/witt.alg", "--q", "generic", "--bounds", "1x1",
+         "--windows", "1x2,2x3"], 0),
+    "classify_cubic_2_2x2_2x3_3x4": (
+        ["classify", "--spec", f"{INPUTS}/cubic.alg", "--q", "2", "--bounds", "2x2",
+         "--windows", "2x3,3x4"], 0),
 }
 
 

@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import isqrt
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import provenances, scalar_rows, stabilized_by_full_kernels
+from oracles import (classified_degree_by_degree, provenances, scalar_rows,
+                     stabilized_by_full_kernels)
 
 from blockq import halfder
 from blockq.algebra import EVEN, ODD, BasisIndex, Window
@@ -672,7 +675,8 @@ class TestStabilize:
         assert st.stable_dim == len(center) and not st.warning
 
     def test_classify_solves_each_window_through_null_space(self, monkeypatch):
-        # w0 of every degree, then the next window while the intersection lives
+        # w0 of every degree with r >= 0 (B is mirrored in r), then the next
+        # window while the intersection lives
         alg = builtin_algebra("B", Fraction(2))
         windows = [Window(3, 6), Window(4, 7)]
         expected = classify(alg, EVEN, (1, 1), windows).to_json_dict()
@@ -687,7 +691,7 @@ class TestStabilize:
         assert classify(alg, EVEN, (1, 1), windows).to_json_dict() == expected
         n0, n1 = (len(w.basis(alg.parities)) for w in windows)
         w0_dims = [dim for n, dim in calls if n == n0]
-        assert len(w0_dims) == 9 and any(w0_dims)
+        assert len(w0_dims) == 6 and any(w0_dims)
         assert [n for n, _dim in calls] == [n for dim in w0_dims
                                             for n in ([n0, n1] if dim else [n0])]
 
@@ -851,6 +855,146 @@ class TestSeedAndSkip:
         pairs = list(_shell_pairs(w, _parity_pairs(alg, deg)))
         nonzero = [p for p in pairs if list(halfder._rows(alg, deg, w, [p]))]
         assert len(build_constraints(alg, deg, w).rows) == len(nonzero)
+
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+# antisymmetric, with a term even in (m, n)
+SKEW_MIXED = """algebra X
+super false
+rule even even antisymmetric: n - m + j - i
+"""
+
+
+def _spec(name, q):
+    """B, S, SKEW_MIXED or a spec of tests/golden/inputs (mutated_B,
+    mutated_S, cubic, witt), at q."""
+    if name in ("B", "S"):
+        return builtin_algebra(name, q)
+    text = SKEW_MIXED if name == "skew_mixed" else (INPUTS / f"{name}.alg").read_text()
+    return make_algebra(parse_spec(text), q)
+
+
+def _mirror_premise(alg, shift, sigma, r, s, w) -> bool:
+    """Whether each row of degree (-r, s) on w is plus or minus the row of
+    the mirrored pair of degree (r, s) relabelled by T: d(p, m, i) ->
+    sigma[p] d(p, -m, i), pair by pair, in raw values."""
+    neg = alg.compiled().vneg
+
+    def flip(x):
+        return BasisIndex(x.parity, -x.m, x.i)
+
+    def rows(r):
+        cs = build_constraints(alg, MapDegree(shift, r, s), w)
+        return {frozenset((x, y)): {cs.unknowns[u]: v for u, v in entries}
+                for entries, x, y in cs.rows}
+
+    image = {frozenset(map(flip, pair)): {flip(k): v if sigma[k.parity] > 0 else neg(v)
+                                          for k, v in row.items()}
+             for pair, row in rows(r).items()}
+    target = rows(-r)
+    return image.keys() == target.keys() and all(
+        target[pair] in (row, {k: neg(v) for k, v in row.items()})
+        for pair, row in image.items())
+
+
+def _spy_stabilize(monkeypatch) -> list[int]:
+    """Count the calls of `stabilize` made by `classify`."""
+    calls = [0]
+    stabilize_ = halfder.stabilize
+
+    def spy(*args):
+        calls[0] += 1
+        return stabilize_(*args)
+
+    monkeypatch.setattr(halfder, "stabilize", spy)
+    return calls
+
+
+@st.composite
+def classify_problems(draw):
+    """A spec, q, shift, bounds up to 2x2 and two small nested windows."""
+    name = draw(st.sampled_from(["B", "S", "mutated_B", "mutated_S", "cubic", "witt",
+                                 "skew_mixed"]))
+    q = draw(st.one_of(st.none(), st.integers(-3, 3).map(Fraction),
+                       st.tuples(st.integers(-5, 5), st.integers(2, 3))
+                       .map(lambda t: Fraction(*t))))
+    alg = _spec(name, q)
+    shift = draw(st.sampled_from([EVEN, ODD] if alg.is_super else [EVEN]))
+    bounds = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    w0 = Window(draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+    grow = draw(st.sampled_from([(1, 0), (0, 1), (1, 1)]))
+    return alg, shift, bounds, [w0, Window(w0.m_max + grow[0], w0.i_max + grow[1])]
+
+
+class TestReflection:
+    """classify solves r >= 0 and mirrors r < 0 when `_reflection` certifies
+    the spec: the rows of (r, s) and (-r, s) then match pair by pair."""
+
+    @pytest.mark.parametrize("name,shift,sigma", [
+        ("B", EVEN, (1,)), ("S", EVEN, (1, 1)), ("S", ODD, (1, -1)),
+        ("mutated_S", ODD, (1, -1)), ("witt", EVEN, (1,)),
+        # mixed (m, n)-parity monomials: the added term is even in (m, n)
+        ("cubic", EVEN, None), ("skew_mixed", EVEN, None),
+        # fails antisymmetry, so a same-parity pair's row depends on its order
+        ("mutated_B", EVEN, None),
+    ])
+    @pytest.mark.parametrize("q", [None, Fraction(2)])
+    def test_reflection_signs(self, name, shift, sigma, q):
+        assert halfder._reflection(_spec(name, q), shift) == sigma
+
+    def test_reflection_is_proved_at_q_zero_for_mutated_b(self):
+        # n*(i + q) - m*(j - q) is antisymmetric at q = 0
+        assert halfder._reflection(_spec("mutated_B", Fraction(0)), EVEN) == (1,)
+
+    @pytest.mark.parametrize("name,shift", [
+        ("B", EVEN), ("S", EVEN), ("S", ODD), ("mutated_S", EVEN), ("mutated_S", ODD),
+        ("witt", EVEN),
+    ])
+    @pytest.mark.parametrize("q", [None, Fraction(2)])
+    def test_certified_rows_match_pair_by_pair(self, name, shift, q):
+        alg = _spec(name, q)
+        sigma = halfder._reflection(alg, shift)
+        assert sigma is not None
+        for r, s in product(range(3), range(-2, 3)):
+            assert _mirror_premise(alg, shift, sigma, r, s, Window(2, 3)), (r, s)
+
+    @pytest.mark.parametrize("name", ["cubic", "skew_mixed", "mutated_B"])
+    def test_rejected_specs_fail_the_premise(self, name):
+        # cubic's even term breaks the premise on the pairs m1 = m2 = +-2,
+        # which need |m| <= 4 in the window
+        alg = _spec(name, None)
+        assert not any(_mirror_premise(alg, EVEN, sigma, 1, 0, Window(4, 1))
+                       for sigma in [(1,), (-1,)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=classify_problems())
+    def test_classify_matches_every_degree_solved(self, problem):
+        alg, shift, bounds, windows = problem
+        report = classify(alg, shift, bounds, windows)
+        assert ([(d.r, d.s, d.basis.vectors) for d in report.degrees], report.warnings) \
+            == classified_degree_by_degree(alg, shift, bounds, windows)
+
+    def test_witt_mirrors_nonzero_degrees(self, monkeypatch):
+        # every degree of the Witt-type spec n - m has a kernel, six at r != 0
+        alg = _spec("witt", None)
+        windows = [Window(1, 2), Window(2, 3)]
+        expected = classified_degree_by_degree(alg, EVEN, (1, 1), windows)
+        calls = _spy_stabilize(monkeypatch)
+        report = classify(alg, EVEN, (1, 1), windows)
+        assert ([(d.r, d.s, d.basis.vectors) for d in report.degrees], report.warnings) \
+            == expected
+        assert sum(d.r != 0 for d in report.degrees) == 6 and calls[0] == 6
+
+    @pytest.mark.parametrize("name,windows,solved", [
+        ("B", [Window(3, 6), Window(4, 7)], 28),
+        ("cubic", [Window(2, 3), Window(3, 4)], 49),
+    ])
+    def test_stabilized_degrees(self, monkeypatch, name, windows, solved):
+        calls = _spy_stabilize(monkeypatch)
+        classify(_spec(name, Fraction(2)), EVEN, (3, 3), windows)
+        assert calls[0] == solved
 
 
 class TestBuiltinMaps:
