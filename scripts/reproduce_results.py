@@ -112,8 +112,9 @@ def run_hom_checks(fast: bool) -> None:
               f"conventions={rep.notes['conventions']} ({time.time() - t0:.1f}s)")
     S2 = builtin_algebra("S", Q(2))
     wS = Window(2, 3) if fast else Window(3, 5)
+    t0 = time.time()
     rep = hom_jacobi_check(S2, builtin_map("gamma", S2, wS), wS)
-    print(f"  S(2) twist 'gamma' on {wS}: pass={rep.passed}")
+    print(f"  S(2) twist 'gamma' on {wS}: pass={rep.passed} ({time.time() - t0:.1f}s)")
 
 
 def main() -> None:

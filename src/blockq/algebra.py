@@ -183,9 +183,6 @@ class Window:
     def contains(self, m: int, i: int) -> bool:
         return -self.m_max <= m <= self.m_max and -self.i_max <= i <= self.i_max
 
-    def contains_index(self, idx: BasisIndex) -> bool:
-        return self.contains(idx.m, idx.i)
-
     def points(self) -> list[tuple[int, int]]:
         return [(m, i)
                 for m in range(-self.m_max, self.m_max + 1)
@@ -309,7 +306,8 @@ class CompiledAlgebra:
     ``scale = den * b**D`` in fixed mode (q = a/b in lowest terms, D the
     maximal q-degree over all rules) and ``den`` alone in generic mode.  In
     fixed mode values are ints; in generic mode, (D+1)-tuples of ints holding
-    the q-power coefficients.  `lift` divides a value by ``scale`` again.
+    the q-power coefficients.  `lift` divides a value by ``scale`` again;
+    `one` is the raw value 1, the entry of a unit row.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -333,9 +331,11 @@ class CompiledAlgebra:
         if self.generic:
             self.vmul, self.vadd, self.vsub = _tup_mul, _tup_add, _tup_sub
             self.vneg, self.vis_zero = _tup_neg, _tup_is_zero
+            self.one = (1,)
         else:
             self.vmul, self.vadd, self.vsub = operator.mul, operator.add, operator.sub
             self.vneg, self.vis_zero = operator.neg, operator.not_
+            self.one = 1
 
     def _compile(self, monos: Monomials) -> Callable:
         by_pow: list[dict[tuple[int, int, int, int], int]] = [dict() for _ in range(self.D + 1)]

@@ -29,8 +29,10 @@ solver.  It reads the rows in order:
 The result is the exact space in canonical reduced echelon form, pivots at
 the least labels.  `stabilize` takes a system per window and intersects the
 kernels of nested windows, restricted to the unknowns of the smallest;
-truncation artifacts at the window boundary die there.  Later windows are
-seeded with zeros off the running intersection's support (see `stabilize`).
+truncation artifacts at the window boundary die there.  On a nested ladder
+each later kernel, so restricted, already is the intersection, and one rank
+test per window certifies that.  Later windows are seeded with zeros off
+the running intersection's support (see `stabilize`).
 
 The systems classification solves are the half-(super)derivation ones.  A
 homogeneous map of degree (parity shift, r, s) sends basis (p, m, i) to
@@ -38,18 +40,20 @@ d(p, m, i) times basis (p + shift, m + r, i + s).  Requiring
 
     2 phi([x, y]) = [phi(x), y] + (-1)^{|phi||x|} [x, phi(y)]
 
-and projecting onto the single graded output index turns every unordered
-basis pair whose two points and sum lie in the window into one row in the
-d-coefficients.  `half_derivation_system` streams these rows shell by shell
-from the outside in (shell k = max(|m1|, |i1|, |m2|, |i2|)), which reaches
-the early stop soonest, and skips a pair before evaluating any rule when the
-solver has forced its unknowns at x, y and x + y (its row has no live entry).
+and projecting onto the single graded output index turns every basis pair
+whose two points and sum lie in the window into one row in the
+d-coefficients, a pair taken in one order when the spec is graded
+antisymmetric and in both otherwise.  `half_derivation_system` streams
+these rows shell by shell from the outside in (shell k = max(|m1|, |i1|,
+|m2|, |i2|)), which reaches the early stop soonest, and skips a pair before
+evaluating any rule when the solver has forced its unknowns at x, y and
+x + y (its row has no live entry).
 `build_constraints` lists every row in lexicographic pair order, the order
 `check_map` keeps its witnesses in.
 
 One echelon routine, `_insert_row` (leftmost pivot, mutually reduced rows),
 does all exact elimination: the kernel, the reduced echelon form of a span,
-the intersection of two spans by the Zassenhaus algorithm, membership by rank.
+the intersection's certificate and membership, both by rank.
 One more, `_modp_pivot_rows`, does all elimination mod p: the early stop and
 the lifted kernel.
 
@@ -79,8 +83,7 @@ from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, CompiledAlgebra, Parit
                       bracket_vec, check_identity, parity_name)
 from .errors import (IntegralityViolation, OddMapOnNonSuper, UnknownMapName,
                      WrongQ)
-from .scalars import (RatFunc, Poly, Scalar, format_q, format_scalar, from_fraction,
-                      inv, scalar_one)
+from .scalars import Scalar, format_q, format_scalar, from_fraction, inv, scalar_one
 
 
 @dataclass(frozen=True)
@@ -101,12 +104,11 @@ class GradedMap:
 
     The image of basis (p, m, i) is table[(p, m, i)] times basis
     (p + parity_shift, m + r, i + s); indices missing from the table map to
-    zero.  `rule` names the closed form the table was derived from, when any.
+    zero.
     """
 
     degree: MapDegree
     table: dict[BasisIndex, Scalar]
-    rule: str | None = None
 
     def __post_init__(self):
         self.table = {k: v for k, v in self.table.items() if v}
@@ -161,32 +163,35 @@ class ConstraintSystem:
 
 
 def _parity_pairs(alg: AlgebraSpec, deg: MapDegree) -> list[tuple[Parity, Parity]]:
-    """Parity combinations (p1, p2) of the generating pairs, p1 <= p2."""
+    """Parity combinations (p1, p2) of the generating pairs: p1 <= p2 when
+    the spec is graded antisymmetric, every order otherwise."""
     if deg.parity_shift == ODD and not alg.is_super:
         raise OddMapOnNonSuper(
             f"odd-shift maps need a superalgebra, {alg.name!r} has no odd part")
-    if alg.is_super:
-        return [(EVEN, EVEN), (EVEN, ODD), (ODD, ODD)]
-    return [(EVEN, EVEN)]
+    once = alg.compiled().antisymmetric
+    return [(p1, p2) for p1, p2 in product(alg.parities, repeat=2) if p1 <= p2 or not once]
 
 
 Pair = tuple[Parity, Parity, int, int, int, int]
 
 
-def _shell_pairs(w: Window, combos: list[tuple[Parity, Parity]]) -> Iterable[Pair]:
-    """Every unordered in-window pair (p1, p2, m1, i1, m2, i2), shell by shell
-    from the outside in.
+def _shell_pairs(alg: AlgebraSpec, deg: MapDegree, w: Window) -> Iterable[Pair]:
+    """Every in-window pair (p1, p2, m1, i1, m2, i2) of `_parity_pairs`,
+    shell by shell from the outside in.
 
-    Both points and their sum lie in the window; a same-parity pair is
-    taken once, with (m1, i1) <= (m2, i2).  Shell k holds the pairs with
-    max(|m1|, |i1|, |m2|, |i2|) = k, so both points lie in the box
-    |m|, |i| <= k and one coordinate is on its rim.
+    Both points and their sum lie in the window.  Under graded antisymmetry
+    the two orders of a pair give the same row up to sign, so a pair is
+    taken once, a same-parity one with (m1, i1) <= (m2, i2); otherwise in
+    both orders.  Shell k holds the pairs with max(|m1|, |i1|, |m2|, |i2|)
+    = k, so both points lie in the box |m|, |i| <= k and one coordinate is
+    on its rim.
     """
+    combos, once = _parity_pairs(alg, deg), alg.compiled().antisymmetric
     mm, ii = w.m_max, w.i_max
     for k in range(max(mm, ii), -1, -1):
         km, ki = min(k, mm), min(k, ii)
         for p1, p2 in combos:
-            same = p1 == p2
+            same = p1 == p2 and once
             for m1 in range(-km, km + 1):
                 m2lo = max(-km, -mm - m1)
                 m2hi = min(km, mm - m1)
@@ -218,13 +223,6 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window, pairs: Iterable[Pair],
     npts = (2 * mm + 1) * width
     if forced is None:
         forced = bytes(len(alg.parities) * npts)
-
-    if comp.generic:
-        def dbl(v):
-            return tuple(c + c for c in v)
-    else:
-        def dbl(v):
-            return v + v
     vneg, vadd, vsub, is0 = comp.vneg, comp.vadd, comp.vsub, comp.vis_zero
 
     # per parity pair: f_out, f_x, f_y, whether [x, phi(y)] flips sign, and
@@ -246,7 +244,7 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window, pairs: Iterable[Pair],
         c_y = f_y(m1, i1, m2 + r, i2 + s)
         d: dict[int, object] = {}
         if not is0(c_out):
-            d[u_out] = dbl(c_out)
+            d[u_out] = vadd(c_out, c_out)
         if not is0(c_x):
             d[u_x] = vsub(d[u_x], c_x) if u_x in d else vneg(c_x)
         if not is0(c_y):
@@ -260,10 +258,9 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window, pairs: Iterable[Pair],
 def half_derivation_system(alg: AlgebraSpec,
                            deg: MapDegree) -> Callable[[Window], ConstraintSystem]:
     """The half-derivation system of each window, its rows built lazily, shell by shell."""
-    combos = _parity_pairs(alg, deg)
     return lambda w: ConstraintSystem(
         alg.compiled(), w.basis(alg.parities),
-        lambda forced: _rows(alg, deg, w, _shell_pairs(w, combos), forced))
+        lambda forced: _rows(alg, deg, w, _shell_pairs(alg, deg, w), forced))
 
 
 def build_constraints(alg: AlgebraSpec, deg: MapDegree, w: Window) -> ConstraintSystem:
@@ -274,7 +271,7 @@ def build_constraints(alg: AlgebraSpec, deg: MapDegree, w: Window) -> Constraint
     """
     rows = [(entries, BasisIndex(p1, m1, i1), BasisIndex(p2, m2, i2))
             for entries, (p1, p2, m1, i1, m2, i2) in _rows(
-                alg, deg, w, sorted(_shell_pairs(w, _parity_pairs(alg, deg))))]
+                alg, deg, w, sorted(_shell_pairs(alg, deg, w)))]
     return ConstraintSystem(alg.compiled(), w.basis(alg.parities), rows)
 
 
@@ -604,7 +601,6 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
     prop = _ZeroPropagation(n)
     forced, counts, occ = prop.forced, prop.counts, prop.occ
     ech = _ModpEchelon()
-    unit = (1,) if comp.generic else 1
     units = kept = 0  # forced columns and kept rows the echelon has seen
 
     def batch() -> bool:
@@ -614,7 +610,7 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
         ids = [rid for rid in range(kept, len(counts)) if counts[rid] >= 2]
         units, kept = len(prop.order), len(counts)
         _modp_pivot_rows(
-            ech, [[(u, unit)] for u in new_units]
+            ech, [[(u, comp.one)] for u in new_units]
             + [[(u, v) for u, v in prop.rows[rid] if not forced[u]] for rid in ids],
             comp.generic, n)
         return len(ech.pivots) == n
@@ -634,9 +630,8 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
     vecs = _lifted_kernel(ech, live, forced, comp.q)
     if vecs is None or any(any(map(_row_violated(comp.raw(vec), comp), residual))
                            for vec in vecs):
-        lift = (lambda v: RatFunc(Poly(v))) if comp.generic else Fraction
-        vecs = _kernel([{u: lift(v) for u, v in row if not forced[u]} for row in residual],
-                       live, scalar_one(comp.q))
+        vecs = _kernel([{u: comp.lift(v) for u, v in row if not forced[u]}
+                        for row in residual], live, scalar_one(comp.q))
     tables = _rref_vectors([{unknowns[u]: v for u, v in vec.items()} for vec in vecs])
     return NullSpaceBasis(dimension=len(tables), vectors=tables)
 
@@ -654,21 +649,11 @@ class StabilizeResult:
     warning: bool
 
 
-def _intersect(U: list[dict], V: list[dict]) -> list[dict]:
-    """Reduced echelon basis of span(U) & span(V), by the Zassenhaus algorithm.
-
-    Echelon the rows (u | u), u in U, and (v | 0), v in V, with halves keyed
-    (0, idx) and (1, idx): the rows pivoting in the right half span U & V.
-    """
-    rows = [{(h, k): c for h in (0, 1) for k, c in u.items()} for u in U]
-    rows += [{(0, k): c for k, c in v.items()} for v in V]
-    return [{k: c for (_half, k), c in row.items()}
-            for row in _rref_vectors(rows) if min(row)[0] == 1]
-
-
 def _seeded(cs: ConstraintSystem, zeros: set) -> ConstraintSystem:
-    """cs with a unit row in front of its rows for each unknown labelled in `zeros`."""
-    one = (1,) if cs.algebra.generic else 1
+    """cs with a unit row in front of its rows for each unknown labelled in
+    `zeros`.  On a nested ladder cs implies them (see `stabilize`); they let
+    propagation force those unknowns at once and the lazy source skip pairs."""
+    one = cs.algebra.one
     seeds = [(((u, one),),) for u, label in enumerate(cs.unknowns) if label in zeros]
     rows = cs.rows
     return ConstraintSystem(
@@ -686,11 +671,17 @@ def stabilize(system: Callable[[Window], ConstraintSystem],
     Each window must lie inside the next and differ from it: a repeated
     window changes nothing, so it could never flag an unstable degree.
 
-    Each later window is seeded with a unit row for each first-window
-    unknown off the support of the running intersection `current`.  Exact
-    for any systems: a v in ker(w) whose restriction lies in span(current)
-    is zero off its support, so it survives the unit rows.  They are real
-    rows, so `null_space`'s certificate and fallback hold as they are.
+    The ladder must be nested: every unknown and row of system(w) is one of
+    the next window's, as a half-derivation row depends only on its pair
+    and degree.  Each later kernel, restricted to the first window's
+    unknowns, then lies in the running intersection `current`, and so is
+    the next one.  Later windows are seeded with a unit row for each
+    first-window unknown off the support of `current`, rows a nested ladder
+    implies.  For any systems, a v in ker(w) whose restriction lies in
+    span(current) is zero off its support and survives them, so one rank
+    test per window (the restricted kernel lies in span(current)) makes
+    each step exact; a ladder that fails it is not nested: ValueError.  The
+    seeds are real rows, so `null_space`'s certificate and fallback hold.
     """
     if len(windows) < 2:
         raise ValueError("stabilize needs at least two nested windows")
@@ -711,8 +702,12 @@ def stabilize(system: Callable[[Window], ConstraintSystem],
         support = {k for vec in current for k in vec}
         ns = null_space(_seeded(system(w), labels0 - support))
         window_dims.append(ns.dimension)
-        restricted = [{k: v for k, v in vec.items() if k in labels0} for vec in ns.vectors]
-        current = _intersect(current, restricted)
+        restricted = _rref_vectors([{k: v for k, v in vec.items() if k in labels0}
+                                    for vec in ns.vectors])
+        if len(_rref_vectors(current + restricted)) != len(current):
+            raise ValueError(f"the kernel of window {w}, restricted to the first window, "
+                             "leaves the running intersection: the ladder is not nested")
+        current = restricted
         inter_dims.append(len(current))
     warning = inter_dims[-1] != inter_dims[-2]
     basis = NullSpaceBasis(dimension=len(current), vectors=current)
@@ -742,7 +737,7 @@ def builtin_map(name: str, alg: AlgebraSpec, w: Window) -> GradedMap:
     one = scalar_one(q)
     if name in ("id", "identity"):
         table = {idx: one for idx in w.basis(alg.parities)}
-        return GradedMap(MapDegree(EVEN, 0, 0), table, rule="id")
+        return GradedMap(MapDegree(EVEN, 0, 0), table)
     if name == "alpha":
         if q is None or q.denominator != 1:
             raise IntegralityViolation(f"alpha needs q in Z, got {format_q(q)}")
@@ -750,13 +745,13 @@ def builtin_map(name: str, alg: AlgebraSpec, w: Window) -> GradedMap:
         table = {}
         if w.contains(0, -2 * qi):
             table[BasisIndex(EVEN, 0, -2 * qi)] = one
-        return GradedMap(MapDegree(EVEN, 0, qi), table, rule="alpha")
+        return GradedMap(MapDegree(EVEN, 0, qi), table)
     if name == "beta":
         _require_super(alg, "beta")
         if q is None or q != 0:
             raise WrongQ(f"beta needs q = 0, got {format_q(q)}")
         table = {BasisIndex(ODD, 0, 0): one} if w.contains(0, 0) else {}
-        return GradedMap(MapDegree(EVEN, 0, 0), table, rule="beta")
+        return GradedMap(MapDegree(EVEN, 0, 0), table)
     if name == "gamma":
         _require_super(alg, "gamma")
         if q is None or q.denominator != 1 or q.numerator % 2:
@@ -765,19 +760,19 @@ def builtin_map(name: str, alg: AlgebraSpec, w: Window) -> GradedMap:
         table = {}
         if w.contains(0, -3 * qi // 2):
             table[BasisIndex(ODD, 0, -3 * qi // 2)] = one
-        return GradedMap(MapDegree(ODD, 0, qi // 2), table, rule="gamma")
+        return GradedMap(MapDegree(ODD, 0, qi // 2), table)
     if name == "delta":
         _require_super(alg, "delta")
         if q is None or q != 0:
             raise WrongQ(f"delta needs q = 0, got {format_q(q)}")
         table = {BasisIndex(EVEN, 0, 0): one} if w.contains(0, 0) else {}
-        return GradedMap(MapDegree(ODD, 0, 0), table, rule="delta")
+        return GradedMap(MapDegree(ODD, 0, 0), table)
     if name == "epsilon":
         _require_super(alg, "epsilon")
         if q is None or q != 0:
             raise WrongQ(f"epsilon needs q = 0, got {format_q(q)}")
         table = {BasisIndex(EVEN, m, i): one for m, i in w.points()}
-        return GradedMap(MapDegree(ODD, 0, 0), table, rule="epsilon")
+        return GradedMap(MapDegree(ODD, 0, 0), table)
     raise UnknownMapName(f"no built-in map named {name!r}")
 
 
@@ -786,7 +781,7 @@ def shift_map(alg: AlgebraSpec, w: Window) -> GradedMap:
     half-derivation, useful as a failing specimen."""
     one = scalar_one(alg.q)
     table = {idx: one for idx in w.basis(alg.parities)}
-    return GradedMap(MapDegree(EVEN, 1, 0), table, rule="shift")
+    return GradedMap(MapDegree(EVEN, 1, 0), table)
 
 
 # --- membership and verification ---------------------------------------------------

@@ -6,7 +6,7 @@ from itertools import product
 
 from blockq.algebra import _antisymmetry, _jacobi, check_identity
 from blockq.errors import BlockqError
-from blockq.halfder import (MapDegree, _intersect, combo_apply, half_derivation_system,
+from blockq.halfder import (MapDegree, _rref_vectors, combo_apply, half_derivation_system,
                             null_space, stabilize)
 from blockq.homlie import _as_combo, _cyclic_sums, _witness
 from blockq.scalars import RatFunc
@@ -55,14 +55,27 @@ def scalar_rows(cs):
     return [{cs.unknowns[u]: lift(v) for u, v in entries} for entries, _x, _y in cs.rows]
 
 
+def intersect_by_zassenhaus(U, V):
+    """Reduced echelon basis of span(U) & span(V), by the Zassenhaus algorithm.
+
+    Echelon the rows (u | u), u in U, and (v | 0), v in V, with halves keyed
+    (0, idx) and (1, idx): the rows pivoting in the right half span U & V.
+    """
+    rows = [{(h, k): c for h in (0, 1) for k, c in u.items()} for u in U]
+    rows += [{(0, k): c for k, c in v.items()} for v in V]
+    return [{k: c for (_half, k), c in row.items()}
+            for row in _rref_vectors(rows) if min(row)[0] == 1]
+
+
 def stabilized_by_full_kernels(systems):
     """The first system's kernel intersected with the full kernel of each
     later system, restricted to the first system's unknowns; nothing seeded."""
     labels0 = set(systems[0].unknowns)
     current = null_space(systems[0]).vectors
     for cs in systems[1:]:
-        current = _intersect(current, [{k: v for k, v in vec.items() if k in labels0}
-                                       for vec in null_space(cs).vectors])
+        current = intersect_by_zassenhaus(
+            current, [{k: v for k, v in vec.items() if k in labels0}
+                      for vec in null_space(cs).vectors])
     return current
 
 

@@ -96,6 +96,11 @@ CASES = {
     "classify_S_0_1x1_2x2_3x3": (
         ["classify", "--algebra", "S", "--q", "0", "--bounds", "1x1",
          "--windows", "2x2,3x3"], 0),
+    # recorded before the Zassenhaus step left stabilize: three windows, so
+    # a second seeded step, whose restricted kernel is the intersection
+    "classify_S_0_1x1_2x2_3x3_4x4": (
+        ["classify", "--algebra", "S", "--q", "0", "--bounds", "1x1",
+         "--windows", "2x2,3x3,4x4"], 0),
     "classify_S_0_odd_1x1_2x3_3x4": (
         ["classify", "--algebra", "S", "--q", "0", "--shift", "odd", "--bounds", "1x1",
          "--windows", "2x3,3x4"], 0),

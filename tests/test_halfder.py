@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import isqrt
 from pathlib import Path
 from unittest import mock
@@ -10,23 +10,39 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (classified_degree_by_degree, provenances, scalar_rows,
-                     stabilized_by_full_kernels)
+from oracles import (classified_degree_by_degree, intersect_by_zassenhaus, provenances,
+                     scalar_rows, stabilized_by_full_kernels)
 
 from blockq import halfder
 from blockq.algebra import EVEN, ODD, BasisIndex, Window
 from blockq.errors import (IntegralityViolation, OddMapOnNonSuper,
                            UnknownMapName, WrongQ)
 from blockq.halfder import (ConstraintSystem, GradedMap, MapDegree, NullSpaceBasis,
-                            _intersect, _kernel, _parity_pairs, _rref_vectors,
-                            _shell_pairs, build_constraints, builtin_map,
-                            check_map, classify, half_derivation_system,
+                            _kernel, _rref_vectors, _shell_pairs, build_constraints,
+                            builtin_map, check_map, classify, half_derivation_system,
                             null_space, shift_map, stabilize)
 from blockq.scalars import Poly, RatFunc, scalar_one, specialize_q
 from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
 
 L = lambda m, i: BasisIndex(EVEN, m, i)
 G = lambda m, i: BasisIndex(ODD, m, i)
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+# antisymmetric, with a term even in (m, n)
+SKEW_MIXED = """algebra X
+super false
+rule even even antisymmetric: n - m + j - i
+"""
+
+
+# odd odd declared symmetric but odd in (m, n): graded antisymmetry fails
+SKEW_ODD_SYMMETRIC = """algebra Y
+super true
+rule even even antisymmetric: n - m
+rule even odd antisymmetric: n - m
+rule odd odd symmetric: m
+"""
 
 
 def scalar_row_for(cs: ConstraintSystem, x: BasisIndex, y: BasisIndex) -> dict:
@@ -80,12 +96,49 @@ class TestBuildConstraints:
         cs = build_constraints(alg, MapDegree(ODD, 1, -1), w)
         for row in scalar_rows(cs):
             for idx in row:
-                assert w.contains_index(idx)
+                assert w.contains(idx.m, idx.i)
 
     def test_odd_shift_needs_super(self):
         alg = builtin_algebra("B", Fraction(1))
         with pytest.raises(OddMapOnNonSuper):
             build_constraints(alg, MapDegree(ODD, 0, 0), Window(2, 2))
+
+    @pytest.mark.parametrize("name,q,deg,w", [
+        ("mutated_B", Fraction(2), MapDegree(EVEN, 1, 0), Window(2, 3)),
+        ("skew_odd_symmetric", Fraction(2), MapDegree(ODD, 1, 0), Window(1, 2)),
+    ])
+    def test_both_orders_without_antisymmetry(self, name, q, deg, w):
+        # the spec fails graded antisymmetry, so the row of (y, x) need not be
+        # plus or minus the row of (x, y): both are imposed, streamed or not
+        alg = _spec(name, q)
+        comp = alg.compiled()
+        assert not comp.antisymmetric
+
+        def image(x):
+            return BasisIndex(x.parity ^ deg.parity_shift, x.m + deg.r, x.i + deg.s)
+
+        def row(x, y):
+            # 2 c(x, y) d(x + y) - c(phi x, y) d(x) - (-1)^{|phi||x|} c(x, phi y) d(y)
+            sign = -1 if deg.parity_shift and x.parity else 1
+            out = {}
+            for u, c in ((x.plus(y), 2 * comp.coeff(x, y)), (x, -comp.coeff(image(x), y)),
+                         (y, -sign * comp.coeff(x, image(y)))):
+                out[u] = out.get(u, 0) + c
+            return {u: c for u, c in out.items() if c}
+
+        cs = build_constraints(alg, deg, w)
+        got = {(x, y): {cs.unknowns[u]: v for u, v in entries} for entries, x, y in cs.rows}
+        differ = 0
+        for x, y in combinations(w.basis(alg.parities), 2):
+            if w.contains(x.m + y.m, x.i + y.i):
+                a, b = row(x, y), row(y, x)
+                if b not in (a, {u: -c for u, c in a.items()}):
+                    differ += 1
+                    assert got.get((x, y), {}) == a and got.get((y, x), {}) == b
+        assert differ
+        streamed = half_derivation_system(alg, deg)(w).rows(bytearray(len(cs.unknowns)))
+        assert {(BasisIndex(p1, m1, i1), BasisIndex(p2, m2, i2))
+                for _e, (p1, p2, m1, i1, m2, i2) in streamed} == set(got)
 
     @pytest.mark.parametrize("name,q,deg,w", [
         ("B", Fraction(2), MapDegree(EVEN, 1, -2), Window(3, 4)),
@@ -155,7 +208,7 @@ class TestNullSpace:
         small = build_constraints(alg, deg, w_small)
         for vec in big.vectors:
             restricted = {k: v for k, v in vec.items()
-                          if w_small.contains_index(k)}
+                          if w_small.contains(k.m, k.i)}
             for row in scalar_rows(small):
                 acc = sum(c * restricted.get(u, Fraction(0))
                           for u, c in row.items())
@@ -309,8 +362,7 @@ class TestCertifiedNullSpace:
         # from this one echelon
         alg = builtin_algebra("B", q)
         prop = halfder._ZeroPropagation(len(w.basis(alg.parities)))
-        for entries, _pair in halfder._rows(alg, deg, w,
-                                            _shell_pairs(w, _parity_pairs(alg, deg))):
+        for entries, _pair in halfder._rows(alg, deg, w, _shell_pairs(alg, deg, w)):
             prop.add(entries)
         fed = self._spy_fed(monkeypatch)
         calls = _spy_kernel(monkeypatch)
@@ -486,8 +538,7 @@ class TestStreamedSolve:
     def test_shells_cover_the_natural_pairs_once(self, is_super, mm, ii):
         alg = builtin_algebra("S" if is_super else "B", Fraction(1))
         w = Window(mm, ii)
-        combos = _parity_pairs(alg, MapDegree(EVEN, 0, 0))
-        shells = list(_shell_pairs(w, combos))
+        shells = list(_shell_pairs(alg, MapDegree(EVEN, 0, 0), w))
         assert len(set(shells)) == len(shells)
         # outside in: the shell max(|m1|, |i1|, |m2|, |i2|) never grows
         ks = [max(abs(m1), abs(i1), abs(m2), abs(i2)) for _p1, _p2, m1, i1, m2, i2 in shells]
@@ -581,7 +632,7 @@ class TestIntersectAndContains:
     @given(case=subspace_pairs())
     def test_intersection_is_the_common_family(self, case):
         W, U, V = case
-        assert _intersect(U, V) == _rref_vectors(W)
+        assert intersect_by_zassenhaus(U, V) == _rref_vectors(W)
 
     @staticmethod
     def basis() -> NullSpaceBasis:
@@ -724,19 +775,25 @@ def _count_rule_calls(monkeypatch, alg) -> list[int]:
 @st.composite
 def system_ladders(draw):
     """Random raw systems on three ascending windows, labelled by L(0, k):
-    each window's labels a random choice of 0..7, nested or not."""
+    each window's labels a random choice of 0..7 and its rows random, or,
+    on a nested ladder, the previous window's labels and rows with the
+    drawn ones added."""
     generic = draw(st.booleans())
+    nested = draw(st.booleans())
     alg = builtin_algebra("B", None if generic else Fraction(1))
     systems = {}
+    labels, rows = [], []
     for w in (Window(1, 1), Window(2, 2), Window(3, 3)):
-        labels = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+        drawn = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+        labels = labels + [k for k in drawn if k not in labels] if nested else drawn
         n = len(labels)
-        rows = draw(st.lists(
+        drawn = draw(st.lists(
             st.dictionaries(st.integers(0, n - 1), _raw_value(generic),
                             min_size=1, max_size=3),
             max_size=10))
+        rows = rows + drawn if nested else drawn
         systems[w] = ([L(0, k) for k in labels], [tuple(sorted(row.items())) for row in rows])
-    return alg, systems
+    return alg, nested, systems
 
 
 class TestSeedAndSkip:
@@ -792,14 +849,19 @@ class TestSeedAndSkip:
     @settings(max_examples=200, deadline=None)
     @given(ladder=system_ladders())
     def test_any_ladder_matches_full_kernels(self, ladder):
-        alg, systems = ladder
+        # stabilize is exact or refuses the ladder, and never refuses a nested one
+        alg, nested, systems = ladder
 
         def system(w):
             unknowns, rows = systems[w]
             return ConstraintSystem(alg.compiled(), unknowns, [(e,) for e in rows])
 
         windows = list(systems)
-        st = stabilize(system, windows)
+        try:
+            st = stabilize(system, windows)
+        except ValueError:
+            assert not nested
+            return
         assert st.basis.vectors == stabilized_by_full_kernels([system(w) for w in windows])
 
     @pytest.mark.parametrize("name,q,deg,windows", [
@@ -813,7 +875,7 @@ class TestSeedAndSkip:
 
         def system(w):
             cs = half_derivation_system(alg, deg)(w)
-            pairs = list(_shell_pairs(w, _parity_pairs(alg, deg)))
+            pairs = list(_shell_pairs(alg, deg, w))
             index = {label: u for u, label in enumerate(cs.unknowns)}
 
             def rows(forced):
@@ -852,27 +914,18 @@ class TestSeedAndSkip:
         # build_constraints, and so check_map, reads every pair with a nonzero row
         alg = builtin_algebra("S", Fraction(-4))
         deg, w = MapDegree(ODD, 0, -2), Window(2, 6)
-        pairs = list(_shell_pairs(w, _parity_pairs(alg, deg)))
+        pairs = list(_shell_pairs(alg, deg, w))
         nonzero = [p for p in pairs if list(halfder._rows(alg, deg, w, [p]))]
         assert len(build_constraints(alg, deg, w).rows) == len(nonzero)
 
 
-INPUTS = Path(__file__).parent / "golden" / "inputs"
-
-
-# antisymmetric, with a term even in (m, n)
-SKEW_MIXED = """algebra X
-super false
-rule even even antisymmetric: n - m + j - i
-"""
-
-
 def _spec(name, q):
-    """B, S, SKEW_MIXED or a spec of tests/golden/inputs (mutated_B,
-    mutated_S, cubic, witt), at q."""
+    """B, S, SKEW_MIXED, SKEW_ODD_SYMMETRIC or a spec of tests/golden/inputs
+    (mutated_B, mutated_S, cubic, witt), at q."""
     if name in ("B", "S"):
         return builtin_algebra(name, q)
-    text = SKEW_MIXED if name == "skew_mixed" else (INPUTS / f"{name}.alg").read_text()
+    texts = {"skew_mixed": SKEW_MIXED, "skew_odd_symmetric": SKEW_ODD_SYMMETRIC}
+    text = texts[name] if name in texts else (INPUTS / f"{name}.alg").read_text()
     return make_algebra(parse_spec(text), q)
 
 

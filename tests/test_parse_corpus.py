@@ -1,7 +1,7 @@
 """A fixed corpus for the three text grammars: scalars, `.alg` expressions and maps.
 
 Each accepted input is pinned to its value: a scalar's canonical text, an
-expression's AST and printed form, a map combination's (weight, rule) pairs.
+expression's AST and printed form, a map combination's (weight, map) pairs.
 Each rejected input is pinned to its exception class, and for `.alg`
 expressions and spec files also to the line and column of the error.
 """
@@ -14,6 +14,7 @@ from blockq.algebra import Window
 from blockq.cli import parse_map_expr
 from blockq.errors import (DivisionByZero, IntegralityViolation, ModeMismatch,
                            ParseError, UnknownMapName, UnknownVariable)
+from blockq.halfder import builtin_map, shift_map
 from blockq.scalars import format_scalar, parse_q, parse_scalar
 from blockq.specdsl import builtin_algebra, parse_expr, parse_spec, print_expr, print_spec
 
@@ -263,8 +264,11 @@ def test_spec(text, expected):
 def test_map(text, q, expected):
     alg = builtin_algebra("B", parse_q(q))
     if isinstance(expected, list):
-        combo = parse_map_expr(text, alg, Window(2, 2))
-        assert [(format_scalar(c), g.rule) for c, g in combo] == expected
+        w = Window(2, 2)
+        combo = parse_map_expr(text, alg, w)
+        assert [(format_scalar(c), g) for c, g in combo] == [
+            (c, shift_map(alg, w) if name == "shift" else builtin_map(name, alg, w))
+            for c, name in expected]
     else:
         with pytest.raises(Exception) as err:
             parse_map_expr(text, alg, Window(2, 2))
