@@ -16,15 +16,20 @@ solver.  It reads the rows in order:
   rank equal to the number of live unknowns, the kernel is zero, proved
   (reducing mod p and specialising q can only lower rank), and the remaining
   rows are never read, so a lazy row source never builds them;
-* otherwise, after the last row and one more batch, the kernel is read off
-  that same echelon: one vector per live non-pivot column, each residue
-  lifted to Q by rational reconstruction (a q-free constant in generic
-  mode).  The lift is certified in three parts: the exact kernel has at
-  most that many dimensions (the mod-p rank can only be lower), each vector
-  is zero on the forced unknowns and satisfies every kept row in integer
-  arithmetic, and the vectors are independent, each having its own free
-  column.  So they span the kernel.  If a residue has no lift or a row
-  fails, all kept rows are solved exactly instead.
+* otherwise the kernel is read off that same echelon, whenever a batch
+  leaves its rank unchanged and once more after the last row: one vector
+  per live non-pivot column, each residue lifted to Q by rational
+  reconstruction (a q-free constant in generic mode).  The lift is
+  certified on the rows read so far in three parts: their exact kernel has
+  at most that many dimensions (the mod-p rank can only be lower), each
+  vector is zero on the forced unknowns and satisfies every kept row in
+  integer arithmetic, and the vectors are independent, each having its own
+  free column.  So they span that kernel.  While a certified lift stands,
+  a later row that vanishes on every vector lies in the row space of the
+  rows already read and is dropped before propagation and the echelon; the
+  first row that fails goes on as before.  If the last lift has a residue
+  with no lift or a row fails, all kept rows, every row not dropped, are
+  solved exactly instead.
 
 The result is the exact space in canonical reduced echelon form, pivots at
 the least labels.  `stabilize` takes a system per window and intersects the
@@ -520,7 +525,24 @@ def _lifted_kernel(ech: _ModpEchelon, live: Sequence[int], forced: bytearray,
 
 
 def _row_violated(ivec: dict, comp: CompiledAlgebra) -> Callable[[Entries], bool]:
-    """Whether a raw row's product with the raw vector is nonzero."""
+    """Whether a raw row's product with the raw vector is nonzero.
+
+    A generic vector with no q in it, as every lifted kernel is, is checked
+    by integer multiply-accumulate per power of q; the accumulator is sized
+    from the row, whose values may carry more powers than `comp.D`.
+    """
+    if comp.generic and all(len(w) == 1 for w in ivec.values()):
+        flat = {u: w[0] for u, w in ivec.items()}
+
+        def violated_flat(entries: Entries) -> bool:
+            acc = [0] * max((len(v) for _u, v in entries), default=0)
+            for u, v in entries:
+                w = flat.get(u)
+                if w is not None:
+                    for j, c in enumerate(v):
+                        acc[j] += c * w
+            return any(acc)
+        return violated_flat
     vmul, vadd, is0 = comp.vmul, comp.vadd, comp.vis_zero
 
     def violated(entries: Entries) -> bool:
@@ -582,19 +604,28 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
     in no kept row, since the rank on the live columns cannot be full then.
     This delays no stop, and a system that propagation settles alone feeds
     the echelon much less.  After the last row one more batch runs, unless
-    no kept row has a live entry left.
+    a certified lift stands or no kept row has a live entry left.
 
-    The kernel is then lifted from the echelon, one vector per live
-    non-pivot column (`_lifted_kernel`), and certified in three parts.
+    The kernel is lifted from the echelon, one vector per live non-pivot
+    column (`_lifted_kernel`), and certified in three parts (`certified`).
     Upper bound: as for the early stop, the exact kernel's dimension is at
     most the number of live non-pivot columns (a forced column the echelon
     has not seen would add a unit row).  Exact check: each vector is zero
     on the forced unknowns and every kept row vanishes on it, in integer
-    arithmetic.  Independence: each vector has its own free column.  So
-    the vectors span the kernel.  When a residue has no lift or a kept row
-    fails (the kernel depends on q, an entry lies beyond the reconstruction
-    bound, or the mod-p rank fell short), all kept rows are solved exactly
-    instead.
+    arithmetic.  Independence: each vector has its own free column.  So the
+    vectors span the kernel of the rows read so far.
+
+    A batch that leaves the rank unchanged lifts too, and a certified lift
+    starts check mode: each later row is checked against the vectors, and
+    one that vanishes on all of them lies in the row space of the rows read
+    so far, so it is dropped before propagation and the echelon.  The first
+    row that fails goes on as before and ends check mode, until the next
+    batch that leaves the rank unchanged.  After the last row the standing
+    certified lift is the kernel; without one the lift is tried once more,
+    and when a residue has no lift or a kept row fails (the kernel depends
+    on q, an entry lies beyond the reconstruction bound, or the mod-p rank
+    fell short), all kept rows, which are every row not dropped, are solved
+    exactly instead.
     """
     comp, unknowns = cs.algebra, cs.unknowns
     n = len(unknowns)
@@ -615,23 +646,42 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
             comp.generic, n)
         return len(ech.pivots) == n
 
+    def certified() -> tuple[list[dict], list[Callable[[Entries], bool]]] | None:
+        """The kernel lifted from `ech` just after a batch and its row checks,
+        if it holds on every row read so far; None otherwise."""
+        vecs = _lifted_kernel(ech, [u for u in range(n) if not forced[u]], forced, comp.q)
+        if vecs is None:
+            return None
+        checks = [_row_violated(comp.raw(vec), comp) for vec in vecs]
+        if any(count >= 2 and any(check(row) for check in checks)
+               for row, count in zip(prop.rows, counts)):
+            return None
+        return vecs, checks
+
     zero = NullSpaceBasis(dimension=0, vectors=[])
+    lifted = None  # check mode: the certified kernel and its row checks
     rows = cs.rows(forced) if callable(cs.rows) else cs.rows
     for k, row in enumerate(rows, 1):
+        if lifted:
+            if not any(check(row[0]) for check in lifted[1]):
+                continue
+            lifted = None
         if prop.add(row[0]):
             return zero
-        if not k % _BATCH and all(occ[u] for u in range(n) if not forced[u]) and batch():
+        if not k % _BATCH and all(occ[u] for u in range(n) if not forced[u]):
+            rank = len(ech.pivots)
+            if batch():
+                return zero
+            if len(ech.pivots) == rank:
+                lifted = certified()
+    if not lifted:
+        residual = [prop.rows[rid] for rid, count in enumerate(counts) if count >= 2]
+        if residual and batch():
             return zero
-    residual = [prop.rows[rid] for rid, count in enumerate(counts) if count >= 2]
-    if residual and batch():
-        return zero
-
-    live = [u for u in range(n) if not forced[u]]
-    vecs = _lifted_kernel(ech, live, forced, comp.q)
-    if vecs is None or any(any(map(_row_violated(comp.raw(vec), comp), residual))
-                           for vec in vecs):
-        vecs = _kernel([{u: comp.lift(v) for u, v in row if not forced[u]}
-                        for row in residual], live, scalar_one(comp.q))
+        lifted = certified()
+    vecs = lifted[0] if lifted else _kernel(
+        [{u: comp.lift(v) for u, v in row if not forced[u]} for row in residual],
+        [u for u in range(n) if not forced[u]], scalar_one(comp.q))
     tables = _rref_vectors([{unknowns[u]: v for u, v in vec.items()} for vec in vecs])
     return NullSpaceBasis(dimension=len(tables), vectors=tables)
 

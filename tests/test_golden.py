@@ -123,6 +123,11 @@ CASES = {
     "classify_B_2_3x3_3x6_4x7": (
         ["classify", "--algebra", "B", "--q", "2", "--bounds", "3x3",
          "--windows", "3x6,4x7", "--expect", "2"], 0),
+    # recorded before an open degree's rows were checked against its
+    # certified kernel: the benchmark's B(7/3) job, open only at (0, 0)
+    "classify_B_7_3_3x3_3x6_4x7": (
+        ["classify", "--algebra", "B", "--q", "7/3", "--bounds", "3x3",
+         "--windows", "3x6,4x7"], 0),
     # recorded before open kernels were lifted from the mod-p echelon: the
     # benchmark's B generic job, whose open kernels are all q-free
     "classify_B_generic_3x3_3x4_4x5": (

@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (classified_degree_by_degree, intersect_by_zassenhaus, provenances,
                      scalar_rows, stabilized_by_full_kernels)
@@ -383,6 +383,186 @@ class TestCertifiedNullSpace:
         fed = self._spy_fed(monkeypatch)
         assert null_space(half_derivation_system(alg, deg)(w)).dimension == 1
         assert fed == []
+
+
+def _lin(terms: list, generic: bool):
+    """The raw value sum of c * v over the (int c, raw value v) terms."""
+    if not generic:
+        return sum(c * v for c, v in terms)
+    width = max(len(v) for _c, v in terms)
+    return tuple(sum(c * v[j] for c, v in terms if j < len(v)) for j in range(width))
+
+
+def _raw_row(cols: dict, generic: bool) -> tuple:
+    """Entries of a {column: raw value} table, zero values dropped."""
+    return tuple((u, v) for u, v in sorted(cols.items()) if (any(v) if generic else v))
+
+
+def _combined(a: tuple, b: tuple, ca: int, cb: int, generic: bool) -> tuple:
+    """The raw row ca * a + cb * b."""
+    cols: dict = {}
+    for c, row in ((ca, a), (cb, b)):
+        for u, v in row:
+            cols.setdefault(u, []).append((c, v))
+    return _raw_row({u: _lin(terms, generic) for u, terms in cols.items()}, generic)
+
+
+@st.composite
+def stalling_systems(draw):
+    """Rows that vanish on a drawn integer vector x, so an open kernel, with
+    combinations of earlier rows mixed in.
+
+    A drawn row is scaled and its entry at a column p where x is nonzero set
+    to cancel the rest on x.  A combination lies in the row space of the
+    rows before it, so a batch of them leaves the rank unchanged and starts
+    check mode, and a later drawn row may grow the rank again.
+    """
+    generic = draw(st.booleans())
+    n = draw(st.integers(2, 7))
+    x = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    rows: list[tuple] = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = draw(st.dictionaries(st.integers(0, n - 1), _raw_value(generic),
+                                   min_size=2, max_size=3))
+        p = next((u for u in row if x[u]), None)
+        if p is not None:
+            rest = [(u, v) for u, v in row.items() if u != p]
+            row = {u: _lin([(x[p], v)], generic) for u, v in rest}
+            row[p] = _lin([(-x[u], v) for u, v in rest], generic)
+        rows.append(_raw_row(row, generic))
+        for _ in range(draw(st.integers(0, 4))):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            combo = _combined(a, b, draw(st.integers(-2, 2)), draw(st.integers(-2, 2)),
+                              generic)
+            if combo:
+                rows.append(combo)
+    return generic, n, [row for row in rows if row]
+
+
+def _solve_in_check_mode(generic: bool, n: int, entries: list, prime: int, batch: int):
+    """null_space of the rows at `prime` and `_BATCH` = batch, and the plain exact kernel."""
+    alg = builtin_algebra("B", None if generic else Fraction(1))
+    unknowns = [L(0, i) for i in range(n)]
+    cs = ConstraintSystem(alg.compiled(), unknowns, [(e,) for e in entries])
+    with mock.patch.object(halfder, "_PRIME", prime), \
+            mock.patch.object(halfder, "_BATCH", batch):
+        got = null_space(cs)
+    lift = (lambda v: RatFunc(Poly(v))) if generic else Fraction
+    plain = _kernel([{u: lift(v) for u, v in e} for e in entries], range(n),
+                    scalar_one(alg.q))
+    return got, _rref_vectors([{unknowns[u]: v for u, v in vec.items()} for vec in plain])
+
+
+def _spy_fed_rows(monkeypatch) -> list:
+    """Record the Entries of every row that reaches zero propagation."""
+    fed = []
+    add = halfder._ZeroPropagation.add
+
+    def spy(self, entries):
+        fed.append(entries)
+        return add(self, entries)
+
+    monkeypatch.setattr(halfder._ZeroPropagation, "add", spy)
+    return fed
+
+
+def _stall_then_grow(generic: bool) -> list[tuple]:
+    """Rows on x0..x3 that, at _BATCH = 2, stall, grow the rank, and stall again.
+
+    Rows 3-4 (2a, a + b) stall at rank 2: the certified kernel
+    <(1,1,0,0), (0,0,1,1)> drops row 5 (3b).  Row 6 (x1 - x2) breaks it and
+    grows the rank to 3; rows 7-8 stall again, and row 9 (b) is dropped on
+    the lift <(1,1,1,1)>.
+    """
+    one, neg = ((1,), (-1,)) if generic else (1, -1)
+    a, b, f = ((0, one), (1, neg)), ((2, one), (3, neg)), ((1, one), (2, neg))
+    return [a, b, _combined(a, a, 1, 1, generic), _combined(a, b, 1, 1, generic),
+            _combined(b, b, 1, 2, generic), f, _combined(a, f, 1, 1, generic),
+            _combined(f, f, 1, 1, generic), b]
+
+
+def _lift_fails_after_drops(generic: bool) -> list[tuple]:
+    """`_stall_then_grow` up to row 5 (dropped), then a row tying x0 to x2 by
+    65537 x0 = 3 x2 (fixed q) or q x0 = x2 (generic), so the last lift fails."""
+    rows = _stall_then_grow(generic)[:5]
+    return rows + [((0, (0, 1)), (2, (-1,))) if generic else ((0, 65537), (2, -3))]
+
+
+class TestCheckMode:
+    @settings(max_examples=300, deadline=None)
+    @given(system=stalling_systems(), prime=st.sampled_from([2**31 - 1, 3, 2]),
+           batch=st.integers(2, 4))
+    @example(system=(False, 4, _stall_then_grow(False)), prime=2**31 - 1, batch=2)
+    @example(system=(True, 4, _stall_then_grow(True)), prime=2**31 - 1, batch=2)
+    @example(system=(False, 4, _lift_fails_after_drops(False)), prime=2**31 - 1, batch=2)
+    @example(system=(True, 4, _lift_fails_after_drops(True)), prime=2**31 - 1, batch=2)
+    def test_matches_plain_exact_kernel(self, system, prime, batch):
+        # a short _BATCH lets a few dozen rows stall a batch; small primes
+        # make lifts that fail their certificate, before and after rows are
+        # dropped
+        generic, n, entries = system
+        got, expected = _solve_in_check_mode(generic, n, entries, prime, batch)
+        assert got.vectors == expected
+        assert got.dimension == len(expected)
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_rank_stalls_then_grows(self, monkeypatch, generic):
+        rows = _stall_then_grow(generic)
+        fed = _spy_fed_rows(monkeypatch)
+        lifts = _spy_lifts(monkeypatch, "_lifted_kernel")
+        calls = _spy_kernel(monkeypatch)
+        got, expected = _solve_in_check_mode(generic, 4, rows, 2**31 - 1, 2)
+        assert got.vectors == expected and got.dimension == 1
+        assert fed == [row for k, row in enumerate(rows, 1) if k not in (5, 9)]
+        assert [len(vecs) for vecs in lifts] == [2, 1]
+        assert calls == []
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_failing_lift_after_dropped_rows_solves_the_rest(self, monkeypatch, generic):
+        # the exact solve takes every row but the dropped one
+        rows = _lift_fails_after_drops(generic)
+        fed = _spy_fed_rows(monkeypatch)
+        lifts = _spy_lifts(monkeypatch, "_lifted_kernel")
+        calls = _spy_kernel(monkeypatch)
+        got, expected = _solve_in_check_mode(generic, 4, rows, 2**31 - 1, 2)
+        assert got.vectors == expected and got.dimension == 1
+        assert fed == rows[:4] + rows[5:]
+        assert len(lifts) == 2 and lifts[0] is not None
+        assert calls == [5]
+
+    def test_identity_degree_feeds_few_rows(self, monkeypatch):
+        # B(2), degree (0, 0), window 4x7: the rank stops growing within the
+        # first batches; the certified <id> then drops every later row.  The
+        # lazy source still reads every row, since nothing is forced here.
+        alg = builtin_algebra("B", Fraction(2))
+        deg, w = MapDegree(EVEN, 0, 0), Window(4, 7)
+        total = len(build_constraints(alg, deg, w).rows)
+        assert total == 4832
+        taken = _count_rows(monkeypatch)
+        fed = _spy_fed_rows(monkeypatch)
+        calls = _spy_kernel(monkeypatch)
+        ns = null_space(half_derivation_system(alg, deg)(w))
+        assert ns.contains(builtin_map("id", alg, w).table) and ns.dimension == 1
+        assert taken[0] == total
+        assert len(fed) == 256
+        assert calls == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.dictionaries(st.integers(0, 4), _raw_value(True),
+                                         min_size=1, max_size=3), max_size=6),
+           vec=st.dictionaries(st.integers(0, 4), st.integers(-3, 3).filter(bool),
+                               max_size=5))
+    def test_q_free_row_check_matches_polynomials(self, rows, vec):
+        # a q-free vector's check accumulates ints per power of q; a row may
+        # carry more powers than the algebra's rules
+        comp = builtin_algebra("B", None).compiled()
+        violated = halfder._row_violated({u: (w,) for u, w in vec.items()}, comp)
+        for row in rows:
+            entries = tuple(sorted(row.items()))
+            acc = Poly()
+            for u, v in entries:
+                acc = acc + Poly(v) * Poly.const(vec.get(u, 0))
+            assert violated(entries) == (not acc.is_zero)
 
 
 def _spy_lifts(monkeypatch, name: str) -> list:
