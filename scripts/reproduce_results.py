@@ -14,7 +14,8 @@ import time
 from fractions import Fraction
 
 from blockq.algebra import EVEN, ODD, Window, verify_antisymmetry, verify_jacobi
-from blockq.halfder import builtin_map, classify, shift_map
+from blockq.cli import parse_map_expr
+from blockq.halfder import classify
 from blockq.homlie import hom_jacobi_check
 from blockq.scalars import format_q
 from blockq.specdsl import builtin_algebra
@@ -100,20 +101,15 @@ def run_hom_checks(fast: bool) -> None:
     print("== Hom-Lie twists ==")
     wB = Window(3, 4) if fast else Window(4, 6)
     B2 = builtin_algebra("B", Q(2))
-    for expr, combo in (
-            ("id", [(Q(1), builtin_map("id", B2, wB))]),
-            ("alpha", [(Q(1), builtin_map("alpha", B2, wB))]),
-            ("id + alpha", [(Q(1), builtin_map("id", B2, wB)),
-                            (Q(1), builtin_map("alpha", B2, wB))]),
-            ("shift", [(Q(1), shift_map(B2, wB))])):
+    for expr in ("id", "alpha", "id + alpha", "shift"):
         t0 = time.time()
-        rep = hom_jacobi_check(B2, combo, wB)
+        rep = hom_jacobi_check(B2, parse_map_expr(expr, B2, wB), wB)
         print(f"  B(2) twist {expr!r} on {wB}: pass={rep.passed} "
               f"conventions={rep.notes['conventions']} ({time.time() - t0:.1f}s)")
     S2 = builtin_algebra("S", Q(2))
     wS = Window(2, 3) if fast else Window(3, 5)
     t0 = time.time()
-    rep = hom_jacobi_check(S2, builtin_map("gamma", S2, wS), wS)
+    rep = hom_jacobi_check(S2, parse_map_expr("gamma", S2, wS), wS)
     print(f"  S(2) twist 'gamma' on {wS}: pass={rep.passed} ({time.time() - t0:.1f}s)")
 
 

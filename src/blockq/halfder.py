@@ -64,15 +64,15 @@ the lifted kernel.
 
 `classify` solves the degrees (r, s) and (-r, s) once when `_reflection`
 finds a sign sigma(p) per parity such that T: d(p, m, i) -> sigma(p) d(p, -m, i)
-sends the row of each pair {x, y} of degree (r, s) to plus or minus the row of
-{x', y'} of degree (-r, s), where x' is x with m negated.  Each rule must be
+sends the row of each pair (x, y) of degree (r, s) to plus or minus the row of
+(x', y') of degree (-r, s), where x' is x with m negated.  Each rule must be
 even or odd in (m, n) (its sign tau, read off the monomials, so for every
-index and q), the signs of each row's three terms must agree under sigma,
-and graded antisymmetry (`CompiledAlgebra.antisymmetric`, proved for all
-indices) makes a same-parity pair's row independent, up to sign, of which
-of its points comes first, an order the reflection may reverse.  Every
-window is symmetric in m, so T maps each window's kernel, the intersection
-and its dimensions onto those of the mirrored degree.
+index and q), and the signs of each row's three terms must agree under
+sigma.  Every window is symmetric in m, and the pairs a system takes are
+closed under the flip: in both orders as they stand, and once up to the
+order, which then changes a row by a sign only.  So T maps each window's
+kernel, the intersection and its dimensions onto those of the mirrored
+degree.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, CompiledAlgebra, Parit
                       bracket_vec, check_identity, parity_name)
 from .errors import (IntegralityViolation, OddMapOnNonSuper, UnknownMapName,
                      WrongQ)
-from .scalars import Scalar, format_q, format_scalar, from_fraction, inv, scalar_one
+from .scalars import Scalar, format_q, from_fraction, inv, scalar_one
 
 
 @dataclass(frozen=True)
@@ -575,7 +575,7 @@ class NullSpaceBasis:
 
     def tables_json(self) -> list[list[dict]]:
         return [[{"parity": parity_name(k.parity), "m": k.m, "i": k.i,
-                  "value": format_scalar(v)} for k, v in sorted(vec.items())]
+                  "value": str(v)} for k, v in sorted(vec.items())]
                 for vec in self.vectors]
 
 
@@ -924,11 +924,9 @@ def _reflection(alg: AlgebraSpec, shift: Parity) -> tuple[int, ...] | None:
 
     tau(p1, p2) = (-1)^(e_m + e_n) must be one sign over the monomials of
     rule (p1, p2) (1 for a zero rule, which can only reject), and the row of
-    a pair of parities (p1, p2) then changes by tau(p1, p2) sigma(p1 + p2),
-    tau(p1 + shift, p2) sigma(p1) and tau(p1, p2 + shift) sigma(p2) in its
-    three terms, which must agree.  Graded antisymmetry must hold too: the
-    system takes a same-parity pair in one order only, and the reflection
-    may reverse it.
+    each pair of parities (p1, p2) the system takes (`_parity_pairs`) then
+    changes by tau(p1, p2) sigma(p1 + p2), tau(p1 + shift, p2) sigma(p1) and
+    tau(p1, p2 + shift) sigma(p2) in its three terms, which must agree.
     """
     tau = {}
     for key, monos in alg.rules.items():
@@ -936,8 +934,6 @@ def _reflection(alg: AlgebraSpec, shift: Parity) -> tuple[int, ...] | None:
         if len(signs) > 1:
             return None
         tau[key] = signs.pop() if signs else 1
-    if not alg.compiled().antisymmetric:
-        return None
     pairs = _parity_pairs(alg, MapDegree(shift, 0, 0))
     for sigma in product((1, -1), repeat=len(alg.parities)):
         if all(tau[p1, p2] * sigma[p1 ^ p2] == tau[p1 ^ shift, p2] * sigma[p1]
@@ -959,8 +955,8 @@ def classify(alg: AlgebraSpec, parity_shift: Parity, bounds: tuple[int, int],
     """Stabilized null-space dimensions for every degree |r| <= R, |s| <= S.
 
     Every degree is solved by `stabilize`, except that when `_reflection`
-    certifies the spec only r >= 0 is, and each r < 0 degree is mirrored
-    from (-r, s).
+    finds signs for the spec's rules only r >= 0 is, and each r < 0 degree
+    is mirrored from (-r, s).
     """
     R, S = bounds
     candidates = named_candidates(alg, windows[0])

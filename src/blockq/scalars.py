@@ -316,10 +316,6 @@ def from_fraction(c: Fraction | int, q: Fraction | None) -> Scalar:
     return Fraction(c) if q is not None else RatFunc.const(c)
 
 
-def format_scalar(x: Scalar) -> str:
-    return str(x)
-
-
 _Q_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 

@@ -37,8 +37,7 @@ from .algebra import (EVEN, MAX_REPORT_VIOLATIONS, ODD, AlgebraSpec, BasisIndex,
                       check_identity, index_from_json)
 from .errors import NonHomogeneousMultiplication, ParseError, WrongQ
 from .halfder import GradedMap, MapDegree, check_map, half_derivation_sides
-from .scalars import (Scalar, format_q, format_scalar, from_fraction, parse_scalar,
-                      scalar_one)
+from .scalars import Scalar, format_q, from_fraction, parse_scalar, scalar_one
 
 PairKey = tuple[BasisIndex, BasisIndex]
 
@@ -109,7 +108,7 @@ class ProductTable:
         return {"super": self.is_super,
                 "entries": [{
                     "x": x.json(), "y": y.json(),
-                    "value": [[*idx.json(), format_scalar(c)]
+                    "value": [[*idx.json(), str(c)]
                               for idx, c in v.items()],
                 } for (x, y), v in sorted(self.entries.items())]}
 
@@ -194,13 +193,8 @@ def verify_supercommutative_grading(prod: ProductTable) -> VerificationReport:
             log.record((x, y), lambda: (v, "0 (odd square)"))
             continue
         want_parity = (x.parity + y.parity) & 1
-        bad = False
-        for idx in v.entries:
-            if idx.parity != want_parity:
-                log.record((x, y), lambda: (v, f"images of parity {want_parity}"))
-                bad = True
-                break
-        if bad:
+        if any(idx.parity != want_parity for idx in v.entries):
+            log.record((x, y), lambda: (v, f"images of parity {want_parity}"))
             continue
         if len(v.entries) > 1:
             log.record((x, y), lambda: (v, "a single homogeneous image"))

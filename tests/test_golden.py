@@ -142,6 +142,12 @@ CASES = {
     "classify_cubic_2_2x2_2x3_3x4": (
         ["classify", "--spec", f"{INPUTS}/cubic.alg", "--q", "2", "--bounds", "2x2",
          "--windows", "2x3,3x4"], 0),
+    # recorded before the mirror's certificate stopped asking for graded
+    # antisymmetry: a spec that fails it, solved directly then and mirrored
+    # since, whose only kernel is id at (0, 0)
+    "classify_mutated_B_2_2x2_2x3_3x4": (
+        ["classify", "--spec", f"{INPUTS}/mutated_B.alg", "--q", "2", "--bounds", "2x2",
+         "--windows", "2x3,3x4"], 0),
 }
 
 

@@ -15,7 +15,7 @@ from blockq.cli import parse_map_expr
 from blockq.errors import (DivisionByZero, IntegralityViolation, ModeMismatch,
                            ParseError, UnknownMapName, UnknownVariable)
 from blockq.halfder import builtin_map, shift_map
-from blockq.scalars import format_scalar, parse_q, parse_scalar
+from blockq.scalars import parse_q, parse_scalar
 from blockq.specdsl import builtin_algebra, parse_expr, parse_spec, print_expr, print_spec
 
 # (text, q flag, canonical text of the value or exception class)
@@ -201,7 +201,7 @@ def test_scalar(text, q, expected):
     mode = parse_q(q)
     if isinstance(expected, str):
         val = parse_scalar(text, mode)
-        assert format_scalar(val) == expected
+        assert str(val) == expected
         assert isinstance(val, Fraction) == (mode is not None)
     else:
         with pytest.raises(Exception) as err:
@@ -266,7 +266,7 @@ def test_map(text, q, expected):
     if isinstance(expected, list):
         w = Window(2, 2)
         combo = parse_map_expr(text, alg, w)
-        assert [(format_scalar(c), g) for c, g in combo] == [
+        assert [(str(c), g) for c, g in combo] == [
             (c, shift_map(alg, w) if name == "shift" else builtin_map(name, alg, w))
             for c, name in expected]
     else:

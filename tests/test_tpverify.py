@@ -85,6 +85,28 @@ class TestGrading:
         prod.put(L(0, 0), L(0, 1), vec(L(1, 1)))
         assert not verify_supercommutative_grading(prod).passed
 
+    def test_witnesses(self):
+        # an odd square; two images of the wrong parity, one violation; a
+        # two-term image; and L[5,0] moving L[6,0] by (5, 0) but L[7,0] by (-2, 0)
+        prod = ProductTable(is_super=True, q=Fraction(0))
+        prod.put(G(0, 0), G(0, 0), vec(L(0, 0)))
+        prod.put(L(0, 1), L(0, 1), vec(G(0, 0)) + vec(G(1, 0), 2))
+        prod.put(L(0, 2), L(0, 2), vec(L(0, 0)) + vec(L(1, 0), -1))
+        prod.put(L(5, 0), L(6, 0), vec(L(11, 0)))
+        prod.put(L(5, 0), L(7, 0), vec(L(5, 0), 3))
+        rep = verify_supercommutative_grading(prod)
+        assert (rep.checked, rep.total_violations) == (5, 4)
+        assert rep.violations == [
+            {"indices": [["even", 0, 1], ["even", 0, 1]],
+             "lhs": "(1)*G[0,0] + (2)*G[1,0]", "rhs": "images of parity 0"},
+            {"indices": [["even", 0, 2], ["even", 0, 2]],
+             "lhs": "(1)*L[0,0] + (-1)*L[1,0]", "rhs": "a single homogeneous image"},
+            {"indices": [["even", 5, 0], ["even", 7, 0]],
+             "lhs": "degree (even,-2,0)", "rhs": "degree (even,5,0)"},
+            {"indices": [["odd", 0, 0], ["odd", 0, 0]],
+             "lhs": "(1)*L[0,0]", "rhs": "0 (odd square)"},
+        ]
+
 
 class TestAssociativity:
     def test_block_thalg_q1(self):
