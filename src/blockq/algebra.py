@@ -7,14 +7,18 @@ which identities get enumerated, never the evaluation itself.
 
 Every identity suite (antisymmetry, Jacobi, half-derivation, Hom-Lie,
 transposed Leibniz and associativity) runs through one kernel,
-`check_identity`: it evaluates a residual per case, logs each failing case,
-and builds scalar sides only for the witnesses a report keeps.  Except for
-associativity, which has no bracket, the residuals run on the compiled layer
-(`CompiledAlgebra`).  It clears denominators once per algebra and evaluates
-every structure constant with plain integer arithmetic: ints in fixed-q
-mode, integer q-coefficient tuples in generic mode.  `CompiledAlgebra.raw`
-clears a scalar table (a map, a product or a kernel vector) onto the same
-layer with one common factor.
+`check_identity`: it evaluates a residual per case and logs each failing
+case.  A residual is falsy where its identity holds and returns its own
+sides where it fails, and a kept witness only lifts those values to exact
+scalars, so each identity has one formula.  Except for associativity, which
+has no bracket and compares exact product vectors, the residuals run on the
+compiled layer (`CompiledAlgebra`).  It clears denominators once per algebra
+and evaluates every structure constant with plain integer arithmetic: ints
+in fixed-q mode, integer q-coefficient tuples in generic mode.
+`CompiledAlgebra.raw` clears a scalar table (a map, a product or a kernel
+vector) onto the same layer and hands back the one common factor it
+applied; `CompiledAlgebra.lift` divides a raw product of structure
+constants by their scales and by that factor.
 
 Antisymmetry and Jacobi first try a proof for all indices: their residuals
 are polynomials in the free indices of bounded degree, so vanishing on the
@@ -30,10 +34,9 @@ proof, and the total of a failing Jacobi check.  A cyclic residual, one that
 rotating (x, y, z) leaves unchanged whatever the bracket (the Hom-Lie
 standard sum), takes one triple per rotation orbit where antisymmetry fails.
 
-The scalar layer (`bracket_coeff`, `bracket_basis`, `bracket_vec`,
-`jacobi_sides`) computes exact `Fraction` or `RatFunc` values by lifting the
-compiled constants back (`CompiledAlgebra.lift`), so no rule is evaluated
-twice.  It only formats witnesses.
+The exact brackets (`bracket_coeff`, `bracket_basis`, `bracket_vec`) lift
+single compiled constants back to `Fraction` or `RatFunc` values, so no rule
+is evaluated twice.  No suite calls them.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from math import lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import ModeMismatch, ParseError, UnknownParityPair
-from .scalars import Poly, RatFunc, Scalar, from_fraction, poly_gcd, scalar_one
+from .scalars import Poly, RatFunc, Scalar, poly_gcd
 
 EVEN = 0
 ODD = 1
@@ -305,9 +308,10 @@ class CompiledAlgebra:
     Every evaluated coefficient equals ``scale`` times the true value, where
     ``scale = den * b**D`` in fixed mode (q = a/b in lowest terms, D the
     maximal q-degree over all rules) and ``den`` alone in generic mode.  In
-    fixed mode values are ints; in generic mode, (D+1)-tuples of ints holding
-    the q-power coefficients.  `lift` divides a value by ``scale`` again;
-    `one` is the raw value 1, the entry of a unit row.
+    fixed mode values are ints; in generic mode, tuples of ints holding the
+    q-power coefficients.  `lift` divides a value by ``scale`` again, once
+    per structure constant in it; `one` is the raw value 1, the entry of a
+    unit row, and `zero` the raw value 0.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -331,11 +335,11 @@ class CompiledAlgebra:
         if self.generic:
             self.vmul, self.vadd, self.vsub = _tup_mul, _tup_add, _tup_sub
             self.vneg, self.vis_zero = _tup_neg, _tup_is_zero
-            self.one = (1,)
+            self.zero, self.one = (), (1,)
         else:
             self.vmul, self.vadd, self.vsub = operator.mul, operator.add, operator.sub
             self.vneg, self.vis_zero = operator.neg, operator.not_
-            self.one = 1
+            self.zero, self.one = 0, 1
 
     def _compile(self, monos: Monomials) -> Callable:
         by_pow: list[dict[tuple[int, int, int, int], int]] = [dict() for _ in range(self.D + 1)]
@@ -373,41 +377,52 @@ class CompiledAlgebra:
         """The evaluated structure constant of [x, y]."""
         return self.pair[(x.parity, y.parity)](x.m, x.i, y.m, y.i)
 
-    def lift(self, v) -> Scalar:
-        """The true scalar of a compiled value: `v` divided by `scale`."""
+    def lift(self, v, constants: int = 1, factor: Scalar | None = None) -> Scalar:
+        """The true scalar of a raw product of `constants` structure constants
+        and, when given, one value of a table `raw` cleared by `factor`: `v`
+        divided by `scale` ** constants and by `factor`."""
         if self.generic:
-            return RatFunc(Poly(Fraction(c, self.den) for c in v))
-        return Fraction(v) / self.scale
+            out = RatFunc(Poly(Fraction(c, self.den ** constants) for c in v))
+        else:
+            out = Fraction(v) / self.scale ** constants
+        return out if factor is None else out / factor
 
-    def raw(self, table: dict) -> dict:
-        """A nonzero multiple of a scalar table, as ints or int q-coefficient tuples.
+    def lift_sides(self, sides: tuple[dict, dict], constants: int,
+                   factor: Scalar | None = None) -> tuple[SparseVector, SparseVector]:
+        """A witness: both raw sides of a failing case, each a dict from output
+        index to raw value, lifted (see `lift`)."""
+        return tuple(SparseVector({idx: self.lift(v, constants, factor)
+                                   for idx, v in side.items()}) for side in sides)
 
-        One common factor clears every denominator, so an identity that is
-        linear in the table vanishes on the result exactly where it vanishes
-        on the table.
-        """
+    def raw(self, table: dict) -> tuple[dict, Scalar]:
+        """(raw table, factor): a scalar table times the one common factor that
+        clears every denominator, as ints or int q-coefficient tuples.  An
+        identity linear in the table vanishes on the result exactly where it
+        vanishes on the table; `lift` divides the factor out again."""
         if any(isinstance(v, RatFunc) != self.generic for v in table.values()):
             raise ModeMismatch("a scalar table's mode differs from the algebra's")
         if not self.generic:
             m = lcm(*(v.denominator for v in table.values()))
-            return {k: (v * m).numerator for k, v in table.items()}
+            return {k: (v * m).numerator for k, v in table.items()}, Fraction(m)
         den = Poly.const(1)
         for v in table.values():
             if not v.den.is_one:
                 den = den * v.den.divmod(poly_gcd(den, v.den))[0]
         nums = {k: v.num * den.divmod(v.den)[0] for k, v in table.items()}
         m = lcm(*(c.denominator for poly in nums.values() for c in poly.coeffs))
-        return {k: tuple((c * m).numerator for c in poly.coeffs)
-                for k, poly in nums.items()}
+        return ({k: tuple((c * m).numerator for c in poly.coeffs) for k, poly in nums.items()},
+                RatFunc(den.scale(m)))
 
-    def raw_vectors(self, vectors: dict) -> dict:
+    def raw_vectors(self, vectors: dict) -> tuple[dict, Scalar]:
         """`raw` of every coefficient of a table of sparse vectors at once, as
-        (index, raw coefficient) lists; keys with a zero vector are dropped."""
+        (index, raw coefficient) lists, and its factor; keys with a zero
+        vector are dropped."""
         out: dict = {}
-        for (key, idx), c in self.raw({(key, idx): c for key, v in vectors.items()
-                                       for idx, c in v.entries.items()}).items():
+        table, factor = self.raw({(key, idx): c for key, v in vectors.items()
+                                  for idx, c in v.entries.items()})
+        for (key, idx), c in table.items():
             out.setdefault(key, []).append((idx, c))
-        return out
+        return out, factor
 
 
 # --- scalar layer ------------------------------------------------------------
@@ -490,14 +505,15 @@ class _ViolationLog:
 
 def check_identity(cases: Iterable[tuple[BasisIndex, ...]],
                    residual: Callable[..., object],
-                   sides: Callable[..., tuple[object, object]], checked: int,
+                   witness: Callable[[object], tuple[object, object]], checked: int,
                    proved: bool = False,
                    orbits: Iterable[tuple[tuple[BasisIndex, ...], int]] | None = None
                    ) -> VerificationReport:
     """The identity-check kernel of every suite.
 
-    `residual(*case)` is truthy where the identity fails at a case (a tuple
-    of basis indices); `sides(*case)` builds a witness's scalar (lhs, rhs)
+    `residual(*case)` is falsy where the identity holds at a case (a tuple
+    of basis indices) and otherwise returns what it found, its raw sides;
+    `witness(found)` turns that into the scalar (lhs, rhs) of a witness,
     only while the report keeps witnesses.  `proved` is the caller's verdict
     that the identity holds on every case; the report then passes without a
     walk.  Otherwise `cases` are walked in order.  `checked` counts the
@@ -512,8 +528,8 @@ def check_identity(cases: Iterable[tuple[BasisIndex, ...]],
     log = _ViolationLog()
     if not proved:
         for case in cases:
-            if residual(*case):
-                log.record(case, lambda: sides(*case))
+            if found := residual(*case):
+                log.record(case, lambda: witness(found))
                 if orbits is not None and len(log.items) == MAX_REPORT_VIOLATIONS:
                     log.total = sum(weight for rep, weight in orbits if residual(*rep))
                     break
@@ -593,21 +609,21 @@ def certifying_grid(alg: AlgebraSpec, factors: int) -> Window:
     return Window(bound, bound)
 
 
-def _antisymmetry_residual(comp: CompiledAlgebra) -> Callable[[BasisIndex, BasisIndex], bool]:
-    def residual(x: BasisIndex, y: BasisIndex) -> bool:
+def _antisymmetry_residual(comp: CompiledAlgebra) -> Callable[[BasisIndex, BasisIndex], object]:
+    """None where [x,y] = -(-1)^{|x||y|} [y,x], else both sides, raw, at x+y."""
+    def residual(x: BasisIndex, y: BasisIndex):
         cxy, cyx = comp.coeff(x, y), comp.coeff(y, x)
-        return not comp.vis_zero(comp.vsub(cxy, cyx) if x.parity & y.parity
-                                 else comp.vadd(cxy, cyx))
+        cyx = cyx if x.parity & y.parity else comp.vneg(cyx)
+        return None if comp.vis_zero(comp.vsub(cxy, cyx)) else ({x.plus(y): cxy}, {x.plus(y): cyx})
     return residual
 
 
 def _antisymmetry(alg: AlgebraSpec, w: Window, proved: bool) -> VerificationReport:
     basis = w.basis(alg.parities)
+    comp = alg.compiled()
     return check_identity(
-        combinations_with_replacement(basis, 2), _antisymmetry_residual(alg.compiled()),
-        lambda x, y: (bracket_basis(alg, x, y), bracket_basis(alg, y, x).scale(
-            from_fraction(1 if (x.parity & y.parity) else -1, alg.q))),
-        len(basis) * (len(basis) + 1) // 2, proved)
+        combinations_with_replacement(basis, 2), _antisymmetry_residual(comp),
+        lambda found: comp.lift_sides(found, 1), len(basis) * (len(basis) + 1) // 2, proved)
 
 
 def verify_antisymmetry(alg: AlgebraSpec, w: Window) -> VerificationReport:
@@ -619,21 +635,12 @@ def verify_antisymmetry(alg: AlgebraSpec, w: Window) -> VerificationReport:
     return _antisymmetry(alg, w, alg.compiled().antisymmetric)
 
 
-def jacobi_sides(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex,
-                 z: BasisIndex) -> tuple[SparseVector, SparseVector]:
-    """Scalar-layer evaluation of [x,[y,z]] and [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]."""
-    one = scalar_one(alg.q)
-    bx = SparseVector.basis(x, one)
-    by = SparseVector.basis(y, one)
-    bz = SparseVector.basis(z, one)
-    lhs = bracket_vec(alg, bx, bracket_vec(alg, by, bz))
-    rhs = bracket_vec(alg, bracket_vec(alg, bx, by), bz)
-    t2 = bracket_vec(alg, by, bracket_vec(alg, bx, bz))
-    if x.parity and y.parity:
-        rhs = rhs - t2
-    else:
-        rhs = rhs + t2
-    return lhs, rhs
+def jacobi_sides(comp: CompiledAlgebra, found: tuple[dict, dict]
+                 ) -> tuple[SparseVector, SparseVector]:
+    """The witness of a failing Jacobi triple, which perfbench's trace times by
+    this name: the residual's raw [x,[y,z]] and [[x,y],z] + (-1)^{|x||y|}
+    [y,[x,z]], two structure constants per product, lifted."""
+    return comp.lift_sides(found, 2)
 
 
 def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationReport:
@@ -641,19 +648,23 @@ def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationRep
     pair = comp.pair
     vmul, vadd, vsub, vis_zero = comp.vmul, comp.vadd, comp.vsub, comp.vis_zero
 
-    def residual(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> bool:
+    def residual(x: BasisIndex, y: BasisIndex, z: BasisIndex):
+        """None where the identity holds, else both sides, raw, at x+y+z."""
         (px, mx, ix), (py, my, iy), (pz, mz, iz) = x, y, z
         x_yz = vmul(pair[(py, pz)](my, iy, mz, iz), pair[(px, py ^ pz)](mx, ix, my + mz, iy + iz))
         xy_z = vmul(pair[(px, py)](mx, ix, my, iy), pair[(px ^ py, pz)](mx + my, ix + iy, mz, iz))
         y_xz = vmul(pair[(px, pz)](mx, ix, mz, iz), pair[(py, px ^ pz)](my, iy, mx + mz, ix + iz))
-        return not vis_zero((vadd if px & py else vsub)(vsub(x_yz, xy_z), y_xz))
+        rhs = (vsub if px & py else vadd)(xy_z, y_xz)
+        if vis_zero(vsub(x_yz, rhs)):
+            return None
+        idx = BasisIndex(px ^ py ^ pz, mx + my + mz, ix + iy + iz)
+        return {idx: x_yz}, {idx: rhs}
 
     basis = w.basis(alg.parities)
     proved = grid is not None and vanishes_on_triples(comp, residual, grid.basis(alg.parities))
     return check_identity(
-        product(basis, repeat=3), residual,
-        lambda x, y, z: jacobi_sides(alg, x, y, z), len(basis) ** 3, proved,
-        triple_orbits(comp, basis) if grid else None)
+        product(basis, repeat=3), residual, lambda found: jacobi_sides(comp, found),
+        len(basis) ** 3, proved, triple_orbits(comp, basis) if grid else None)
 
 
 def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:

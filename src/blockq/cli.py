@@ -43,10 +43,6 @@ def _load_algebra(args) -> tuple[str, object]:
     return args.algebra, builtin_algebra(args.algebra, q)
 
 
-def _parse_windows(text: str) -> list[Window]:
-    return [Window.parse(part) for part in text.split(",") if part.strip()]
-
-
 def _emit(args, report: dict) -> None:
     payload = json.dumps(report, indent=2) + "\n"
     if args.out:
@@ -106,9 +102,8 @@ def cmd_verify_algebra(args) -> int:
 
 def cmd_classify(args) -> int:
     label, alg = _load_algebra(args)
-    windows = _parse_windows(args.windows)
-    if not windows:
-        raise ParseError("no windows given")
+    # every entry must parse, so an empty one is an error, not skipped
+    windows = [Window.parse(part) for part in args.windows.split(",")]
     if args.bounds:
         bounds = parse_dims(args.bounds, "RxS", 0)
     else:

@@ -84,8 +84,8 @@ from math import gcd, isqrt
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, CompiledAlgebra, Parity,
-                      SparseVector, VerificationReport, Window, bracket_coeff,
-                      bracket_vec, check_identity, parity_name)
+                      SparseVector, VerificationReport, Window, check_identity,
+                      parity_name)
 from .errors import (IntegralityViolation, OddMapOnNonSuper, UnknownMapName,
                      WrongQ)
 from .scalars import Scalar, format_q, from_fraction, inv, scalar_one
@@ -121,12 +121,6 @@ class GradedMap:
     def image_index(self, src: BasisIndex) -> BasisIndex:
         d = self.degree
         return BasisIndex((src.parity + d.parity_shift) & 1, src.m + d.r, src.i + d.s)
-
-    def apply_basis(self, x: BasisIndex) -> SparseVector:
-        c = self.table.get(x)
-        if not c:
-            return SparseVector()
-        return SparseVector.basis(self.image_index(x), c)
 
     @property
     def is_zero(self) -> bool:
@@ -652,7 +646,7 @@ def null_space(cs: ConstraintSystem) -> NullSpaceBasis:
         vecs = _lifted_kernel(ech, [u for u in range(n) if not forced[u]], forced, comp.q)
         if vecs is None:
             return None
-        checks = [_row_violated(comp.raw(vec), comp) for vec in vecs]
+        checks = [_row_violated(comp.raw(vec)[0], comp) for vec in vecs]
         if any(count >= 2 and any(check(row) for check in checks)
                for row, count in zip(prop.rows, counts)):
             return None
@@ -836,33 +830,60 @@ def shift_map(alg: AlgebraSpec, w: Window) -> GradedMap:
 
 # --- membership and verification ---------------------------------------------------
 
-def half_derivation_sides(alg: AlgebraSpec, phi: Callable[[BasisIndex], SparseVector],
-                          odd: Parity, x: BasisIndex,
-                          y: BasisIndex) -> tuple[SparseVector, SparseVector]:
-    """Scalar-layer 2 phi([x,y]) and [phi(x),y] + (-1)^{odd |x|}[x,phi(y)].
+def half_derivation_terms(comp: CompiledAlgebra,
+                          images: Callable[[BasisIndex], Iterable[tuple[BasisIndex, object]]],
+                          odd: Parity
+                          ) -> Callable[[BasisIndex, BasisIndex], tuple[dict, dict] | None]:
+    """The half-derivation identity of a map phi of parity `odd` on the
+    compiled layer, phi given by its raw images: `images(u)` lists the
+    (index, raw coefficient) terms of phi(u).
 
-    phi is given on basis elements and has parity `odd`: a graded map's
-    `apply_basis`, or a left multiplication z.u with odd = |z|.  [x,y] is a
-    single term c (x+y), so 2 phi([x,y]) = 2c phi(x+y).
+    At (x, y) it returns None where 2 phi([x,y]) = [phi(x),y] +
+    (-1)^{odd |x|}[x,phi(y)], and otherwise those two sides, each a dict
+    from output index to raw value.  [x,y] is a single term c (x+y),
+    so 2 phi([x,y]) = 2c phi(x+y).  With phi the left multiplication
+    u -> z.u and odd = |z|, this is the transposed Leibniz law at (z, x, y).
     """
-    one = scalar_one(alg.q)
-    lhs = phi(x.plus(y)).scale(from_fraction(2, alg.q) * bracket_coeff(alg, x, y))
-    tx = bracket_vec(alg, phi(x), SparseVector.basis(y, one))
-    ty = bracket_vec(alg, SparseVector.basis(x, one), phi(y))
-    return lhs, tx - ty if odd and x.parity else tx + ty
+    coeff, vmul, vadd, vsub, vis_zero, zero = (comp.coeff, comp.vmul, comp.vadd, comp.vsub,
+                                                comp.vis_zero, comp.zero)
+
+    def terms(x: BasisIndex, y: BasisIndex) -> tuple[dict, dict] | None:
+        c = coeff(x, y)
+        lhs = {} if vis_zero(c) else {t: vmul(a, vadd(c, c)) for t, a in images(x.plus(y))}
+        rhs = {t.plus(y): vmul(a, coeff(t, y)) for t, a in images(x)}
+        add = vsub if odd and x.parity else vadd
+        for t, a in images(y):
+            key = x.plus(t)
+            rhs[key] = add(rhs.get(key, zero), vmul(a, coeff(x, t)))
+        differ = any(not vis_zero(vsub(lhs.get(k, zero), rhs.get(k, zero)))
+                     for k in lhs.keys() | rhs.keys())
+        return (lhs, rhs) if differ else None
+    return terms
+
+
+def half_derivation_sides(comp: CompiledAlgebra, found: tuple[dict, dict],
+                          factor: Scalar) -> tuple[SparseVector, SparseVector]:
+    """The witness of a failing pair, which perfbench's trace times by this
+    name: the raw sides `half_derivation_terms` returned, each value a
+    structure constant times an image cleared by `factor`, lifted."""
+    return comp.lift_sides(found, 1, factor)
 
 
 def check_map(alg: AlgebraSpec, gm: GradedMap, w: Window) -> VerificationReport:
-    """Evaluate every generated constraint row at the map's table."""
+    """Evaluate every generated constraint row at the map's table.
+
+    A violated row's pair gets its witness from `half_derivation_terms`."""
     cs = build_constraints(alg, gm.degree, w)
     comp = cs.algebra
-    table = gm.table
-    ivec = comp.raw({u: table[idx] for u, idx in enumerate(cs.unknowns) if idx in table})
+    raw, factor = comp.raw({idx: gm.table[idx] for idx in cs.unknowns if idx in gm.table})
+    ivec = {u: raw[idx] for u, idx in enumerate(cs.unknowns) if idx in raw}
+    terms = half_derivation_terms(
+        comp, lambda u: ((gm.image_index(u), raw[u]),) if u in raw else (),
+        gm.degree.parity_shift)
     rows = {(x, y): entries for entries, x, y in cs.rows}
     violated = _row_violated(ivec, comp)
-    return check_identity(rows, lambda x, y: violated(rows[x, y]),
-                          lambda x, y: half_derivation_sides(alg, gm.apply_basis,
-                                                             gm.degree.parity_shift, x, y),
+    return check_identity(rows, lambda x, y: violated(rows[x, y]) and (x, y),
+                          lambda pair: half_derivation_sides(comp, terms(*pair), factor),
                           len(cs.rows))
 
 

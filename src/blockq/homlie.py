@@ -43,7 +43,9 @@ antisymmetric, swapping two arguments changes it only by a sign, since each
 inner bracket does.  So:
 
 * a witness walk evaluates it in window order and stops once the report
-  keeps its 100 witnesses;
+  keeps its 100 witnesses.  Each witness is the nonzero standard sum the
+  walk evaluated, lifted past the twist's clearing factor and two scales
+  (`hom_cyclic_sum`), so nothing is evaluated twice;
 * the total is then counted by `algebra.triple_orbits` for a cyclic
   residual: one evaluation per multiset {x, y, z}, weighted by its size
   (6, 3 or 1), when the compiled algebra is antisymmetric, and otherwise one
@@ -57,11 +59,10 @@ from __future__ import annotations
 from itertools import chain, product
 
 from .algebra import (AlgebraSpec, BasisIndex, CompiledAlgebra, SparseVector,
-                      VerificationReport, Window, _ViolationLog, bracket_vec,
-                      certifying_grid, check_identity, triple_orbits,
-                      vanishes_on_triples)
+                      VerificationReport, Window, _ViolationLog, certifying_grid,
+                      check_identity, triple_orbits, vanishes_on_triples)
 from .halfder import GradedMap, MapCombo, combo_apply
-from .scalars import scalar_one
+from .scalars import Scalar, scalar_one
 
 
 def _as_combo(maps: GradedMap | MapCombo, alg: AlgebraSpec) -> MapCombo:
@@ -70,27 +71,11 @@ def _as_combo(maps: GradedMap | MapCombo, alg: AlgebraSpec) -> MapCombo:
     return list(maps)
 
 
-def hom_cyclic_sum(alg: AlgebraSpec, terms: MapCombo, x: BasisIndex,
-                   y: BasisIndex, z: BasisIndex) -> SparseVector:
-    """Scalar-layer standard cyclic sum, the witness for a violated triple."""
-    one = scalar_one(alg.q)
-
-    def wrap(a, b, c):
-        phi_a = combo_apply(terms, a)
-        inner = bracket_vec(alg, SparseVector.basis(b, one), SparseVector.basis(c, one))
-        return bracket_vec(alg, phi_a, inner)
-
-    def weight(a, b):
-        return -1 if (a.parity and b.parity) else 1
-
-    total = SparseVector()
-    parts = [(wrap(x, y, z), weight(x, z)),
-             (wrap(y, z, x), weight(y, x)),
-             (wrap(z, x, y), weight(z, y))]
-    for vec, sgn in parts:
-        for idx, c in vec.entries.items():
-            total.add_term(idx, c if sgn > 0 else -c)
-    return total
+def hom_cyclic_sum(comp: CompiledAlgebra, standard: dict, factor: Scalar) -> SparseVector:
+    """The witness of a failing triple, which perfbench's trace times by this
+    name: the raw standard sum `_cyclic_sums` returned, two structure
+    constants and an image cleared by `factor` per value, lifted."""
+    return comp.lift_sides(({BasisIndex(*k): v for k, v in standard.items()},), 2, factor)[0]
 
 
 def _cyclic_sums(comp: CompiledAlgebra, phi: dict):
@@ -180,7 +165,7 @@ def _proved_terms(comp: CompiledAlgebra, terms: MapCombo, basis: list[BasisIndex
     whether every term is proved for the literal one too."""
     literal = True
     for term in terms:
-        phi = comp.raw_vectors({b: combo_apply([term], b) for b in basis})
+        phi, _ = comp.raw_vectors({b: combo_apply([term], b) for b in basis})
         standard, literal_sum = _cyclic_sums(comp, phi)
         if not phi or not _is_dense(term[1], basis):
             std, lit = _sparse_proof(standard, literal_sum, basis, phi)
@@ -195,10 +180,6 @@ def _proved_terms(comp: CompiledAlgebra, terms: MapCombo, basis: list[BasisIndex
     return literal
 
 
-def _witness(alg: AlgebraSpec, terms: MapCombo):
-    return lambda x, y, z: (hom_cyclic_sum(alg, terms, x, y, z), "0")
-
-
 def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
                      w: Window) -> VerificationReport:
     """The twisted cyclic Jacobi identity on all basis triples in w."""
@@ -211,13 +192,13 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
     checked = len(basis) ** 3
     report = _ViolationLog().report(checked)
     if not literal:
-        standard, literal_sum = _cyclic_sums(
-            comp, comp.raw_vectors({b: combo_apply(terms, b) for b in basis}))
+        phi, factor = comp.raw_vectors({b: combo_apply(terms, b) for b in basis})
+        standard, literal_sum = _cyclic_sums(comp, phi)
         candidates = product(basis, repeat=3)
         if literal is None:
             report = check_identity(product(basis, repeat=3), standard,
-                                    _witness(alg, terms), checked,
-                                    orbits=triple_orbits(comp, basis, cyclic=True))
+                                    lambda found: (hom_cyclic_sum(comp, found, factor), "0"),
+                                    checked, orbits=triple_orbits(comp, basis, cyclic=True))
         elif grid_basis is not None:
             candidates = chain(product(grid_basis, repeat=3), candidates)
         literal = not any(literal_sum(*t) for t in candidates)

@@ -15,28 +15,29 @@ The verifiers check, exactly and exhaustively over a window:
 * that every left multiplication is a half-(super)derivation.
 
 The Leibniz law says that L_z: u -> z.u is a half-(super)derivation, so its
-witnesses are `halfder.half_derivation_sides` of L_z, as in the last check.
-Both run through `algebra.check_identity`.  Leibniz evaluates on the
-compiled layer, with the product images cleared by one `raw_vectors` call:
-the identity is linear in the product, so that common factor keeps every
-zero where it was.  The scalar layer builds only kept witnesses and the
-associativity residual.  Both reports count in `checked` every triple of
-their cube, evaluated or not.  The zero product is admitted and called the
-trivial structure.
+residual is `halfder.half_derivation_terms` of L_z, the evaluator that also
+gives the witnesses of the last check.  Both run through
+`algebra.check_identity`.  Leibniz evaluates on the compiled layer, with the
+product images cleared by one `raw_vectors` call: the identity is linear in
+the product, so that common factor keeps every zero where it was, and a
+kept witness lifts the residual's own sides past it.  Associativity has no
+bracket and compares exact product vectors.  Both reports count in
+`checked` every triple of their cube, evaluated or not.  The zero product
+is admitted and called the trivial structure.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 
-from .algebra import (EVEN, MAX_REPORT_VIOLATIONS, ODD, AlgebraSpec, BasisIndex,
+from .algebra import (EVEN, MAX_REPORT_VIOLATIONS, ODD, AlgebraSpec, BasisIndex, Parity,
                       SparseVector, VerificationReport, Window, _ViolationLog,
                       check_identity, index_from_json)
 from .errors import NonHomogeneousMultiplication, ParseError, WrongQ
-from .halfder import GradedMap, MapDegree, check_map, half_derivation_sides
+from .halfder import (GradedMap, MapDegree, check_map, half_derivation_sides,
+                      half_derivation_terms)
 from .scalars import Scalar, format_q, from_fraction, parse_scalar, scalar_one
 
 PairKey = tuple[BasisIndex, BasisIndex]
@@ -44,6 +45,11 @@ PairKey = tuple[BasisIndex, BasisIndex]
 
 def _swap_sign(x: BasisIndex, y: BasisIndex) -> int:
     return -1 if (x.parity and y.parity) else 1
+
+
+def _image_degree(src: BasisIndex, img: BasisIndex) -> MapDegree:
+    """The degree of a homogeneous map sending src to a multiple of img."""
+    return MapDegree((img.parity + src.parity) & 1, img.m - src.m, img.i - src.i)
 
 
 @dataclass
@@ -57,6 +63,10 @@ class ProductTable:
     is_super: bool
     entries: dict[PairKey, SparseVector] = field(default_factory=dict)
     q: Fraction | None = None
+
+    @property
+    def parities(self) -> tuple[Parity, ...]:
+        return (EVEN, ODD) if self.is_super else (EVEN,)
 
     def put(self, x: BasisIndex, y: BasisIndex, value: SparseVector) -> None:
         if (y, x) < (x, y):
@@ -84,25 +94,18 @@ class ProductTable:
         out = SparseVector()
         for kx, cx in u.entries.items():
             for ky, cy in v.entries.items():
-                term = self.product(kx, ky).scale(cx * cy)
-                for idx, c in term.entries.items():
-                    out.add_term(idx, c)
+                for idx, c in self.product(kx, ky).entries.items():
+                    out.add_term(idx, c * cx * cy)
         return out
 
     def factor_indices(self) -> list[BasisIndex]:
         """Indices occurring as factors of a stored entry."""
-        out = set()
-        for x, y in self.entries:
-            out.add(x)
-            out.add(y)
-        return sorted(out)
+        return sorted({idx for pair in self.entries for idx in pair})
 
     def support_indices(self) -> list[BasisIndex]:
         """Factor indices together with every image index."""
-        out = set(self.factor_indices())
-        for v in self.entries.values():
-            out.update(v.entries)
-        return sorted(out)
+        images = (idx for v in self.entries.values() for idx in v.entries)
+        return sorted({*self.factor_indices(), *images})
 
     def to_json_dict(self) -> dict:
         return {"super": self.is_super,
@@ -201,8 +204,7 @@ def verify_supercommutative_grading(prod: ProductTable) -> VerificationReport:
             continue
         img = next(iter(v.entries))
         for z, src in ((x, y), (y, x)):
-            deg = MapDegree((img.parity + src.parity) & 1,
-                            img.m - src.m, img.i - src.i)
+            deg = _image_degree(src, img)
             seen = degrees.get(z)
             if seen is None:
                 degrees[z] = deg
@@ -219,19 +221,19 @@ def verify_associative(prod: ProductTable, w: Window) -> VerificationReport:
     whose middle factor touches a stored pair are evaluated; the count covers
     the full enumerated cube.
     """
-    parities = (EVEN, ODD) if prod.is_super else (EVEN,)
-    universe = sorted(set(prod.support_indices()) | set(w.basis(parities)))
+    universe = sorted(set(prod.support_indices()) | set(w.basis(prod.parities)))
     pairs = {(x, y) for xy in prod.entries for x, y in (xy, xy[::-1])}
     one = scalar_one(prod.q)
 
-    def sides(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> tuple[SparseVector, SparseVector]:
-        return (prod.product_vec(prod.product(x, y), SparseVector.basis(z, one)),
-                prod.product_vec(SparseVector.basis(x, one), prod.product(y, z)))
+    def residual(x: BasisIndex, y: BasisIndex, z: BasisIndex):
+        lhs = prod.product_vec(prod.product(x, y), SparseVector.basis(z, one))
+        rhs = prod.product_vec(SparseVector.basis(x, one), prod.product(y, z))
+        return lhs != rhs and (lhs, rhs)
 
     return check_identity(
         chain(((x, y, z) for x, y in sorted(pairs) for z in universe),
               ((x, y, z) for y, z in sorted(pairs) for x in universe if (x, y) not in pairs)),
-        lambda *case: operator.ne(*sides(*case)), sides, len(universe) ** 3)
+        residual, lambda found: found, len(universe) ** 3)
 
 
 def _leibniz(alg: AlgebraSpec, prod: ProductTable, w: Window,
@@ -248,27 +250,15 @@ def _leibniz(alg: AlgebraSpec, prod: ProductTable, w: Window,
         partners.setdefault(x, set()).add(y)
         partners.setdefault(y, set()).add(x)
     comp = alg.compiled()
-    coeff, vmul, vadd, vis_zero = comp.coeff, comp.vmul, comp.vadd, comp.vis_zero
-    two, one, minus = comp.raw({k: from_fraction(k, alg.q) for k in (2, 1, -1)}).values()
-    get = comp.raw_vectors({(z, u): prod.product(z, u)
-                            for z in partners for u in partners[z]}).get
-
-    def residual(z: BasisIndex, x: BasisIndex, y: BasisIndex) -> bool:
-        """Whether 2 z.[x,y] - [z.x, y] - (-1)^{|x||z|} [x, z.y] is nonzero."""
-        sign = one if x.parity & z.parity else minus
-        terms = [(t, vmul(a, vmul(two, coeff(x, y)))) for t, a in get((z, x.plus(y)), ())]
-        terms += [(t.plus(y), vmul(a, vmul(minus, coeff(t, y)))) for t, a in get((z, x), ())]
-        terms += [(x.plus(t), vmul(a, vmul(sign, coeff(x, t)))) for t, a in get((z, y), ())]
-        out: dict = {}
-        for key, v in terms:
-            out[key] = vadd(out[key], v) if key in out else v
-        return not all(map(vis_zero, out.values()))
-
+    images, factor = comp.raw_vectors({(z, u): prod.product(z, u)
+                                       for z in partners for u in partners[z]})
+    terms = {z: half_derivation_terms(comp, lambda u, z=z: images.get((z, u), ()), z.parity)
+             for z in partners}
     return check_identity(
         ((z, x, y) for z in basis if z in partners for x, y in product(basis, repeat=2)
          if every_pair or not partners[z].isdisjoint((x, y, x.plus(y)))),
-        residual, lambda z, x, y: half_derivation_sides(
-            alg, lambda u: prod.product(z, u), z.parity, x, y), len(basis) ** 3)
+        lambda z, x, y: terms[z](x, y),
+        lambda found: half_derivation_sides(comp, found, factor), len(basis) ** 3)
 
 
 def verify_transposed_leibniz(alg: AlgebraSpec, prod: ProductTable,
@@ -285,10 +275,9 @@ def verify_transposed_leibniz(alg: AlgebraSpec, prod: ProductTable,
 
 def left_mult_map(prod: ProductTable, z: BasisIndex, w: Window) -> GradedMap:
     """Left multiplication by z as a graded map over the window sources."""
-    parities = (EVEN, ODD) if prod.is_super else (EVEN,)
     table: dict[BasisIndex, Scalar] = {}
     degree: MapDegree | None = None
-    for b in w.basis(parities):
+    for b in w.basis(prod.parities):
         v = prod.product(z, b)
         if v.is_zero:
             continue
@@ -296,7 +285,7 @@ def left_mult_map(prod: ProductTable, z: BasisIndex, w: Window) -> GradedMap:
             raise NonHomogeneousMultiplication(
                 f"{z}*{b} has {len(v.entries)} terms")
         (img, c), = v.entries.items()
-        deg = MapDegree((img.parity + b.parity) & 1, img.m - b.m, img.i - b.i)
+        deg = _image_degree(b, img)
         if degree is None:
             degree = deg
         elif degree != deg:

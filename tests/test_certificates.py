@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import (antisymmetry_by_enumeration, hom_jacobi_by_enumeration,
+from oracles import (antisymmetry_by_enumeration, hom_cyclic_sum, hom_jacobi_by_enumeration,
                      jacobi_by_enumeration, transposed_leibniz_by_enumeration)
 
 from blockq import algebra, homlie
@@ -27,7 +27,7 @@ from blockq.algebra import (EVEN, MAX_REPORT_VIOLATIONS, BasisIndex, SparseVecto
                             rotation_orbits, verify_antisymmetry, verify_jacobi)
 from blockq.cli import main, parse_map_expr
 from blockq.halfder import GradedMap, MapDegree, builtin_map, shift_map
-from blockq.homlie import hom_cyclic_sum, hom_jacobi_check
+from blockq.homlie import hom_jacobi_check
 from blockq.scalars import from_fraction
 from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
 from blockq.tpverify import ProductTable, builtin_tp, verify_transposed_leibniz

@@ -120,6 +120,9 @@ class TestClassify:
         cases = [(classify + ["--bounds", "1x1", "--windows", "3"], "MxI"),
                  (classify + ["--bounds", "1x1", "--windows", "0x2,3x3"], "MxI"),
                  (classify + ["--bounds", "1x1", "--windows", "2xa,3x3"], "MxI"),
+                 (classify + ["--bounds", "1x1", "--windows", "2x2,,3x3"], "MxI"),
+                 (classify + ["--bounds", "1x1", "--windows", "2x2,3x3,"], "MxI"),
+                 (classify + ["--bounds", "1x1", "--windows", ""], "MxI"),
                  (classify + ["--bounds", "2", "--windows", "2x2,3x3"], "RxS"),
                  (classify + ["--bounds=-1x2", "--windows", "2x2,3x3"], "RxS"),
                  (classify + ["--bounds", "1x1x1", "--windows", "2x2,3x3"], "RxS"),

@@ -71,6 +71,11 @@ CASES = {
     "hom_check_mutated_B_2_shift_2x2": (
         ["hom-check", "--spec", f"{INPUTS}/mutated_B.alg", "--q", "2", "--map", "shift",
          "--window", "2x2"], 1),
+    # recorded before witnesses were lifted from the residual's own compiled
+    # values: a twist whose images are cleared by a factor of 3
+    "hom_check_B_2_third_shift_2x2": (
+        ["hom-check", "--algebra", "B", "--q", "2", "--map", "1/3*shift",
+         "--window", "2x2"], 1),
     "hom_check_B_2_id_minus_2shift_2x2": (
         ["hom-check", "--algebra", "B", "--q", "2", "--map", "id - 2*shift",
          "--window", "2x2"], 1),
@@ -88,6 +93,12 @@ CASES = {
     "verify_tp_B_generic_generic_q_product_2x2": (
         ["verify-tp", "--json", f"{INPUTS}/generic_q_product.json", "--algebra", "B",
          "--q", "generic", "--window", "2x2"], 1),
+    # recorded before witnesses were lifted from the residual's own compiled
+    # values: a product in thirds, so Leibniz and left-multiplication
+    # witnesses carry the product's clearing factor
+    "verify_tp_B_1_fractional_thalg_2x3": (
+        ["verify-tp", "--json", f"{INPUTS}/fractional_thalg.json", "--algebra", "B",
+         "--q", "1", "--window", "2x3"], 1),
     "verify_tp_S_0_doubled_super_2x2": (
         ["verify-tp", "--json", f"{INPUTS}/doubled_super.json", "--algebra", "S",
          "--q", "0", "--window", "2x2"], 1),

@@ -1,25 +1,34 @@
 """Kept witnesses equal what an eager scalar-layer enumeration would keep.
 
-The suites evaluate on the compiled layer and build scalar-layer sides only
-for the violations a report keeps.  These oracles enumerate the same cases in
-the same order, call the scalar sides function for every one, and keep the
-first MAX_REPORT_VIOLATIONS that differ.  For transposed Leibniz this is the
-only check of the compiled residual against the scalar layer.
+The suites lift each kept witness from the compiled values their residual
+found.  These oracles enumerate the same cases in the same order, rebuild
+the sides of every one with the scalar builders of `oracles` (exact
+brackets, no compiled residual), and keep the first MAX_REPORT_VIOLATIONS
+that differ.  The cases include maps and products with fractional values,
+whose witnesses are lifted past the table's clearing factor, and fractional
+q, whose witnesses are lifted past the algebra's scale.  For transposed
+Leibniz this is the only check of the compiled residual against the scalar
+layer.
 """
 
 import json
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
+from oracles import (antisymmetry_sides, apply_basis, half_derivation_sides, hom_cyclic_sum,
+                     jacobi_sides)
 
-from blockq.algebra import (EVEN, MAX_REPORT_VIOLATIONS, ODD, BasisIndex, SparseVector,
+from blockq.algebra import (EVEN, MAX_REPORT_VIOLATIONS, BasisIndex, SparseVector,
                             Window, _ViolationLog, bracket_basis, bracket_vec,
-                            jacobi_sides, verify_jacobi)
-from blockq.halfder import check_map, half_derivation_sides, shift_map
+                            verify_antisymmetry, verify_jacobi)
+from blockq.cli import parse_map_expr
+from blockq.halfder import check_map, shift_map
+from blockq.homlie import hom_jacobi_check
 from blockq.scalars import from_fraction, parse_q, scalar_one
 from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
-from blockq.tpverify import ProductTable, verify_associative, verify_transposed_leibniz
+from blockq.tpverify import (ProductTable, left_mult_map, verify_associative,
+                             verify_transposed_leibniz)
 
 ROOT = Path(__file__).resolve().parents[1]
 POOLS = json.loads((ROOT / "perfbench" / "pools.json").read_text())
@@ -38,32 +47,115 @@ def eager_violations(cases, sides) -> tuple[list[dict], int]:
     return kept, total
 
 
-def test_jacobi_mutated_block_matches_eager_oracle():
-    alg = make_algebra(parse_spec(POOLS["specs"]["mutated_B"]), parse_q("generic"))
-    w = Window(1, 1)
-    basis = w.basis(alg.parities)
-    rep = verify_jacobi(alg, w)
-    kept, total = eager_violations(
-        [(x, y, z) for x in basis for y in basis for z in basis],
-        lambda x, y, z: jacobi_sides(alg, x, y, z))
+def mutated(name: str, qtext: str):
+    return make_algebra(parse_spec(POOLS["specs"][name]), parse_q(qtext))
+
+
+def load_table(name: str) -> dict:
+    return json.loads((INPUTS / f"{name}.json").read_text())
+
+
+# q = 7/3 clears the mutated rules by a scale of 3
+@pytest.mark.parametrize("qtext, window", [("generic", "2x2"), ("7/3", "2x2")])
+def test_antisymmetry_matches_eager_oracle(qtext, window):
+    alg = mutated("mutated_B", qtext)
+    w = Window.parse(window)
+    rep = verify_antisymmetry(alg, w)
+    kept, total = eager_violations(combinations_with_replacement(w.basis(alg.parities), 2),
+                                   lambda x, y: antisymmetry_sides(alg, x, y))
     assert total > MAX_REPORT_VIOLATIONS
     assert (rep.violations, rep.total_violations) == (kept, total)
+
+
+def test_jacobi_mutated_block_matches_eager_oracle():
+    assert_jacobi_matches_eager_oracle(mutated("mutated_B", "generic"))
+
+
+def test_jacobi_fixed_q_matches_eager_oracle():
+    # q = 7/3: witnesses in ninths, each product carrying the scale 3 twice
+    assert_jacobi_matches_eager_oracle(mutated("mutated_S", "7/3"))
+
+
+def assert_jacobi_matches_eager_oracle(alg):
+    w = Window(1, 1)
+    rep = verify_jacobi(alg, w)
+    kept, total = eager_violations(product(w.basis(alg.parities), repeat=3),
+                                   lambda x, y, z: jacobi_sides(alg, x, y, z))
+    assert total > MAX_REPORT_VIOLATIONS
+    assert (rep.violations, rep.total_violations) == (kept, total)
+
+
+# a twist in thirds, and a super twist at q = 1/2
+@pytest.mark.parametrize("name, qtext, expr, window", [("B", "2", "1/3*shift", "2x2"),
+                                                      ("S", "1/2", "shift - 1/2*id", "1x1")])
+def test_hom_lie_matches_eager_oracle(name, qtext, expr, window):
+    alg = builtin_algebra(name, parse_q(qtext))
+    w = Window.parse(window)
+    terms = parse_map_expr(expr, alg, w)
+    rep = hom_jacobi_check(alg, terms, w)
+    kept, total = eager_violations(
+        product(w.basis(alg.parities), repeat=3),
+        lambda x, y, z: (hom_cyclic_sum(alg, terms, x, y, z), SparseVector()))
+    assert total > MAX_REPORT_VIOLATIONS
+    assert (rep.violations, rep.total_violations) == (kept, total)
+
+
+def row_pairs(w: Window):
+    """The pairs of B's check_map rows, in row order: unordered in-window
+    pairs whose sum stays in the window."""
+    pts = w.points()
+    return [(BasisIndex(EVEN, m1, i1), BasisIndex(EVEN, m2, i2))
+            for m1, i1 in pts for m2, i2 in pts
+            if (m2, i2) >= (m1, i1) and w.contains(m1 + m2, i1 + i2)]
+
+
+def map_sides(alg, gm):
+    return lambda x, y: half_derivation_sides(alg, lambda u: apply_basis(gm, u),
+                                              gm.degree.parity_shift, x, y)
 
 
 def test_check_map_shift_matches_eager_oracle():
     alg = builtin_algebra("B", parse_q("2"))
     w = Window(3, 3)
     gm = shift_map(alg, w)
-    pts = w.points()
-    # unordered in-window pairs whose sum stays in the window, in row order
-    pairs = [(BasisIndex(0, m1, i1), BasisIndex(0, m2, i2))
-             for m1, i1 in pts for m2, i2 in pts
-             if (m2, i2) >= (m1, i1) and w.contains(m1 + m2, i1 + i2)]
     rep = check_map(alg, gm, w)
-    kept, total = eager_violations(
-        pairs, lambda x, y: half_derivation_sides(alg, gm.apply_basis,
-                                                  gm.degree.parity_shift, x, y))
+    kept, total = eager_violations(row_pairs(w), map_sides(alg, gm))
     assert total > MAX_REPORT_VIOLATIONS
+    assert (rep.violations, rep.total_violations) == (kept, total)
+
+
+# a product in thirds at q = 1, and one with a generic-q value 1/(q + 1)
+FRACTIONAL = [("1", "fractional_thalg", "2x3"), ("generic", "generic_q_product", "2x2")]
+
+
+@pytest.mark.parametrize("qtext, name, window", FRACTIONAL)
+def test_left_multiplications_match_eager_oracle(qtext, name, window):
+    q = parse_q(qtext)
+    alg = builtin_algebra("B", q)
+    prod = ProductTable.from_json(load_table(name), q)
+    w = Window.parse(window)
+    seen = 0
+    for z in prod.factor_indices():
+        gm = left_mult_map(prod, z, w)
+        rep = check_map(alg, gm, w)
+        kept, total = eager_violations(row_pairs(w), map_sides(alg, gm))
+        assert (rep.violations, rep.total_violations) == (kept, total)
+        seen += total
+    assert seen > 0
+
+
+@pytest.mark.parametrize("qtext, name, window", FRACTIONAL)
+def test_leibniz_matches_half_derivation_oracle(qtext, name, window):
+    q = parse_q(qtext)
+    alg = builtin_algebra("B", q)
+    prod = ProductTable.from_json(load_table(name), q)
+    w = Window.parse(window)
+    rep = verify_transposed_leibniz(alg, prod, w)
+    kept, total = eager_violations(
+        product(w.basis(alg.parities), repeat=3),
+        lambda z, x, y: half_derivation_sides(alg, lambda u: prod.product(z, u),
+                                              z.parity, x, y))
+    assert total > 0
     assert (rep.violations, rep.total_violations) == (kept, total)
 
 
@@ -81,8 +173,8 @@ def test_details_are_built_only_while_kept():
 # (algebra, q, product table, window): the mutated Block TH-algebra product,
 # a product with generic-q values, and a super product that is not associative
 PRODUCTS = [("B", "1", POOLS["products"]["mutated_thalg"], "2x3"),
-            ("B", "generic", json.loads((INPUTS / "generic_q_product.json").read_text()), "2x2"),
-            ("S", "0", json.loads((INPUTS / "doubled_super.json").read_text()), "2x2")]
+            ("B", "generic", load_table("generic_q_product"), "2x2"),
+            ("S", "0", load_table("doubled_super"), "2x2")]
 # an odd-odd product: most kept Leibniz witnesses have z and x both odd, the
 # branch where the sign (-1)^{|x||z|} is -1
 ODD_PRODUCT = {"super": True, "entries": [{"x": ["odd", 0, 0], "y": ["odd", 1, 0],
@@ -117,8 +209,7 @@ def test_associativity_matches_eager_oracle(name, qtext, table, window):
     q = parse_q(qtext)
     prod = ProductTable.from_json(table, q)
     w = Window.parse(window)
-    parities = (EVEN, ODD) if prod.is_super else (EVEN,)
-    universe = sorted(set(prod.support_indices()) | set(w.basis(parities)))
+    universe = sorted(set(prod.support_indices()) | set(w.basis(prod.parities)))
     one = scalar_one(q)
     rep = verify_associative(prod, w)
     kept, total = eager_violations(
