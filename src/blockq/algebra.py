@@ -618,38 +618,13 @@ def _antisymmetry_residual(comp: CompiledAlgebra) -> Callable[[BasisIndex, Basis
     return residual
 
 
-def _antisymmetry(alg: AlgebraSpec, w: Window, proved: bool) -> VerificationReport:
-    basis = w.basis(alg.parities)
-    comp = alg.compiled()
-    return check_identity(
-        combinations_with_replacement(basis, 2), _antisymmetry_residual(comp),
-        lambda found: comp.lift_sides(found, 1), len(basis) * (len(basis) + 1) // 2, proved)
-
-
-def verify_antisymmetry(alg: AlgebraSpec, w: Window) -> VerificationReport:
-    """Check [x,y] + (-1)^{|x||y|} [y,x] = 0 on all unordered basis pairs in w.
-
-    Passes without a walk when `CompiledAlgebra.antisymmetric` proves it at
-    every index; otherwise every pair of w is enumerated.
-    """
-    return _antisymmetry(alg, w, alg.compiled().antisymmetric)
-
-
-def jacobi_sides(comp: CompiledAlgebra, found: tuple[dict, dict]
-                 ) -> tuple[SparseVector, SparseVector]:
-    """The witness of a failing Jacobi triple, which perfbench's trace times by
-    this name: the residual's raw [x,[y,z]] and [[x,y],z] + (-1)^{|x||y|}
-    [y,[x,z]], two structure constants per product, lifted."""
-    return comp.lift_sides(found, 2)
-
-
-def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationReport:
-    comp = alg.compiled()
+def _jacobi_residual(comp: CompiledAlgebra) -> Callable[..., object]:
+    """None where [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]], else both
+    sides, raw, at x+y+z."""
     pair = comp.pair
     vmul, vadd, vsub, vis_zero = comp.vmul, comp.vadd, comp.vsub, comp.vis_zero
 
     def residual(x: BasisIndex, y: BasisIndex, z: BasisIndex):
-        """None where the identity holds, else both sides, raw, at x+y+z."""
         (px, mx, ix), (py, my, iy), (pz, mz, iz) = x, y, z
         x_yz = vmul(pair[(py, pz)](my, iy, mz, iz), pair[(px, py ^ pz)](mx, ix, my + mz, iy + iz))
         xy_z = vmul(pair[(px, py)](mx, ix, my, iy), pair[(px ^ py, pz)](mx + my, ix + iy, mz, iz))
@@ -659,12 +634,28 @@ def _jacobi(alg: AlgebraSpec, w: Window, grid: Window | None) -> VerificationRep
             return None
         idx = BasisIndex(px ^ py ^ pz, mx + my + mz, ix + iy + iz)
         return {idx: x_yz}, {idx: rhs}
+    return residual
 
+
+def verify_antisymmetry(alg: AlgebraSpec, w: Window) -> VerificationReport:
+    """Check [x,y] + (-1)^{|x||y|} [y,x] = 0 on all unordered basis pairs in w.
+
+    Passes without a walk when `CompiledAlgebra.antisymmetric` proves it at
+    every index; otherwise every pair of w is enumerated.
+    """
     basis = w.basis(alg.parities)
-    proved = grid is not None and vanishes_on_triples(comp, residual, grid.basis(alg.parities))
-    return check_identity(
-        product(basis, repeat=3), residual, lambda found: jacobi_sides(comp, found),
-        len(basis) ** 3, proved, triple_orbits(comp, basis) if grid else None)
+    comp = alg.compiled()
+    return check_identity(combinations_with_replacement(basis, 2), _antisymmetry_residual(comp),
+                          lambda found: comp.lift_sides(found, 1),
+                          len(basis) * (len(basis) + 1) // 2, comp.antisymmetric)
+
+
+def jacobi_sides(comp: CompiledAlgebra, found: tuple[dict, dict]
+                 ) -> tuple[SparseVector, SparseVector]:
+    """The witness of a failing Jacobi triple, which perfbench's trace times by
+    this name: the residual's raw [x,[y,z]] and [[x,y],z] + (-1)^{|x||y|}
+    [y,[x,z]], two structure constants per product, lifted."""
+    return comp.lift_sides(found, 2)
 
 
 def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
@@ -677,4 +668,10 @@ def verify_jacobi(alg: AlgebraSpec, w: Window) -> VerificationReport:
     report keeps its witnesses, and the total is counted by `triple_orbits`.
     The grid proof takes its triples from `triple_orbits` too.
     """
-    return _jacobi(alg, w, certifying_grid(alg, 2))
+    comp = alg.compiled()
+    residual = _jacobi_residual(comp)
+    basis = w.basis(alg.parities)
+    proved = vanishes_on_triples(comp, residual, certifying_grid(alg, 2).basis(alg.parities))
+    return check_identity(
+        product(basis, repeat=3), residual, lambda found: jacobi_sides(comp, found),
+        len(basis) ** 3, proved, triple_orbits(comp, basis))

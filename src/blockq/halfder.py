@@ -141,7 +141,7 @@ def combo_apply(terms: MapCombo, x: BasisIndex) -> SparseVector:
 
 # --- constraint assembly -------------------------------------------------------
 
-Entries = tuple[tuple[int, object], ...]  # (unknown, raw coefficient), by unknown
+Entries = tuple[tuple[int, object], ...]  # (unknown, raw coefficient) pairs
 
 
 @dataclass
@@ -149,11 +149,12 @@ class ConstraintSystem:
     """A homogeneous linear system: unknown labels (hashable, ordered) and a stream of rows.
 
     Each row is a tuple whose first item is its Entries, unknown k standing
-    for unknowns[k]; provenance may follow.  Values are raw values of
-    `algebra` (ints in fixed mode, int q-coefficient tuples in generic
-    mode).  `rows` may be lazy: `null_space` reads it once, in order, and
-    may stop early.  It may be a function of the solver's flags (`forced[k]`
-    set once unknown k is proved zero) that leaves out rows with no live one.
+    for unknowns[k], each at most once and in no set order; provenance may
+    follow.  Values are raw values of `algebra` (ints in fixed mode, int
+    q-coefficient tuples in generic mode).  `rows` may be lazy: `null_space`
+    reads it once, in order, and may stop early.  It may be a function of the
+    solver's flags (`forced[k]` set once unknown k is proved zero) that
+    leaves out rows with no live one.
     """
 
     algebra: CompiledAlgebra
@@ -249,7 +250,7 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window, pairs: Iterable[Pair],
         if not is0(c_y):
             t = c_y if flip_y else vneg(c_y)
             d[u_y] = vadd(d[u_y], t) if u_y in d else t
-        entries = tuple((u, v) for u, v in sorted(d.items()) if not is0(v))
+        entries = tuple((u, v) for u, v in d.items() if not is0(v))
         if entries:
             yield entries, pair
 

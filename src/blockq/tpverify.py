@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
+from typing import Callable
 
 from .algebra import (EVEN, MAX_REPORT_VIOLATIONS, ODD, AlgebraSpec, BasisIndex, Parity,
                       SparseVector, VerificationReport, Window, _ViolationLog,
@@ -236,15 +237,13 @@ def verify_associative(prod: ProductTable, w: Window) -> VerificationReport:
         residual, lambda found: found, len(universe) ** 3)
 
 
-def _leibniz(alg: AlgebraSpec, prod: ProductTable, w: Window,
-             every_pair: bool) -> VerificationReport:
-    """Transposed Leibniz for each active z, on every pair (x, y) or on those
-    where x, y or x+y is a product partner of z."""
+def _leibniz_terms(alg: AlgebraSpec, prod: ProductTable) -> tuple[dict, Callable, Callable]:
+    """The product partners of each active z, and the transposed Leibniz
+    residual at (z, x, y), z active, with its witness."""
     if alg.is_super != prod.is_super:
         raise WrongQ("algebra and product disagree about the odd part")
     if prod.q is not None and alg.q != prod.q:
         raise WrongQ(f"product was built at q = {prod.q}, algebra runs at {format_q(alg.q)}")
-    basis = w.basis(alg.parities)
     partners: dict[BasisIndex, set[BasisIndex]] = {}
     for x, y in prod.entries:
         partners.setdefault(x, set()).add(y)
@@ -254,11 +253,8 @@ def _leibniz(alg: AlgebraSpec, prod: ProductTable, w: Window,
                                        for z in partners for u in partners[z]})
     terms = {z: half_derivation_terms(comp, lambda u, z=z: images.get((z, u), ()), z.parity)
              for z in partners}
-    return check_identity(
-        ((z, x, y) for z in basis if z in partners for x, y in product(basis, repeat=2)
-         if every_pair or not partners[z].isdisjoint((x, y, x.plus(y)))),
-        lambda z, x, y: terms[z](x, y),
-        lambda found: half_derivation_sides(comp, found, factor), len(basis) ** 3)
+    return (partners, lambda z, x, y: terms[z](x, y),
+            lambda found: half_derivation_sides(comp, found, factor))
 
 
 def verify_transposed_leibniz(alg: AlgebraSpec, prod: ProductTable,
@@ -270,7 +266,12 @@ def verify_transposed_leibniz(alg: AlgebraSpec, prod: ProductTable,
     column) and, for each, only the pairs touching its partners are
     evaluated, in window order; `checked` counts every window triple.
     """
-    return _leibniz(alg, prod, w, False)
+    partners, residual, witness = _leibniz_terms(alg, prod)
+    basis = w.basis(alg.parities)
+    return check_identity(
+        ((z, x, y) for z in basis if z in partners for x, y in product(basis, repeat=2)
+         if not partners[z].isdisjoint((x, y, x.plus(y)))),
+        residual, witness, len(basis) ** 3)
 
 
 def left_mult_map(prod: ProductTable, z: BasisIndex, w: Window) -> GradedMap:

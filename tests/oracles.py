@@ -5,36 +5,57 @@ The scalar builders (`antisymmetry_sides`, `jacobi_sides`,
 `half_derivation_sides`, `hom_cyclic_sum`, `hom_witness`, `apply_basis`) rebuild a witness's sides
 from the exact brackets (`bracket_basis`, `bracket_vec`); they are the
 reference for the witness strings, which the suites lift from their
-residuals' compiled values.
+residuals' compiled values.  The enumerations (`*_by_enumeration`) walk
+every case through `check_identity` with the suites' compiled residuals, no
+proof and no orbit count, and take their witnesses from the scalar
+builders, so a report compared with one also has its witnesses checked.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
-from blockq.algebra import (SparseVector, _antisymmetry, _jacobi, bracket_basis, bracket_coeff,
-                            bracket_vec, check_identity)
+from blockq.algebra import (SparseVector, _antisymmetry_residual, _jacobi_residual, bracket_basis,
+                            bracket_coeff, bracket_vec, check_identity)
 from blockq.errors import BlockqError
 from blockq.halfder import (MapDegree, _rref_vectors, combo_apply, half_derivation_system,
                             null_space, stabilize)
 from blockq.homlie import _as_combo, _cyclic_sums
 from blockq.scalars import RatFunc, from_fraction, scalar_one
 from blockq.specdsl import Add, Lit, Mul, Neg, Sub, Var
-from blockq.tpverify import _leibniz
+from blockq.tpverify import _leibniz_terms
 
 
 def antisymmetry_by_enumeration(alg, w):
-    """Evaluate antisymmetry on every unordered basis pair in w."""
-    return _antisymmetry(alg, w, False)
+    """Evaluate antisymmetry on every unordered basis pair in w, witnesses
+    from `antisymmetry_sides`."""
+    basis = w.basis(alg.parities)
+    residual = _antisymmetry_residual(alg.compiled())
+    return check_identity(combinations_with_replacement(basis, 2),
+                          lambda *pair: residual(*pair) and pair,
+                          lambda pair: antisymmetry_sides(alg, *pair),
+                          len(basis) * (len(basis) + 1) // 2)
 
 
 def jacobi_by_enumeration(alg, w):
-    """Evaluate the graded Jacobi identity on every basis triple in w."""
-    return _jacobi(alg, w, None)
+    """Evaluate the graded Jacobi identity on every basis triple in w,
+    witnesses from `jacobi_sides`."""
+    basis = w.basis(alg.parities)
+    residual = _jacobi_residual(alg.compiled())
+    return check_identity(product(basis, repeat=3), lambda *t: residual(*t) and t,
+                          lambda t: jacobi_sides(alg, *t), len(basis) ** 3)
 
 
 def transposed_leibniz_by_enumeration(alg, prod, w):
-    """Transposed Leibniz evaluated on every pair (x, y) for each active z."""
-    return _leibniz(alg, prod, w, True)
+    """Transposed Leibniz evaluated on every pair (x, y) for each active z,
+    witnesses from `half_derivation_sides` of the left multiplication."""
+    basis = w.basis(alg.parities)
+    partners, residual, _witness = _leibniz_terms(alg, prod)
+    return check_identity(
+        ((z, x, y) for z in basis if z in partners for x, y in product(basis, repeat=2)),
+        lambda *t: residual(*t) and t,
+        lambda t: half_derivation_sides(alg, lambda u: prod.product(t[0], u), t[0].parity,
+                                        *t[1:]),
+        len(basis) ** 3)
 
 
 def hom_jacobi_by_enumeration(alg, maps, w):

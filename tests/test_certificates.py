@@ -8,7 +8,7 @@ multisets {x, y, z} once the compiled algebra proves antisymmetry, and
 otherwise Jacobi over every triple and Hom-Lie over rotation orbits, and `verify_transposed_leibniz` evaluates only the
 pairs touching a product partner.  Each must report exactly what
 enumerating the whole window reports: the same counts, flags and witnesses
-in the same order.
+in the same order, the oracle's witnesses rebuilt from exact brackets.
 """
 
 from fractions import Fraction

@@ -3,6 +3,8 @@
 Each case runs one `blockq` command in-process from the repository root (so
 the spec and product paths the report echoes are relative and stable) and
 compares the written report and the exit code with `tests/golden/NAME.json`.
+`CASES` is the one golden list: every golden file must be a case, and the
+CI workflow runs each case through `python -m blockq` as well.
 The golden files were recorded before the identity suites learned to prove
 passing windows on a certifying grid; they pin that every report stayed the
 same.  To record them again after an intended change of output:
@@ -102,6 +104,12 @@ CASES = {
     "verify_tp_S_0_doubled_super_2x2": (
         ["verify-tp", "--json", f"{INPUTS}/doubled_super.json", "--algebra", "S",
          "--q", "0", "--window", "2x2"], 1),
+    # recorded before the per-row sort left halfder: left multiplications on a
+    # spec that fails antisymmetry, so check_map takes each pair in both
+    # orders (342 checked, where B(1) has 168)
+    "verify_tp_mutated_B_1_block_thalg_2x2": (
+        ["verify-tp", "--spec", f"{INPUTS}/mutated_B.alg", "--q", "1", "--structure",
+         "block_thalg", "--window", "2x2"], 1),
     # recorded before halfder's elimination was reduced to one echelon
     # routine: stabilized bases at q = 0, even and odd shift, and generic q
     "classify_S_0_1x1_2x2_3x3": (
@@ -174,6 +182,10 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
     code, data = run_case(argv, tmp_path / "report.json")
     assert code == want_code
     assert data == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_every_golden_report_is_a_case():
+    assert {p.stem for p in GOLDEN.glob("*.json")} == set(CASES)
 
 
 def record() -> None:
