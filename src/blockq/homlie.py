@@ -11,8 +11,8 @@ A second convention with middle term [phi(y),[z,y]] circulates in places;
 the report records which of the two each input satisfies, while pass/fail
 follows the standard form.
 
-Both identities are linear in phi, so a combination passes when each of its
-terms does, and each term is first proved on its own with less work:
+The standard identity is linear in phi, so a combination passes when each
+of its terms does, and each term is first proved on its own with less work:
 
 * a dense term, whose table is constant on each parity over the window
   basis (`id`, `epsilon`, `shift`), agrees on the window with a map defined
@@ -20,27 +20,17 @@ terms does, and each term is first proved on its own with less work:
   indices, of the degree a Jacobi residual has, so it is proved on the
   certifying grid (`algebra.certifying_grid`), over the triples
   `algebra.triple_orbits` takes for a cyclic residual, when the window
-  contains that grid.  The literal middle term [phi(y),[z,y]] puts y in
-  both slots of one bracket, which that degree bound does not cover, so a
-  dense term never proves the literal form;
+  contains that grid;
 * any other term (or one that is zero on the window) is sparse.  Its
-  residuals vanish unless x, y or z lies in its support, so only window
-  triples touching the support are evaluated, in window order: those with
-  x in the support for the standard identity (which is invariant under
-  rotating the triple), then those with y in the support for the literal
-  one.
+  standard sum is unchanged by rotating (x, y, z) and vanishes unless x, y
+  or z lies in its support, so only the window triples with x in the
+  support are evaluated.
 
-When every term is proved for the standard identity the report passes with
-`checked` counting every triple of the window.  The literal flag is true
-when every term is proved for it too; otherwise the combined literal residual
-is evaluated on the grid triples, then on the whole window, until one is
-nonzero.
-
-When a term is not proved, the combination is checked over the window as a
-whole, and that check alone decides the report.  The standard sum is
-unchanged by rotating (x, y, z), and where the bracket is graded
-antisymmetric, swapping two arguments changes it only by a sign, since each
-inner bracket does.  So:
+When every term is proved the report passes with `checked` counting every
+triple of the window.  Otherwise the combination is checked over the window
+as a whole, and that check alone decides the report.  Where the bracket is
+graded antisymmetric, swapping two arguments changes the standard sum only
+by a sign, since each inner bracket does.  So:
 
 * a witness walk evaluates it in window order and stops once the report
   keeps its 100 witnesses.  Each witness is the nonzero standard sum the
@@ -49,17 +39,21 @@ inner bracket does.  So:
 * the total is then counted by `algebra.triple_orbits` for a cyclic
   residual: one evaluation per multiset {x, y, z}, weighted by its size
   (6, 3 or 1), when the compiled algebra is antisymmetric, and otherwise one
-  per rotation orbit, weighted by its size (3, or 1 when x = y = z);
-* the literal flag comes from a search in window order that stops at the
-  first nonzero literal sum.
+  per rotation orbit, weighted by its size (3, or 1 when x = y = z).
+
+The literal flag is one search in window order that stops at the first
+nonzero literal sum.  The literal sum differs from the standard one only in
+its third term, [phi(y),[z,y]] against [phi(y),[z,x]], so where the report
+passes it can be nonzero only at triples with y in the combination's
+support, and only those are searched; otherwise every window triple is.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import product
 
 from .algebra import (AlgebraSpec, BasisIndex, CompiledAlgebra, SparseVector,
-                      VerificationReport, Window, _ViolationLog, certifying_grid,
+                      VerificationReport, Window, certifying_grid,
                       check_identity, triple_orbits, vanishes_on_triples)
 from .halfder import GradedMap, MapCombo, combo_apply
 from .scalars import Scalar, scalar_one
@@ -145,39 +139,21 @@ def _with_support_at(basis: list[BasisIndex], support, pos: int):
     return product(*axes)
 
 
-def _sparse_proof(standard, literal, basis: list[BasisIndex],
-                  support) -> tuple[bool, bool]:
-    """(standard proved, literal proved) for a sparse term on the window.
-
-    The standard sum is unchanged by rotating (x, y, z), and every triple it
-    can be nonzero on has a rotation with x in the support.  Where it
-    vanishes, the literal sum minus it is the weighted
-    [phi(y),[z,y]] - [phi(y),[z,x]], nonzero only with y in the support.
-    """
-    if any(standard(*t) for t in _with_support_at(basis, support, 0)):
-        return False, False
-    return True, not any(literal(*t) for t in _with_support_at(basis, support, 1))
-
-
 def _proved_terms(comp: CompiledAlgebra, terms: MapCombo, basis: list[BasisIndex],
-                  grid_basis: list[BasisIndex] | None) -> bool | None:
-    """None unless every term is proved for the standard identity; then
-    whether every term is proved for the literal one too."""
-    literal = True
+                  grid_basis: list[BasisIndex] | None) -> bool:
+    """Whether every term is proved for the standard identity on its own:
+    a dense one on the grid, a sparse one on the triples with x in its
+    support, which meet every rotation orbit it can be nonzero on."""
     for term in terms:
         phi, _ = comp.raw_vectors({b: combo_apply([term], b) for b in basis})
-        standard, literal_sum = _cyclic_sums(comp, phi)
+        standard, _ = _cyclic_sums(comp, phi)
         if not phi or not _is_dense(term[1], basis):
-            std, lit = _sparse_proof(standard, literal_sum, basis, phi)
-        elif grid_basis is not None:
-            std = vanishes_on_triples(comp, standard, grid_basis, cyclic=True)
-            lit = False
-        else:
-            return None
-        if not std:
-            return None
-        literal = literal and lit
-    return literal
+            if any(standard(*t) for t in _with_support_at(basis, phi, 0)):
+                return False
+        elif grid_basis is None or not vanishes_on_triples(comp, standard, grid_basis,
+                                                           cyclic=True):
+            return False
+    return True
 
 
 def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
@@ -187,20 +163,16 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
     comp = alg.compiled()
     basis = w.basis(alg.parities)
     grid = certifying_grid(alg, 2)
-    grid_basis = grid.basis(alg.parities) if grid <= w else None
-    literal = _proved_terms(comp, terms, basis, grid_basis)
-    checked = len(basis) ** 3
-    report = _ViolationLog().report(checked)
-    if not literal:
-        phi, factor = comp.raw_vectors({b: combo_apply(terms, b) for b in basis})
-        standard, literal_sum = _cyclic_sums(comp, phi)
-        candidates = product(basis, repeat=3)
-        if literal is None:
-            report = check_identity(product(basis, repeat=3), standard,
-                                    lambda found: (hom_cyclic_sum(comp, found, factor), "0"),
-                                    checked, orbits=triple_orbits(comp, basis, cyclic=True))
-        elif grid_basis is not None:
-            candidates = chain(product(grid_basis, repeat=3), candidates)
-        literal = not any(literal_sum(*t) for t in candidates)
-    report.notes["conventions"] = {"standard": report.passed, "literal": literal}
+    proved = _proved_terms(comp, terms, basis,
+                           grid.basis(alg.parities) if grid <= w else None)
+    phi, factor = comp.raw_vectors({b: combo_apply(terms, b) for b in basis})
+    standard, literal_sum = _cyclic_sums(comp, phi)
+    report = check_identity(product(basis, repeat=3), standard,
+                            lambda found: (hom_cyclic_sum(comp, found, factor), "0"),
+                            len(basis) ** 3, proved,
+                            None if proved else triple_orbits(comp, basis, cyclic=True))
+    candidates = (_with_support_at(basis, phi, 1) if report.passed
+                  else product(basis, repeat=3))
+    report.notes["conventions"] = {"standard": report.passed,
+                                   "literal": not any(literal_sum(*t) for t in candidates)}
     return report

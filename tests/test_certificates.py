@@ -12,7 +12,7 @@ in the same order, the oracle's witnesses rebuilt from exact brackets.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -26,7 +26,7 @@ from blockq.algebra import (EVEN, MAX_REPORT_VIOLATIONS, BasisIndex, SparseVecto
                             Window, certifying_grid, index_from_json, multiset_orbits,
                             rotation_orbits, verify_antisymmetry, verify_jacobi)
 from blockq.cli import main, parse_map_expr
-from blockq.halfder import GradedMap, MapDegree, builtin_map, shift_map
+from blockq.halfder import GradedMap, MapDegree, builtin_map, combo_apply, shift_map
 from blockq.homlie import hom_jacobi_check
 from blockq.scalars import from_fraction
 from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
@@ -177,6 +177,11 @@ def hom_cases(draw, windows=(("B", Fraction(1), Window(1, 2)),
             gm = builtin_map(kind, alg, w)
         c = draw(st.sampled_from([1, -1, -2, Fraction(1, 3)]))
         terms.append((from_fraction(c, q), gm))
+    if draw(st.booleans()):
+        # a dense term and its negative: the combination's support is then
+        # smaller than that term's
+        gm = builtin_map("id", alg, w) if draw(st.booleans()) else shift_map(alg, w)
+        terms += [(from_fraction(1, q), gm), (from_fraction(-1, q), gm)]
     return alg, terms, w
 
 
@@ -206,9 +211,9 @@ class TestHomLieTerms:
             assert got["conventions"] == {"standard": std, "literal": lit}, expr
 
     def test_literal_decided_by_enumeration(self):
-        # id - id and id + alpha - id: id alone never proves the literal
-        # form, and the combined literal residual is zero on the grid, so the
-        # window is enumerated; the combination is 0 or alpha, both literal
+        # id - id and id + alpha - id pass, so the literal sum is searched
+        # on the triples with y in the combination's support: none for 0,
+        # alpha's for alpha, and both are literal
         alg = builtin_algebra("B", Fraction(1))
         w = Window(1, 2)
         ident, alpha = builtin_map("id", alg, w), builtin_map("alpha", alg, w)
@@ -240,6 +245,52 @@ class TestHomLieTerms:
         gm = GradedMap(MapDegree(EVEN, 0, 0), {L(-1, 0): Fraction(1)})
         got = assert_hom_same(alg, gm, w)
         assert got["conventions"] == {"standard": True, "literal": False}
+
+    @given(case=hom_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_literal_sum_is_standard_where_y_has_no_image(self, case):
+        # the fact the literal search rests on: the two sums differ only in
+        # their third term, [phi(y),[z,y]] against [phi(y),[z,x]]
+        alg, terms, w = case
+        comp = alg.compiled()
+        basis = w.basis(alg.parities)
+        standard, literal = homlie._cyclic_sums(
+            comp, comp.raw_vectors({b: combo_apply(terms, b) for b in basis})[0])
+        imageless = [y for y in basis if not combo_apply(terms, y).entries]
+        for x, y, z in product(basis, imageless, basis):
+            assert literal(x, y, z) == standard(x, y, z)
+
+    def test_literal_search_takes_the_support(self, monkeypatch):
+        # a passing check searches the triples with y in the combination's
+        # support: id - id + gamma as many as gamma, and id + alpha, which
+        # fails the literal form, stops at the 46th
+        counts = []
+        cyclic_sums = homlie._cyclic_sums
+
+        def counting(comp, phi):
+            standard, literal = cyclic_sums(comp, phi)
+            calls = [0]
+            counts.append(calls)
+
+            def spy(*triple):
+                calls[0] += 1
+                return literal(*triple)
+            return standard, spy
+
+        monkeypatch.setattr(homlie, "_cyclic_sums", counting)
+        antisymmetry = count_antisymmetry_residuals(monkeypatch)
+        for name, q, expr, w, literal, n in (
+                ("S", Fraction(2), "gamma", Window(2, 3), True, 4900),
+                ("S", Fraction(2), "id - id + gamma", Window(2, 3), True, 4900),
+                ("B", Fraction(1), "id + alpha", Window(2, 4), False, 46)):
+            alg = builtin_algebra(name, q)
+            got = hom_jacobi_check(alg, parse_map_expr(expr, alg, w), w).to_json_dict()
+            assert got["conventions"] == {"standard": True, "literal": literal}, expr
+            assert sum(calls for calls, in counts) == n, expr
+            counts.clear()
+            if expr == "gamma":
+                # a passing sparse proof never asks for antisymmetry
+                assert not antisymmetry
 
     def test_dense_term_outside_grid_is_enumerated(self):
         # the cubic spec needs a 3x3 grid; in a 2x2 window id is enumerated

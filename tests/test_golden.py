@@ -54,6 +54,11 @@ CASES = {
     "hom_check_S_2_gamma_2x3": (
         ["hom-check", "--algebra", "S", "--q", "2", "--map", "gamma",
          "--window", "2x3"], 0),
+    # recorded before the literal flag took one search: a passing
+    # combination whose dense terms cancel, so its support is gamma's
+    "hom_check_S_2_id_minus_id_plus_gamma_2x3": (
+        ["hom-check", "--algebra", "S", "--q", "2", "--map", "id - id + gamma",
+         "--window", "2x3"], 0),
     "hom_check_B_2_shift_2x3": (
         ["hom-check", "--algebra", "B", "--q", "2", "--map", "shift",
          "--window", "2x3"], 1),
