@@ -14,7 +14,9 @@ scalars, so each identity has one formula.  Except for associativity, which
 has no bracket and compares exact product vectors, the residuals run on the
 compiled layer (`CompiledAlgebra`).  It clears denominators once per algebra
 and evaluates every structure constant with plain integer arithmetic: ints
-in fixed-q mode, integer q-coefficient tuples in generic mode.
+in fixed-q mode, integer q-coefficient tuples in generic mode.  Its rules
+(`pair`) and its half-derivation row kernels (`row_kernel`, the three
+constants of a row from one call) run the same generated rule sources.
 `CompiledAlgebra.raw` clears a scalar table (a map, a product or a kernel
 vector) onto the same layer and hands back the one common factor it
 applied; `CompiledAlgebra.lift` divides a raw product of structure
@@ -328,8 +330,11 @@ class CompiledAlgebra:
             self.qden = spec.q.denominator
             self.scale = Fraction(den * self.qden ** self.D)
 
+        self._src = {key: self._rule_src(monos) for key, monos in spec.rules.items()}
         self.pair: dict[tuple[Parity, Parity], Callable[[int, int, int, int], object]] = {
-            key: self._compile(monos) for key, monos in spec.rules.items()}
+            key: eval("lambda m,i,n,j: " + src, {"__builtins__": {}}, {})  # noqa: S307 - self-generated source
+            for key, src in self._src.items()}
+        self._kernels: dict[tuple[Parity, Parity, Parity], Callable] = {}
         self.antisymmetry_box = certifying_grid(spec, 1).basis(spec.parities)
 
         if self.generic:
@@ -341,7 +346,9 @@ class CompiledAlgebra:
             self.vneg, self.vis_zero = operator.neg, operator.not_
             self.zero, self.one = 0, 1
 
-    def _compile(self, monos: Monomials) -> Callable:
+    def _rule_src(self, monos: Monomials) -> str:
+        """The expression in m, i, n, j of one rule's raw value: the one source
+        generator of `pair` and `row_kernel`."""
         by_pow: list[dict[tuple[int, int, int, int], int]] = [dict() for _ in range(self.D + 1)]
         for (em, ei, en, ej, eq), c in monos.items():
             ic = c * self.den
@@ -361,8 +368,29 @@ class CompiledAlgebra:
                     continue
                 parts.append(f"({s})" if w == 1 else f"({s})*{w}")
             body = " + ".join(parts) if parts else "0"
-        fn = eval("lambda m,i,n,j: " + body, {"__builtins__": {}}, {})  # noqa: S307 - self-generated source
-        return fn
+        return body
+
+    def row_kernel(self, p1: Parity, p2: Parity, shift: Parity) -> Callable:
+        """A factory (r, s) -> f(m1, i1, m2, i2) that returns the three raw
+        constants of a half-derivation row of degree (shift, r, s) in one call:
+        f_(p1,p2)(m1, i1, m2, i2), f_(p1^shift,p2)(m1+r, i1+s, m2, i2) and
+        f_(p1,p2^shift)(m1, i1, m2+r, i2+s).  One generated function per
+        (p1, p2, shift), cached; its three bodies are the `_rule_src` of
+        `pair`, run on rebound locals."""
+        key = (p1, p2, shift)
+        if key not in self._kernels:
+            out, x, y = (self._src[k] for k in ((p1, p2), (p1 ^ shift, p2), (p1, p2 ^ shift)))
+            ns: dict = {}
+            eval(compile(f"def kernel(r, s):\n"  # noqa: S307 - self-generated source
+                         f" def row(m, i, n, j):\n"
+                         f"  c_out = {out}\n"
+                         f"  n, j = n + r, j + s\n"
+                         f"  c_y = {y}\n"
+                         f"  m, i, n, j = m + r, i + s, n - r, j - s\n"
+                         f"  return c_out, {x}, c_y\n"
+                         f" return row\n", "<row kernel>", "exec"), {"__builtins__": {}}, ns)
+            self._kernels[key] = ns["kernel"]
+        return self._kernels[key]
 
     @cached_property
     def antisymmetric(self) -> bool:

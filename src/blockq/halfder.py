@@ -48,11 +48,12 @@ d(p, m, i) times basis (p + shift, m + r, i + s).  Requiring
 and projecting onto the single graded output index turns every basis pair
 whose two points and sum lie in the window into one row in the
 d-coefficients, a pair taken in one order when the spec is graded
-antisymmetric and in both otherwise.  `half_derivation_system` streams
-these rows shell by shell from the outside in (shell k = max(|m1|, |i1|,
-|m2|, |i2|)), which reaches the early stop soonest, and skips a pair before
-evaluating any rule when the solver has forced its unknowns at x, y and
-x + y (its row has no live entry).
+antisymmetric and in both otherwise.  A row's three structure constants
+come from one call of a generated row kernel (`CompiledAlgebra.row_kernel`).
+`half_derivation_system` streams these rows shell by shell from the outside
+in (shell k = max(|m1|, |i1|, |m2|, |i2|)), which reaches the early stop
+soonest, and skips a pair before evaluating any rule when the solver has
+forced its unknowns at x, y and x + y (its row has no live entry).
 `build_constraints` lists every row in lexicographic pair order, the order
 `check_map` keeps its witnesses in.
 
@@ -215,6 +216,10 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window, pairs: Iterable[Pair],
 
     Unknown k is w.basis(alg.parities)[k].  A pair whose unknowns at x, y and
     x + y are all `forced`, flags the reader sets as it reads, is skipped.
+    Each other pair takes one call of its parity pair's row kernel
+    (`CompiledAlgebra.row_kernel`), whose three constants give the entries
+    2 c_out at x + y, -c_x at x and -/+ c_y at y.  Where two of those
+    unknowns coincide (x = y, or x or y = L[0,0]) they are merged.
     """
     comp = alg.compiled()
     shift, r, s = deg.parity_shift, deg.r, deg.s
@@ -225,32 +230,36 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window, pairs: Iterable[Pair],
         forced = bytes(len(alg.parities) * npts)
     vneg, vadd, vsub, is0 = comp.vneg, comp.vadd, comp.vsub, comp.vis_zero
 
-    # per parity pair: f_out, f_x, f_y, whether [x, phi(y)] flips sign, and
+    # per parity pair: its row kernel, whether [x, phi(y)] flips sign, and
     # the offsets of the x, y and output unknowns
-    setup = {(p1, p2): (comp.pair[(p1, p2)], comp.pair[(p1 ^ shift, p2)],
-                        comp.pair[(p1, p2 ^ shift)], bool(shift and p1),
+    setup = {(p1, p2): (comp.row_kernel(p1, p2, shift)(r, s), bool(shift and p1),
                         p1 * npts + mm * width + ii, p2 * npts + mm * width + ii,
                         (p1 ^ p2) * npts + mm * width + ii)
              for p1, p2 in _parity_pairs(alg, deg)}
     for pair in pairs:
         p1, p2, m1, i1, m2, i2 = pair
-        f_out, f_x, f_y, flip_y, base1, base2, base_out = setup[p1, p2]
+        kernel, flip_y, base1, base2, base_out = setup[p1, p2]
         u_x, u_y = base1 + m1 * width + i1, base2 + m2 * width + i2
         u_out = base_out + (m1 + m2) * width + i1 + i2
         if forced[u_out] and forced[u_x] and forced[u_y]:
             continue
-        c_out = f_out(m1, i1, m2, i2)
-        c_x = f_x(m1 + r, i1 + s, m2, i2)
-        c_y = f_y(m1, i1, m2 + r, i2 + s)
-        d: dict[int, object] = {}
-        if not is0(c_out):
-            d[u_out] = vadd(c_out, c_out)
-        if not is0(c_x):
-            d[u_x] = vsub(d[u_x], c_x) if u_x in d else vneg(c_x)
-        if not is0(c_y):
-            t = c_y if flip_y else vneg(c_y)
-            d[u_y] = vadd(d[u_y], t) if u_y in d else t
-        entries = tuple((u, v) for u, v in d.items() if not is0(v))
+        c_out, c_x, c_y = kernel(m1, i1, m2, i2)
+        if u_x != u_y and u_out != u_x and u_out != u_y:
+            entries = () if is0(c_out) else ((u_out, vadd(c_out, c_out)),)
+            if not is0(c_x):
+                entries += ((u_x, vneg(c_x)),)
+            if not is0(c_y):
+                entries += ((u_y, c_y if flip_y else vneg(c_y)),)
+        else:
+            d: dict[int, object] = {}
+            if not is0(c_out):
+                d[u_out] = vadd(c_out, c_out)
+            if not is0(c_x):
+                d[u_x] = vsub(d[u_x], c_x) if u_x in d else vneg(c_x)
+            if not is0(c_y):
+                t = c_y if flip_y else vneg(c_y)
+                d[u_y] = vadd(d[u_y], t) if u_y in d else t
+            entries = tuple((u, v) for u, v in d.items() if not is0(v))
         if entries:
             yield entries, pair
 

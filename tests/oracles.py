@@ -9,13 +9,15 @@ residuals' compiled values.  The enumerations (`*_by_enumeration`) walk
 every case through `check_identity` with the suites' compiled residuals, no
 proof and no orbit count, and take their witnesses from the scalar
 builders, so a report compared with one also has its witnesses checked.
+`rows_by_rule_calls` builds half-derivation rows from three rule calls per
+pair, the reference of the row kernels `halfder._rows` calls.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from blockq.algebra import (SparseVector, _antisymmetry_residual, _jacobi_residual, bracket_basis,
-                            bracket_coeff, bracket_vec, check_identity)
+from blockq.algebra import (BasisIndex, SparseVector, _antisymmetry_residual, _jacobi_residual,
+                            bracket_basis, bracket_coeff, bracket_vec, check_identity)
 from blockq.errors import BlockqError
 from blockq.halfder import (MapDegree, _rref_vectors, combo_apply, half_derivation_system,
                             null_space, stabilize)
@@ -133,6 +135,35 @@ def scalar_rows(cs):
     """Each row of a constraint system with its true field values, by unknown."""
     lift = cs.algebra.lift
     return [{cs.unknowns[u]: lift(v) for u, v in entries} for entries, _x, _y in cs.rows]
+
+
+def rows_by_rule_calls(alg, deg, w, pairs):
+    """The reference of `halfder._rows`: each pair's row from three calls of
+    the compiled rules (`CompiledAlgebra.pair`) and one dict that merges the
+    entries of coincident unknowns, as (entries, pair); zero rows are
+    skipped.  Unknown k is w.basis(alg.parities)[k]."""
+    comp = alg.compiled()
+    index = {x: u for u, x in enumerate(w.basis(alg.parities))}
+    shift, r, s = deg.parity_shift, deg.r, deg.s
+    vneg, vadd, vsub, is0 = comp.vneg, comp.vadd, comp.vsub, comp.vis_zero
+    for pair in pairs:
+        p1, p2, m1, i1, m2, i2 = pair
+        c_out = comp.pair[(p1, p2)](m1, i1, m2, i2)
+        c_x = comp.pair[(p1 ^ shift, p2)](m1 + r, i1 + s, m2, i2)
+        c_y = comp.pair[(p1, p2 ^ shift)](m1, i1, m2 + r, i2 + s)
+        u_x, u_y = index[BasisIndex(p1, m1, i1)], index[BasisIndex(p2, m2, i2)]
+        u_out = index[BasisIndex(p1 ^ p2, m1 + m2, i1 + i2)]
+        d = {}
+        if not is0(c_out):
+            d[u_out] = vadd(c_out, c_out)
+        if not is0(c_x):
+            d[u_x] = vsub(d[u_x], c_x) if u_x in d else vneg(c_x)
+        if not is0(c_y):
+            t = c_y if shift and p1 else vneg(c_y)
+            d[u_y] = vadd(d[u_y], t) if u_y in d else t
+        entries = tuple((u, v) for u, v in d.items() if not is0(v))
+        if entries:
+            yield entries, pair
 
 
 def intersect_by_zassenhaus(U, V):

@@ -5,15 +5,16 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
 from pathlib import Path
+from typing import Callable
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (classified_degree_by_degree, intersect_by_zassenhaus, provenances,
-                     scalar_rows, stabilized_by_full_kernels)
+                     rows_by_rule_calls, scalar_rows, stabilized_by_full_kernels)
 
-from blockq import halfder
+from blockq import algebra, halfder
 from blockq.algebra import EVEN, ODD, BasisIndex, Window
 from blockq.errors import (IntegralityViolation, OddMapOnNonSuper,
                            UnknownMapName, WrongQ)
@@ -42,6 +43,15 @@ super true
 rule even even antisymmetric: n - m
 rule even odd antisymmetric: n - m
 rule odd odd symmetric: m
+"""
+
+
+# a q*q term and fractional coefficients in every rule; G[m,i] . G[m,i] is nonzero
+QQ_FRACTIONAL = """algebra QF
+super true
+rule even even antisymmetric: (1/2)*q*q*(n - m) + (2/3)*(n*i - m*j)
+rule even odd antisymmetric: (3/4)*q*q*n - m*(j + (1/5)*q)
+rule odd odd symmetric: (1/3)*q*q + (1/7)*(m + n)
 """
 
 
@@ -940,16 +950,40 @@ def _spy_seeds(monkeypatch) -> list[int]:
     return seeds
 
 
-def _count_rule_calls(monkeypatch, alg) -> list[int]:
-    """Count the calls of the compiled bracket-rule closures of alg."""
+def _spy_kernel_calls(monkeypatch, comp) -> list[tuple]:
+    """Record each call of comp's row kernels as (p1, p2, shift, r, s, m1,
+    i1, m2, i2)."""
+    calls: list[tuple] = []
+    row_kernel = comp.row_kernel
+
+    def spy(p1, p2, shift):
+        factory = row_kernel(p1, p2, shift)
+
+        def spied(r, s):
+            row = factory(r, s)
+
+            def counted(*args):
+                calls.append((p1, p2, shift, r, s) + args)
+                return row(*args)
+            return counted
+        return spied
+
+    monkeypatch.setattr(comp, "row_kernel", spy)
+    return calls
+
+
+def _count_rule_calls(monkeypatch, alg) -> Callable[[], int]:
+    """Count the rule evaluations of alg's compiled layer: one per call of a
+    bracket-rule closure, three per row-kernel call."""
     calls = [0]
-    pair = alg.compiled().pair
-    for key, f in list(pair.items()):
+    comp = alg.compiled()
+    for key, f in list(comp.pair.items()):
         def counted(*args, f=f):
             calls[0] += 1
             return f(*args)
-        monkeypatch.setitem(pair, key, counted)
-    return calls
+        monkeypatch.setitem(comp.pair, key, counted)
+    kernel_calls = _spy_kernel_calls(monkeypatch, comp)
+    return lambda: calls[0] + 3 * len(kernel_calls)
 
 
 @st.composite
@@ -1085,10 +1119,10 @@ class TestSeedAndSkip:
         # the benchmark's S(-4) odd job made 107,970 rule calls before pairs
         # were skipped and later windows seeded
         alg = builtin_algebra("S", Fraction(-4))
-        calls = _count_rule_calls(monkeypatch, alg)
+        rule_calls = _count_rule_calls(monkeypatch, alg)
         report = classify(alg, ODD, (3, 3), [Window(2, 6), Window(3, 7)])
         assert [(d.r, d.s, d.matched_names) for d in report.degrees] == [(0, -2, ["gamma"])]
-        assert calls[0] <= 46_000
+        assert rule_calls() <= 46_000
 
     def test_materialised_rows_skip_nothing(self):
         # build_constraints, and so check_map, reads every pair with a nonzero row
@@ -1100,11 +1134,12 @@ class TestSeedAndSkip:
 
 
 def _spec(name, q):
-    """B, S, SKEW_MIXED, SKEW_ODD_SYMMETRIC or a spec of tests/golden/inputs
-    (mutated_B, mutated_S, cubic, witt), at q."""
+    """B, S, SKEW_MIXED, SKEW_ODD_SYMMETRIC, QQ_FRACTIONAL or a spec of
+    tests/golden/inputs (mutated_B, mutated_S, cubic, witt), at q."""
     if name in ("B", "S"):
         return builtin_algebra(name, q)
-    texts = {"skew_mixed": SKEW_MIXED, "skew_odd_symmetric": SKEW_ODD_SYMMETRIC}
+    texts = {"skew_mixed": SKEW_MIXED, "skew_odd_symmetric": SKEW_ODD_SYMMETRIC,
+             "qq_fractional": QQ_FRACTIONAL}
     text = texts[name] if name in texts else (INPUTS / f"{name}.alg").read_text()
     return make_algebra(parse_spec(text), q)
 
@@ -1230,6 +1265,126 @@ class TestReflection:
         calls = _spy_stabilize(monkeypatch)
         classify(_spec(name, Fraction(2)), EVEN, (3, 3), windows)
         assert calls[0] == solved
+
+
+@st.composite
+def row_problems(draw):
+    """A spec (B, S, the mutated ones or QQ_FRACTIONAL), q fixed or generic,
+    a degree of either shift and a window up to 3x3."""
+    name = draw(st.sampled_from(["B", "S", "mutated_B", "mutated_S", "qq_fractional"]))
+    q = draw(st.one_of(st.none(), st.integers(-3, 3).map(Fraction),
+                       st.tuples(st.integers(-5, 5), st.integers(2, 3))
+                       .map(lambda t: Fraction(*t))))
+    alg = _spec(name, q)
+    shift = draw(st.sampled_from(alg.parities))
+    deg = MapDegree(shift, draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    return alg, deg, Window(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+
+
+class TestRowKernel:
+    """`_rows` takes each row's three constants from one call of a generated
+    row kernel, and merges entries only where unknowns coincide."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=row_problems())
+    def test_rows_match_three_rule_calls(self, problem):
+        # the shell pairs, and each also in the other order where the
+        # system takes that parity pair
+        alg, deg, w = problem
+        pairs = list(_shell_pairs(alg, deg, w))
+        combos = halfder._parity_pairs(alg, deg)
+        pairs += [(p2, p1, m2, i2, m1, i1) for p1, p2, m1, i1, m2, i2 in pairs
+                  if (p2, p1) in combos]
+        assert list(halfder._rows(alg, deg, w, pairs)) \
+            == list(rows_by_rule_calls(alg, deg, w, pairs))
+
+    @pytest.mark.parametrize("name,q,deg,pair,size", [
+        # x = y, odd: [G, G] is nonzero in S
+        ("S", Fraction(2), MapDegree(EVEN, 1, 0), (ODD, ODD, 1, 0, 1, 0), 2),
+        ("S", Fraction(2), MapDegree(ODD, 1, 1), (ODD, ODD, -1, 1, -1, 1), 2),
+        ("S", None, MapDegree(EVEN, 0, 1), (ODD, ODD, 1, 1, 1, 1), 2),
+        ("qq_fractional", Fraction(-3, 2), MapDegree(ODD, 1, -1), (ODD, ODD, 1, 0, 1, 0), 2),
+        # y = L[0,0]: the output unknown is x's; at B(2) degree (1, 1) the
+        # merged entry cancels, and the row is zero
+        ("B", Fraction(2), MapDegree(EVEN, 1, 0), (EVEN, EVEN, 1, 1, 0, 0), 1),
+        ("B", Fraction(2), MapDegree(EVEN, 1, 1), (EVEN, EVEN, 1, 1, 0, 0), 0),
+        ("S", None, MapDegree(ODD, 1, 0), (EVEN, EVEN, 1, -1, 0, 0), 1),
+        ("mutated_B", Fraction(1, 2), MapDegree(EVEN, 0, 1), (EVEN, EVEN, -1, 2, 0, 0), 2),
+        # x = L[0,0]: the output unknown is y's
+        ("B", Fraction(2), MapDegree(EVEN, 1, 0), (EVEN, EVEN, 0, 0, 1, 1), 1),
+        ("S", Fraction(3), MapDegree(ODD, -1, 1), (EVEN, ODD, 0, 0, 2, -1), 2),
+        ("qq_fractional", None, MapDegree(EVEN, 1, 2), (EVEN, ODD, 0, 0, -1, 1), 2),
+        # x = y = L[0,0]
+        ("mutated_B", Fraction(2), MapDegree(EVEN, 1, 2), (EVEN, EVEN, 0, 0, 0, 0), 1),
+    ])
+    def test_coincident_unknowns_are_merged(self, name, q, deg, pair, size):
+        alg, w = _spec(name, q), Window(3, 3)
+        rows = list(halfder._rows(alg, deg, w, [pair]))
+        assert rows == list(rows_by_rule_calls(alg, deg, w, [pair]))
+        entries = rows[0][0] if rows else ()
+        assert len({u for u, _v in entries}) == len(entries) == size
+
+    def test_one_kernel_call_per_built_row(self, monkeypatch):
+        # S(-4) odd: the ladder of the benchmark's job, whose later window
+        # forces the unknowns of many pairs before they are read
+        alg = builtin_algebra("S", Fraction(-4))
+        comp = alg.compiled()
+        calls = _spy_kernel_calls(monkeypatch, comp)
+        expected, skipped = [], [0]
+        rows = halfder._rows
+
+        def spy(alg_, deg, w, pairs, forced=None):
+            index = {x: u for u, x in enumerate(w.basis(alg_.parities))}
+
+            def checked(pairs):
+                # read as _rows reads each pair, after the rows before it
+                for pair in pairs:
+                    p1, p2, m1, i1, m2, i2 = pair
+                    us = [index[BasisIndex(p1, m1, i1)], index[BasisIndex(p2, m2, i2)],
+                          index[BasisIndex(p1 ^ p2, m1 + m2, i1 + i2)]]
+                    if forced is not None and all(forced[u] for u in us):
+                        skipped[0] += 1
+                    else:
+                        expected.append((p1, p2, deg.parity_shift, deg.r, deg.s,
+                                         m1, i1, m2, i2))
+                    yield pair
+            return rows(alg_, deg, w, checked(pairs), forced)
+
+        monkeypatch.setattr(halfder, "_rows", spy)
+        report = classify(alg, ODD, (3, 3), [Window(2, 6), Window(3, 7)])
+        assert [(d.r, d.s, d.matched_names) for d in report.degrees] == [(0, -2, ["gamma"])]
+        assert calls == expected and skipped[0] > 0
+
+    def test_one_kernel_per_parity_pair_and_shift(self, monkeypatch):
+        generated = []
+        compile_ = compile
+
+        def spy(source, filename, mode):
+            generated.append(filename)
+            return compile_(source, filename, mode)
+
+        monkeypatch.setattr(algebra, "compile", spy, raising=False)
+        alg = builtin_algebra("S", Fraction(2))
+        for shift in (ODD, EVEN, ODD):
+            classify(alg, shift, (1, 1), [Window(2, 3), Window(3, 4)])
+        # S is antisymmetric: parity pairs (0,0), (0,1) and (1,1), per shift
+        assert generated == ["<row kernel>"] * 6
+        assert sorted(alg.compiled()._kernels) == sorted(
+            (p1, p2, shift) for p1, p2 in [(EVEN, EVEN), (EVEN, ODD), (ODD, ODD)]
+            for shift in (EVEN, ODD))
+        classify(builtin_algebra("S", Fraction(2)), ODD, (1, 1), [Window(2, 3), Window(3, 4)])
+        assert len(generated) == 9
+
+    @pytest.mark.parametrize("name,q,shift", [("B", Fraction(2), EVEN), ("S", None, ODD),
+                                              ("mutated_B", Fraction(1, 2), EVEN)])
+    def test_rows_call_no_rule(self, monkeypatch, name, q, shift):
+        alg = _spec(name, q)
+        deg, w = MapDegree(shift, 1, -1), Window(2, 3)
+        pairs = list(_shell_pairs(alg, deg, w))  # proves antisymmetry, which evaluates rules
+        rule_calls = _count_rule_calls(monkeypatch, alg)
+        kernel_calls = _spy_kernel_calls(monkeypatch, alg.compiled())
+        assert list(halfder._rows(alg, deg, w, pairs))
+        assert len(kernel_calls) == len(pairs) and rule_calls() == 3 * len(pairs)
 
 
 class TestBuiltinMaps:
