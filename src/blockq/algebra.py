@@ -14,7 +14,9 @@ scalars, so each identity has one formula.  Except for associativity, which
 has no bracket and compares exact product vectors, the residuals run on the
 compiled layer (`CompiledAlgebra`).  It clears denominators once per algebra
 and evaluates every structure constant with plain integer arithmetic: ints
-in fixed-q mode, integer q-coefficient tuples in generic mode.  Its rules
+in fixed-q mode, `scalars.Coeffs` of ints (q-coefficients, with ring
+operators) in generic mode, so a residual is written with + - * and
+truthiness in either mode.  Its rules
 (`pair`) and its half-derivation row kernels (`row_kernel`, the three
 constants of a row from one call) run the same generated rule sources.
 `CompiledAlgebra.raw` clears a scalar table (a map, a product or a kernel
@@ -43,7 +45,6 @@ is evaluated twice.  No suite calls them.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +54,7 @@ from math import lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import ModeMismatch, ParseError, UnknownParityPair
-from .scalars import Poly, RatFunc, Scalar, poly_gcd
+from .scalars import Coeffs, Poly, RatFunc, Scalar, poly_gcd
 
 EVEN = 0
 ODD = 1
@@ -270,50 +271,17 @@ def _poly_src(monoms: dict[tuple[int, int, int, int], int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _tup_mul(a: tuple, b: tuple) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for k, c in enumerate(a):
-        if c:
-            for l, d in enumerate(b):
-                if d:
-                    out[k + l] += c * d
-    return tuple(out)
-
-
-def _tup_sub(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a = a + (0,) * (len(b) - len(a))
-    elif len(b) < len(a):
-        b = b + (0,) * (len(a) - len(b))
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _tup_add(a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a = a + (0,) * (len(b) - len(a))
-    elif len(b) < len(a):
-        b = b + (0,) * (len(a) - len(b))
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _tup_neg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
-
-
-def _tup_is_zero(a: tuple) -> bool:
-    return not any(a)
-
-
 class CompiledAlgebra:
     """Denominator-cleared structure constants for one algebra and one q mode.
 
     Every evaluated coefficient equals ``scale`` times the true value, where
     ``scale = den * b**D`` in fixed mode (q = a/b in lowest terms, D the
     maximal q-degree over all rules) and ``den`` alone in generic mode.  In
-    fixed mode values are ints; in generic mode, tuples of ints holding the
-    q-power coefficients.  `lift` divides a value by ``scale`` again, once
-    per structure constant in it; `one` is the raw value 1, the entry of a
-    unit row, and `zero` the raw value 0.
+    fixed mode values are ints; in generic mode, `Coeffs` of ints holding the
+    q-power coefficients, so both modes take the same operators.  `lift`
+    divides a value by ``scale`` again, once per structure constant in it;
+    `one` is the raw value 1, the entry of a unit row, and `zero` the raw
+    value 0.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -330,21 +298,14 @@ class CompiledAlgebra:
             self.qden = spec.q.denominator
             self.scale = Fraction(den * self.qden ** self.D)
 
+        self.zero, self.one = (Coeffs(), Coeffs((1,))) if self.generic else (0, 1)
+
         self._src = {key: self._rule_src(monos) for key, monos in spec.rules.items()}
         self.pair: dict[tuple[Parity, Parity], Callable[[int, int, int, int], object]] = {
-            key: eval("lambda m,i,n,j: " + src, {"__builtins__": {}}, {})  # noqa: S307 - self-generated source
+            key: eval("lambda m,i,n,j: " + src, {"__builtins__": {}, "Coeffs": Coeffs}, {})  # noqa: S307 - self-generated source
             for key, src in self._src.items()}
         self._kernels: dict[tuple[Parity, Parity, Parity], Callable] = {}
         self.antisymmetry_box = certifying_grid(spec, 1).basis(spec.parities)
-
-        if self.generic:
-            self.vmul, self.vadd, self.vsub = _tup_mul, _tup_add, _tup_sub
-            self.vneg, self.vis_zero = _tup_neg, _tup_is_zero
-            self.zero, self.one = (), (1,)
-        else:
-            self.vmul, self.vadd, self.vsub = operator.mul, operator.add, operator.sub
-            self.vneg, self.vis_zero = operator.neg, operator.not_
-            self.zero, self.one = 0, 1
 
     def _rule_src(self, monos: Monomials) -> str:
         """The expression in m, i, n, j of one rule's raw value: the one source
@@ -356,7 +317,7 @@ class CompiledAlgebra:
             by_pow[eq][(em, ei, en, ej)] = by_pow[eq].get((em, ei, en, ej), 0) + ic.numerator
         srcs = [_poly_src(p) for p in by_pow]
         if self.generic:
-            body = "(" + ", ".join(f"({s})" for s in srcs) + ("," if self.D == 0 else "") + ")"
+            body = "Coeffs((" + ", ".join(f"({s})" for s in srcs) + ("," if self.D == 0 else "") + "))"
         else:
             a, b = self.qnum, self.qden
             parts = []
@@ -388,7 +349,7 @@ class CompiledAlgebra:
                          f"  c_y = {y}\n"
                          f"  m, i, n, j = m + r, i + s, n - r, j - s\n"
                          f"  return c_out, {x}, c_y\n"
-                         f" return row\n", "<row kernel>", "exec"), {"__builtins__": {}}, ns)
+                         f" return row\n", "<row kernel>", "exec"), {"__builtins__": {}, "Coeffs": Coeffs}, ns)
             self._kernels[key] = ns["kernel"]
         return self._kernels[key]
 
@@ -424,7 +385,7 @@ class CompiledAlgebra:
 
     def raw(self, table: dict) -> tuple[dict, Scalar]:
         """(raw table, factor): a scalar table times the one common factor that
-        clears every denominator, as ints or int q-coefficient tuples.  An
+        clears every denominator, as ints or `Coeffs` of ints.  An
         identity linear in the table vanishes on the result exactly where it
         vanishes on the table; `lift` divides the factor out again."""
         if any(isinstance(v, RatFunc) != self.generic for v in table.values()):
@@ -438,7 +399,7 @@ class CompiledAlgebra:
                 den = den * v.den.divmod(poly_gcd(den, v.den))[0]
         nums = {k: v.num * den.divmod(v.den)[0] for k, v in table.items()}
         m = lcm(*(c.denominator for poly in nums.values() for c in poly.coeffs))
-        return ({k: tuple((c * m).numerator for c in poly.coeffs) for k, poly in nums.items()},
+        return ({k: Coeffs((c * m).numerator for c in poly.coeffs) for k, poly in nums.items()},
                 RatFunc(den.scale(m)))
 
     def raw_vectors(self, vectors: dict) -> tuple[dict, Scalar]:
@@ -641,8 +602,8 @@ def _antisymmetry_residual(comp: CompiledAlgebra) -> Callable[[BasisIndex, Basis
     """None where [x,y] = -(-1)^{|x||y|} [y,x], else both sides, raw, at x+y."""
     def residual(x: BasisIndex, y: BasisIndex):
         cxy, cyx = comp.coeff(x, y), comp.coeff(y, x)
-        cyx = cyx if x.parity & y.parity else comp.vneg(cyx)
-        return None if comp.vis_zero(comp.vsub(cxy, cyx)) else ({x.plus(y): cxy}, {x.plus(y): cyx})
+        cyx = cyx if x.parity & y.parity else -cyx
+        return ({x.plus(y): cxy}, {x.plus(y): cyx}) if cxy - cyx else None
     return residual
 
 
@@ -650,15 +611,14 @@ def _jacobi_residual(comp: CompiledAlgebra) -> Callable[..., object]:
     """None where [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]], else both
     sides, raw, at x+y+z."""
     pair = comp.pair
-    vmul, vadd, vsub, vis_zero = comp.vmul, comp.vadd, comp.vsub, comp.vis_zero
 
     def residual(x: BasisIndex, y: BasisIndex, z: BasisIndex):
         (px, mx, ix), (py, my, iy), (pz, mz, iz) = x, y, z
-        x_yz = vmul(pair[(py, pz)](my, iy, mz, iz), pair[(px, py ^ pz)](mx, ix, my + mz, iy + iz))
-        xy_z = vmul(pair[(px, py)](mx, ix, my, iy), pair[(px ^ py, pz)](mx + my, ix + iy, mz, iz))
-        y_xz = vmul(pair[(px, pz)](mx, ix, mz, iz), pair[(py, px ^ pz)](my, iy, mx + mz, ix + iz))
-        rhs = (vsub if px & py else vadd)(xy_z, y_xz)
-        if vis_zero(vsub(x_yz, rhs)):
+        x_yz = pair[(py, pz)](my, iy, mz, iz) * pair[(px, py ^ pz)](mx, ix, my + mz, iy + iz)
+        xy_z = pair[(px, py)](mx, ix, my, iy) * pair[(px ^ py, pz)](mx + my, ix + iy, mz, iz)
+        y_xz = pair[(px, pz)](mx, ix, mz, iz) * pair[(py, px ^ pz)](my, iy, mx + mz, ix + iz)
+        rhs = xy_z - y_xz if px & py else xy_z + y_xz
+        if not x_yz - rhs:
             return None
         idx = BasisIndex(px ^ py ^ pz, mx + my + mz, ix + iy + iz)
         return {idx: x_yz}, {idx: rhs}

@@ -151,8 +151,8 @@ class ConstraintSystem:
 
     Each row is a tuple whose first item is its Entries, unknown k standing
     for unknowns[k], each at most once and in no set order; provenance may
-    follow.  Values are raw values of `algebra` (ints in fixed mode, int
-    q-coefficient tuples in generic mode).  `rows` may be lazy: `null_space`
+    follow.  Values are raw values of `algebra` (ints in fixed mode,
+    `Coeffs` of ints in generic mode).  `rows` may be lazy: `null_space`
     reads it once, in order, and may stop early.  It may be a function of the
     solver's flags (`forced[k]` set once unknown k is proved zero) that
     leaves out rows with no live one.
@@ -228,7 +228,6 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window, pairs: Iterable[Pair],
     npts = (2 * mm + 1) * width
     if forced is None:
         forced = bytes(len(alg.parities) * npts)
-    vneg, vadd, vsub, is0 = comp.vneg, comp.vadd, comp.vsub, comp.vis_zero
 
     # per parity pair: its row kernel, whether [x, phi(y)] flips sign, and
     # the offsets of the x, y and output unknowns
@@ -245,21 +244,21 @@ def _rows(alg: AlgebraSpec, deg: MapDegree, w: Window, pairs: Iterable[Pair],
             continue
         c_out, c_x, c_y = kernel(m1, i1, m2, i2)
         if u_x != u_y and u_out != u_x and u_out != u_y:
-            entries = () if is0(c_out) else ((u_out, vadd(c_out, c_out)),)
-            if not is0(c_x):
-                entries += ((u_x, vneg(c_x)),)
-            if not is0(c_y):
-                entries += ((u_y, c_y if flip_y else vneg(c_y)),)
+            entries = ((u_out, c_out + c_out),) if c_out else ()
+            if c_x:
+                entries += ((u_x, -c_x),)
+            if c_y:
+                entries += ((u_y, c_y if flip_y else -c_y),)
         else:
             d: dict[int, object] = {}
-            if not is0(c_out):
-                d[u_out] = vadd(c_out, c_out)
-            if not is0(c_x):
-                d[u_x] = vsub(d[u_x], c_x) if u_x in d else vneg(c_x)
-            if not is0(c_y):
-                t = c_y if flip_y else vneg(c_y)
-                d[u_y] = vadd(d[u_y], t) if u_y in d else t
-            entries = tuple((u, v) for u, v in d.items() if not is0(v))
+            if c_out:
+                d[u_out] = c_out + c_out
+            if c_x:
+                d[u_x] = d[u_x] - c_x if u_x in d else -c_x
+            if c_y:
+                t = c_y if flip_y else -c_y
+                d[u_y] = d[u_y] + t if u_y in d else t
+            entries = tuple((u, v) for u, v in d.items() if v)
         if entries:
             yield entries, pair
 
@@ -547,16 +546,13 @@ def _row_violated(ivec: dict, comp: CompiledAlgebra) -> Callable[[Entries], bool
                         acc[j] += c * w
             return any(acc)
         return violated_flat
-    vmul, vadd, is0 = comp.vmul, comp.vadd, comp.vis_zero
 
     def violated(entries: Entries) -> bool:
-        acc = None
+        acc = comp.zero
         for u, v in entries:
-            w = ivec.get(u)
-            if w is not None:
-                t = vmul(v, w)
-                acc = t if acc is None else vadd(acc, t)
-        return acc is not None and not is0(acc)
+            if u in ivec:
+                acc += v * ivec[u]
+        return bool(acc)
     return violated
 
 
@@ -854,19 +850,17 @@ def half_derivation_terms(comp: CompiledAlgebra,
     so 2 phi([x,y]) = 2c phi(x+y).  With phi the left multiplication
     u -> z.u and odd = |z|, this is the transposed Leibniz law at (z, x, y).
     """
-    coeff, vmul, vadd, vsub, vis_zero, zero = (comp.coeff, comp.vmul, comp.vadd, comp.vsub,
-                                                comp.vis_zero, comp.zero)
+    coeff, zero = comp.coeff, comp.zero
 
     def terms(x: BasisIndex, y: BasisIndex) -> tuple[dict, dict] | None:
         c = coeff(x, y)
-        lhs = {} if vis_zero(c) else {t: vmul(a, vadd(c, c)) for t, a in images(x.plus(y))}
-        rhs = {t.plus(y): vmul(a, coeff(t, y)) for t, a in images(x)}
-        add = vsub if odd and x.parity else vadd
+        lhs = {t: a * (c + c) for t, a in images(x.plus(y))} if c else {}
+        rhs = {t.plus(y): a * coeff(t, y) for t, a in images(x)}
+        flip = odd and x.parity  # the sign (-1)^{odd |x|}
         for t, a in images(y):
-            key = x.plus(t)
-            rhs[key] = add(rhs.get(key, zero), vmul(a, coeff(x, t)))
-        differ = any(not vis_zero(vsub(lhs.get(k, zero), rhs.get(k, zero)))
-                     for k in lhs.keys() | rhs.keys())
+            key, v = x.plus(t), a * coeff(x, t)
+            rhs[key] = rhs.get(key, zero) + (-v if flip else v)
+        differ = any(lhs.get(k, zero) - rhs.get(k, zero) for k in lhs.keys() | rhs.keys())
         return (lhs, rhs) if differ else None
     return terms
 

@@ -76,7 +76,6 @@ def _cyclic_sums(comp: CompiledAlgebra, phi: dict):
     """(standard, literal): the two cyclic sums at (x, y, z) on the compiled
     layer, each a dict from output index to a nonzero raw value."""
     pair = comp.pair
-    vmul, vadd, vneg, vis_zero = comp.vmul, comp.vadd, comp.vneg, comp.vis_zero
 
     def add_term(acc: dict, negate: int, a: BasisIndex, b: BasisIndex,
                  c: BasisIndex) -> None:
@@ -86,41 +85,37 @@ def _cyclic_sums(comp: CompiledAlgebra, phi: dict):
         if not imgs:
             return
         c_in = pair[(b.parity, c.parity)](b.m, b.i, c.m, c.i)
-        if vis_zero(c_in):
+        if not c_in:
             return
         if negate:
-            c_in = vneg(c_in)
+            c_in = -c_in
         pin = (b.parity + c.parity) & 1
         min_, iin = b.m + c.m, b.i + c.i
         for tgt, wcoef in imgs:
             c_out = pair[(tgt.parity, pin)](tgt.m, tgt.i, min_, iin)
-            if vis_zero(c_out):
+            if not c_out:
                 continue
             key = ((tgt.parity + pin) & 1, tgt.m + min_, tgt.i + iin)
-            val = vmul(wcoef, vmul(c_in, c_out))
+            val = wcoef * c_in * c_out
             cur = acc.get(key)
             if cur is None:  # val, a product of nonzero values, is nonzero
                 acc[key] = val
-            elif vis_zero(tot := vadd(cur, val)):
-                del acc[key]
-            else:
+            elif tot := cur + val:
                 acc[key] = tot
+            else:
+                del acc[key]
 
-    def standard(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> dict:
-        acc: dict = {}
-        add_term(acc, x.parity and z.parity, x, y, z)
-        add_term(acc, z.parity and y.parity, z, x, y)
-        add_term(acc, y.parity and x.parity, y, z, x)
-        return acc
+    def cyclic_sum(literal: bool):
+        """The sum whose third term is [phi(y),[z,y]] if literal, else [phi(y),[z,x]]."""
+        def total(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> dict:
+            acc: dict = {}
+            add_term(acc, x.parity and z.parity, x, y, z)
+            add_term(acc, z.parity and y.parity, z, x, y)
+            add_term(acc, y.parity and x.parity, y, z, y if literal else x)
+            return acc
+        return total
 
-    def literal(x: BasisIndex, y: BasisIndex, z: BasisIndex) -> dict:
-        acc: dict = {}
-        add_term(acc, x.parity and z.parity, x, y, z)
-        add_term(acc, z.parity and y.parity, z, x, y)
-        add_term(acc, y.parity and x.parity, y, z, y)
-        return acc
-
-    return standard, literal
+    return cyclic_sum(False), cyclic_sum(True)
 
 
 def _is_dense(gm: GradedMap, basis: list[BasisIndex]) -> bool:

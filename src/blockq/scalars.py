@@ -10,8 +10,13 @@ arithmetic operator handed one scalar of each kind raises `ModeMismatch`.
 Throughout the package a value ``q: Fraction | None`` selects the mode, with
 ``None`` meaning generic.
 
-Polynomials are kept with trailing zero coefficients stripped; rational
-functions are gcd-reduced with a monic denominator, so equality is structural.
+Polynomial arithmetic in q is written once, in `Coeffs`: a tuple of
+coefficients, low degree first, whose + - * and truth value are those of
+the polynomial.  It serves both layers: `Poly` keeps its coefficients as
+`Coeffs` of `Fraction`s, stripped of trailing zeros, and the compiled layer
+(`algebra.CompiledAlgebra`) writes every generic-mode raw value as `Coeffs`
+of ints, of any length.  Rational functions are gcd-reduced with a monic
+denominator, so equality is structural.
 
 `Tokens` is the package's one tokenizer and token cursor, shared by the
 scalar grammar here, the `.alg` grammar and the `--map` grammar.
@@ -19,8 +24,10 @@ scalar grammar here, the `.alg` grammar and the `--map` grammar.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable
 
 from .errors import DivisionByZero, ModeMismatch, ParseError, PoleAtQ0
@@ -31,11 +38,50 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class Coeffs(tuple):
+    """The coefficients of a polynomial in q, low degree first, with ring operators.
+
+    `+`, `-`, `*` and unary `-` are polynomial arithmetic, and the truth
+    value says whether the polynomial is nonzero, whatever the length:
+    trailing zeros are allowed, and `()` is zero.  A plain tuple on the
+    right is read as coefficients too.
+    """
+
+    __slots__ = ()
+
+    # + and - nearly always meet equal lengths, where map() runs about 5 %
+    # of classify at generic q faster than the zip_longest generator
+    def __add__(self, other: tuple) -> "Coeffs":
+        if len(self) == len(other):
+            return Coeffs(map(operator.add, self, other))
+        return Coeffs(a + b for a, b in zip_longest(self, other, fillvalue=0))
+
+    def __sub__(self, other: tuple) -> "Coeffs":
+        if len(self) == len(other):
+            return Coeffs(map(operator.sub, self, other))
+        return Coeffs(a - b for a, b in zip_longest(self, other, fillvalue=0))
+
+    def __neg__(self) -> "Coeffs":
+        return Coeffs(map(operator.neg, self))
+
+    def __mul__(self, other: tuple) -> "Coeffs":
+        out = [0] * (len(self) + len(other) - 1)
+        for k, c in enumerate(self):
+            if c:
+                for l, d in enumerate(other):
+                    out[k + l] += c * d
+        return Coeffs(out)
+
+    def __bool__(self) -> bool:
+        return any(self)
+
+
 class Poly:
     """Univariate polynomial in the formal parameter q over the rationals.
 
-    Coefficients are stored low degree first; the zero polynomial is the
-    empty tuple.  Instances are immutable and hashable.
+    Coefficients are stored low degree first as `Coeffs`, which also does
+    the arithmetic; the zero polynomial is the empty tuple.  Instances are
+    immutable and hashable.
     """
 
     __slots__ = ("coeffs",)
@@ -44,7 +90,7 @@ class Poly:
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", Coeffs(cs))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
@@ -77,30 +123,16 @@ class Poly:
         return self.coeffs[-1]
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
+        return Poly(self.coeffs + other.coeffs)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(-self.coeffs)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return Poly(self.coeffs - other.coeffs)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for k, c in enumerate(a):
-            if c:
-                for l, d in enumerate(b):
-                    out[k + l] += c * d
-        return Poly(out)
+        return Poly(self.coeffs * other.coeffs)
 
     def scale(self, c: Fraction | int) -> "Poly":
         c = Fraction(c)

@@ -145,7 +145,6 @@ def rows_by_rule_calls(alg, deg, w, pairs):
     comp = alg.compiled()
     index = {x: u for u, x in enumerate(w.basis(alg.parities))}
     shift, r, s = deg.parity_shift, deg.r, deg.s
-    vneg, vadd, vsub, is0 = comp.vneg, comp.vadd, comp.vsub, comp.vis_zero
     for pair in pairs:
         p1, p2, m1, i1, m2, i2 = pair
         c_out = comp.pair[(p1, p2)](m1, i1, m2, i2)
@@ -154,14 +153,14 @@ def rows_by_rule_calls(alg, deg, w, pairs):
         u_x, u_y = index[BasisIndex(p1, m1, i1)], index[BasisIndex(p2, m2, i2)]
         u_out = index[BasisIndex(p1 ^ p2, m1 + m2, i1 + i2)]
         d = {}
-        if not is0(c_out):
-            d[u_out] = vadd(c_out, c_out)
-        if not is0(c_x):
-            d[u_x] = vsub(d[u_x], c_x) if u_x in d else vneg(c_x)
-        if not is0(c_y):
-            t = c_y if shift and p1 else vneg(c_y)
-            d[u_y] = vadd(d[u_y], t) if u_y in d else t
-        entries = tuple((u, v) for u, v in d.items() if not is0(v))
+        if c_out:
+            d[u_out] = c_out + c_out
+        if c_x:
+            d[u_x] = d[u_x] - c_x if u_x in d else -c_x
+        if c_y:
+            t = c_y if shift and p1 else -c_y
+            d[u_y] = d[u_y] + t if u_y in d else t
+        entries = tuple((u, v) for u, v in d.items() if v)
         if entries:
             yield entries, pair
 

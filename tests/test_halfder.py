@@ -9,7 +9,7 @@ from typing import Callable
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (classified_degree_by_degree, intersect_by_zassenhaus, provenances,
                      rows_by_rule_calls, scalar_rows, stabilized_by_full_kernels)
@@ -22,7 +22,7 @@ from blockq.halfder import (ConstraintSystem, GradedMap, MapDegree, NullSpaceBas
                             _kernel, _rref_vectors, _shell_pairs, build_constraints,
                             builtin_map, check_map, classify, half_derivation_system,
                             null_space, shift_map, stabilize)
-from blockq.scalars import Poly, RatFunc, scalar_one, specialize_q
+from blockq.scalars import Coeffs, Poly, RatFunc, parse_scalar, scalar_one, specialize_q
 from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
 
 L = lambda m, i: BasisIndex(EVEN, m, i)
@@ -226,9 +226,9 @@ class TestNullSpace:
 
 
 def _raw_value(generic: bool):
-    """Nonzero raw row coefficients: ints, or int q-coefficient tuples."""
+    """Nonzero raw row coefficients: ints, or `Coeffs` of ints."""
     if generic:
-        return st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any).map(tuple)
+        return st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any).map(Coeffs)
     return st.integers(-4, 4).filter(bool)
 
 
@@ -400,7 +400,7 @@ def _lin(terms: list, generic: bool):
     if not generic:
         return sum(c * v for c, v in terms)
     width = max(len(v) for _c, v in terms)
-    return tuple(sum(c * v[j] for c, v in terms if j < len(v)) for j in range(width))
+    return Coeffs(sum(c * v[j] for c, v in terms if j < len(v)) for j in range(width))
 
 
 def _raw_row(cols: dict, generic: bool) -> tuple:
@@ -484,7 +484,7 @@ def _stall_then_grow(generic: bool) -> list[tuple]:
     grows the rank to 3; rows 7-8 stall again, and row 9 (b) is dropped on
     the lift <(1,1,1,1)>.
     """
-    one, neg = ((1,), (-1,)) if generic else (1, -1)
+    one, neg = (Coeffs((1,)), Coeffs((-1,))) if generic else (1, -1)
     a, b, f = ((0, one), (1, neg)), ((2, one), (3, neg)), ((1, one), (2, neg))
     return [a, b, _combined(a, a, 1, 1, generic), _combined(a, b, 1, 1, generic),
             _combined(b, b, 1, 2, generic), f, _combined(a, f, 1, 1, generic),
@@ -495,7 +495,8 @@ def _lift_fails_after_drops(generic: bool) -> list[tuple]:
     """`_stall_then_grow` up to row 5 (dropped), then a row tying x0 to x2 by
     65537 x0 = 3 x2 (fixed q) or q x0 = x2 (generic), so the last lift fails."""
     rows = _stall_then_grow(generic)[:5]
-    return rows + [((0, (0, 1)), (2, (-1,))) if generic else ((0, 65537), (2, -3))]
+    return rows + [((0, Coeffs((0, 1))), (2, Coeffs((-1,)))) if generic
+                   else ((0, 65537), (2, -3))]
 
 
 class TestCheckMode:
@@ -566,13 +567,28 @@ class TestCheckMode:
         # a q-free vector's check accumulates ints per power of q; a row may
         # carry more powers than the algebra's rules
         comp = builtin_algebra("B", None).compiled()
-        violated = halfder._row_violated({u: (w,) for u, w in vec.items()}, comp)
+        violated = halfder._row_violated({u: Coeffs((w,)) for u, w in vec.items()}, comp)
         for row in rows:
             entries = tuple(sorted(row.items()))
             acc = Poly()
             for u, v in entries:
                 acc = acc + Poly(v) * Poly.const(vec.get(u, 0))
             assert violated(entries) == (not acc.is_zero)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.dictionaries(st.integers(0, 4), _raw_value(True),
+                                         min_size=1, max_size=3), max_size=6),
+           vec=st.dictionaries(st.integers(0, 4), _raw_value(True), min_size=1, max_size=5))
+    def test_row_check_matches_polynomials(self, rows, vec):
+        # a vector with q in it takes the general check, on `Coeffs` operators
+        assume(any(len(w) > 1 for w in vec.values()))
+        comp = builtin_algebra("B", None).compiled()
+        violated = halfder._row_violated(vec, comp)
+        for row in rows:
+            acc = Poly()
+            for u, v in row.items():
+                acc = acc + Poly(v) * Poly(vec.get(u, ()))
+            assert violated(tuple(row.items())) == (not acc.is_zero)
 
 
 def _spy_lifts(monkeypatch, name: str) -> list:
@@ -619,7 +635,7 @@ class TestLiftedKernel:
         # x0 + 2 x1 = 0 mod p: column 1's vector is (-2, 1), which is
         # rejected once x0 is forced, since x0 = 0 in every solution
         ech = halfder._ModpEchelon()
-        row = [(0, (1,)), (1, (2,))] if generic else [(0, 1), (1, 2)]
+        row = [(0, Coeffs((1,))), (1, Coeffs((2,)))] if generic else [(0, 1), (1, 2)]
         halfder._modp_pivot_rows(ech, [row], generic, 2)
         q = None if generic else Fraction(1)
         one = scalar_one(q)
@@ -630,7 +646,8 @@ class TestLiftedKernel:
         # q x0 - x1 = 0: the kernel (1, q) has no q-free lift
         alg = builtin_algebra("B", None)
         unknowns = [L(0, 0), L(0, 1)]
-        cs = ConstraintSystem(alg.compiled(), unknowns, [(((0, (0, 1)), (1, (-1,))),)])
+        cs = ConstraintSystem(alg.compiled(), unknowns,
+                              [(((0, Coeffs((0, 1))), (1, Coeffs((-1,)))),)])
         lifts = _spy_lifts(monkeypatch, "_reconstruct")
         calls = _spy_kernel(monkeypatch)
         got = null_space(cs)
@@ -897,7 +914,7 @@ class TestStabilize:
         def system(w):
             unknowns = w.basis(alg.parities)
             rows = [(((u, c),), x, y) for u, x in enumerate(unknowns) for y in unknowns
-                    if not comp.vis_zero(c := comp.coeff(x, y))]
+                    if (c := comp.coeff(x, y))]
             return ConstraintSystem(comp, unknowns, rows)
         return system
 
@@ -1046,10 +1063,10 @@ class TestSeedAndSkip:
             unknowns = w.basis(alg.parities)
             if w == windows[0]:
                 rows = [(((u, c),),) for u, x in enumerate(unknowns)
-                        if not comp.vis_zero(c := comp.coeff(L(0, 0), x))]
+                        if (c := comp.coeff(L(0, 0), x))]
             else:
                 index = {x: u for u, x in enumerate(unknowns)}
-                rows = [(((index[L(m, i)], (1,)), (index[L(m, i + 1)], (-1,))),)
+                rows = [(((index[L(m, i)], comp.one), (index[L(m, i + 1)], -comp.one)),)
                         for m, i in w.points() if i < w.i_max]
             return ConstraintSystem(comp, unknowns, rows)
 
@@ -1151,7 +1168,6 @@ def _mirror_premise(alg, shift, sigma, r, s, w) -> bool:
     by its points as a set when the system takes it in one order, and as
     an ordered pair when the spec fails graded antisymmetry and both
     orders are taken."""
-    neg = alg.compiled().vneg
     key = frozenset if alg.compiled().antisymmetric else tuple
 
     def flip(x):
@@ -1162,12 +1178,12 @@ def _mirror_premise(alg, shift, sigma, r, s, w) -> bool:
         return {key((x, y)): {cs.unknowns[u]: v for u, v in entries}
                 for entries, x, y in cs.rows}
 
-    image = {key(map(flip, pair)): {flip(k): v if sigma[k.parity] > 0 else neg(v)
+    image = {key(map(flip, pair)): {flip(k): v if sigma[k.parity] > 0 else -v
                                     for k, v in row.items()}
              for pair, row in rows(r).items()}
     target = rows(-r)
     return image.keys() == target.keys() and all(
-        target[pair] in (row, {k: neg(v) for k, v in row.items()})
+        target[pair] in (row, {k: -v for k, v in row.items()})
         for pair, row in image.items())
 
 
@@ -1385,6 +1401,38 @@ class TestRowKernel:
         kernel_calls = _spy_kernel_calls(monkeypatch, alg.compiled())
         assert list(halfder._rows(alg, deg, w, pairs))
         assert len(kernel_calls) == len(pairs) and rule_calls() == 3 * len(pairs)
+
+
+class TestRawValueType:
+    """Every generic-mode raw value is `Coeffs`, whose operators are
+    polynomial arithmetic; a plain tuple would concatenate under + and be
+    truthy at (0,).  Every fixed-mode raw value is an int."""
+
+    @pytest.mark.parametrize("name", ["B", "S", "mutated_B", "mutated_S", "qq_fractional"])
+    @pytest.mark.parametrize("q", [None, Fraction(2), Fraction(-3, 2)])
+    def test_every_raw_value_has_the_mode_type(self, name, q):
+        alg = _spec(name, q)
+        comp = alg.compiled()
+        kind = Coeffs if q is None else int
+
+        def check(values):
+            values = list(values)
+            assert values and all(type(v) is kind for v in values)
+
+        points = list(product(range(-2, 3), repeat=4))
+        check([comp.zero, comp.one])
+        for rule in comp.pair.values():
+            check(rule(*pt) for pt in points)
+        for p1, p2, shift in product(alg.parities, repeat=3):
+            for r, s in ((0, 0), (1, -1), (-2, 1)):
+                kernel = comp.row_kernel(p1, p2, shift)(r, s)
+                check(c for pt in points for c in kernel(*pt))
+        texts = ["0", "1", "-3", "1/2", "-7/6"]
+        if q is None:
+            texts += ["q", "q^2/5 - 1", "(q + 1/2)/(3*q - 1)"]
+        raw, _factor = comp.raw({k: parse_scalar(t, q) for k, t in enumerate(texts)})
+        check(raw.values())
+        assert [bool(raw[k]) for k in range(len(texts))] == [t != "0" for t in texts]
 
 
 class TestBuiltinMaps:

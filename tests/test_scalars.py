@@ -7,11 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blockq.errors import DivisionByZero, ModeMismatch, ParseError, PoleAtQ0
-from blockq.scalars import (Poly, RatFunc, format_q, inv, parse_q,
+from blockq.scalars import (Coeffs, Poly, RatFunc, format_q, inv, parse_q,
                             parse_scalar, specialize_q)
 
 fractions_st = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
@@ -59,6 +59,55 @@ class TestPoly:
     def test_str_form(self):
         assert str(Poly([4, Fraction(-1, 2), 3])) == "3*q^2 - 1/2*q + 4"
         assert str(Poly()) == "0"
+
+
+int_coeffs_st = st.lists(st.integers(-50, 50), max_size=5)
+
+
+class TestCoeffs:
+    """`Coeffs` is polynomial arithmetic in q: checked against `Poly` and,
+    independently of both, against values at more points than the degree."""
+
+    @staticmethod
+    def values(cs, points):
+        return [sum(c * t ** k for k, c in enumerate(cs)) for t in points]
+
+    @given(a=int_coeffs_st, b=int_coeffs_st)
+    @example(a=[], b=[])
+    @example(a=[], b=[1, 0, 0])
+    @example(a=[0, 0], b=[3])
+    @example(a=[1, 2, 0], b=[-1])
+    @example(a=[0, 0, 0], b=[0])
+    @settings(max_examples=200, deadline=None)
+    def test_ring_operators_agree_with_poly(self, a, b):
+        ca, cb = Coeffs(a), Coeffs(b)
+        points = range(len(a) + len(b) + 1)
+        for got, want, op in ((ca + cb, Poly(a) + Poly(b), int.__add__),
+                              (ca - cb, Poly(a) - Poly(b), int.__sub__),
+                              (ca * cb, Poly(a) * Poly(b), int.__mul__),
+                              (-ca, -Poly(a), lambda x, _y: -x)):
+            assert type(got) is Coeffs
+            assert Poly(got) == want
+            assert self.values(got, points) == [
+                op(x, y) for x, y in zip(self.values(a, points), self.values(b, points))]
+        assert bool(ca) is (Poly(a).degree >= 0) is any(a)
+        assert len(ca + cb) == len(ca - cb) == max(len(a), len(b))
+
+    @given(a=int_coeffs_st, b=int_coeffs_st)
+    @settings(max_examples=60, deadline=None)
+    def test_plain_tuple_right_operand_is_read_as_coefficients(self, a, b):
+        ca, cb = Coeffs(a), Coeffs(b)
+        for got, want in ((ca + tuple(b), ca + cb), (ca - tuple(b), ca - cb),
+                          (ca * tuple(b), ca * cb)):
+            assert type(got) is Coeffs and got == want
+
+    def test_zero_of_any_length_is_falsy(self):
+        assert not Coeffs() and not Coeffs((0,)) and not Coeffs((0, 0, 0))
+        assert Coeffs((0, 0, 1)) and Coeffs((-1,))
+
+    def test_poly_keeps_stripped_coeffs(self):
+        p = Poly([1, 2]) - Poly([0, 2])
+        assert type(p.coeffs) is Coeffs and p.coeffs == (Fraction(1),)
 
 
 class TestRatFunc:
