@@ -32,11 +32,10 @@ in the window.  When the box shows a violation, every pair or triple of the
 window is enumerated.  Either way a report's `checked` counts the pairs or
 triples of the window it covers.  Antisymmetry is proved once per compiled
 algebra (`CompiledAlgebra.antisymmetric`).  Where it holds, a permutation of
-(x, y, z) changes the Jacobi residual only by a sign, so every triple walk
-takes one triple per multiset {x, y, z} (`triple_orbits`): the Jacobi box
-proof, and the total of a failing Jacobi check.  A cyclic residual, one that
-rotating (x, y, z) leaves unchanged whatever the bracket (the Hom-Lie
-standard sum), takes one triple per rotation orbit where antisymmetry fails.
+(x, y, z) changes the Jacobi residual and the Hom-Lie standard sum only by a
+sign, so every triple walk takes one triple per multiset {x, y, z}
+(`triple_orbits`): the box proofs, and the total of a failing check.  Where
+it fails, a walk takes every triple.
 
 The exact brackets (`bracket_coeff`, `bracket_basis`, `bracket_vec`) lift
 single compiled constants back to `Fraction` or `RatFunc` values, so no rule
@@ -537,44 +536,23 @@ def multiset_orbits(basis: list[BasisIndex]) -> Iterable[tuple[tuple[BasisIndex,
             for x, y, z in combinations_with_replacement(basis, 3))
 
 
-def rotation_orbits(basis: list[BasisIndex]) -> Iterable[tuple[tuple[BasisIndex, ...], int]]:
-    """(triple, size) for each orbit of the triples of `basis` under rotating
-    (x, y, z) to (y, z, x): size 3, or 1 when x = y = z.
-
-    Each orbit is met once, at its least rotation in window order: the
-    positions (a, b, c) with a <= b and a < c, or a = b = c.
-    """
-    n = len(basis)
-    for a, x in enumerate(basis):
-        yield (x, x, x), 1
-        for b in range(a, n):
-            y = basis[b]
-            for z in basis[a + 1:]:
-                yield (x, y, z), 3
-
-
-def triple_orbits(comp: "CompiledAlgebra", basis: list[BasisIndex], cyclic: bool = False
+def triple_orbits(comp: "CompiledAlgebra", basis: list[BasisIndex]
                   ) -> Iterable[tuple[tuple[BasisIndex, ...], int]] | None:
     """The orbit rule of every walk over the triples of `basis` whose residual
     a permutation of (x, y, z) changes only by a sign once graded
     antisymmetry holds: the Jacobiator, and the Hom-Lie standard sum.
 
     When `comp.antisymmetric`, `multiset_orbits`: one (triple, size) per
-    multiset {x, y, z}.  Otherwise, for a `cyclic` residual, which rotating
-    (x, y, z) leaves unchanged whatever the bracket (the Hom-Lie standard
-    sum), `rotation_orbits`; for the Jacobiator None, and a walk takes
-    every triple.
+    multiset {x, y, z}.  Otherwise None, and a walk takes every triple.
     """
-    if comp.antisymmetric:
-        return multiset_orbits(basis)
-    return rotation_orbits(basis) if cyclic else None
+    return multiset_orbits(basis) if comp.antisymmetric else None
 
 
 def vanishes_on_triples(comp: "CompiledAlgebra", residual: Callable[..., object],
-                        basis: list[BasisIndex], cyclic: bool = False) -> bool:
+                        basis: list[BasisIndex]) -> bool:
     """Whether `residual` vanishes on every triple of `basis`, evaluated on
     the triples `triple_orbits` takes."""
-    orbits = triple_orbits(comp, basis, cyclic)
+    orbits = triple_orbits(comp, basis)
     triples = product(basis, repeat=3) if orbits is None else (t for t, _ in orbits)
     return not any(residual(*t) for t in triples)
 

@@ -19,8 +19,7 @@ of its terms does, and each term is first proved on its own with less work:
   on all of Z x Z.  Its standard residual is then a polynomial in the
   indices, of the degree a Jacobi residual has, so it is proved on the
   certifying grid (`algebra.certifying_grid`), over the triples
-  `algebra.triple_orbits` takes for a cyclic residual, when the window
-  contains that grid;
+  `algebra.triple_orbits` takes, when the window contains that grid;
 * any other term (or one that is zero on the window) is sparse.  Its
   standard sum is unchanged by rotating (x, y, z) and vanishes unless x, y
   or z lies in its support, so only the window triples with x in the
@@ -28,18 +27,17 @@ of its terms does, and each term is first proved on its own with less work:
 
 When every term is proved the report passes with `checked` counting every
 triple of the window.  Otherwise the combination is checked over the window
-as a whole, and that check alone decides the report.  Where the bracket is
-graded antisymmetric, swapping two arguments changes the standard sum only
-by a sign, since each inner bracket does.  So:
+as a whole, and that check alone decides the report:
 
 * a witness walk evaluates it in window order and stops once the report
   keeps its 100 witnesses.  Each witness is the nonzero standard sum the
   walk evaluated, lifted past the twist's clearing factor and two scales
   (`hom_cyclic_sum`), so nothing is evaluated twice;
-* the total is then counted by `algebra.triple_orbits` for a cyclic
-  residual: one evaluation per multiset {x, y, z}, weighted by its size
-  (6, 3 or 1), when the compiled algebra is antisymmetric, and otherwise one
-  per rotation orbit, weighted by its size (3, or 1 when x = y = z).
+* the total is then counted by `algebra.triple_orbits`.  Where the bracket
+  is graded antisymmetric, swapping two arguments changes the standard sum
+  only by a sign, since each inner bracket does, so that is one evaluation
+  per multiset {x, y, z}, weighted by its size (6, 3 or 1); otherwise every
+  triple is evaluated.
 
 The literal flag is one search in window order that stops at the first
 nonzero literal sum.  The literal sum differs from the standard one only in
@@ -145,8 +143,7 @@ def _proved_terms(comp: CompiledAlgebra, terms: MapCombo, basis: list[BasisIndex
         if not phi or not _is_dense(term[1], basis):
             if any(standard(*t) for t in _with_support_at(basis, phi, 0)):
                 return False
-        elif grid_basis is None or not vanishes_on_triples(comp, standard, grid_basis,
-                                                           cyclic=True):
+        elif grid_basis is None or not vanishes_on_triples(comp, standard, grid_basis):
             return False
     return True
 
@@ -165,7 +162,7 @@ def hom_jacobi_check(alg: AlgebraSpec, maps: GradedMap | MapCombo,
     report = check_identity(product(basis, repeat=3), standard,
                             lambda found: (hom_cyclic_sum(comp, found, factor), "0"),
                             len(basis) ** 3, proved,
-                            None if proved else triple_orbits(comp, basis, cyclic=True))
+                            None if proved else triple_orbits(comp, basis))
     candidates = (_with_support_at(basis, phi, 1) if report.passed
                   else product(basis, repeat=3))
     report.notes["conventions"] = {"standard": report.passed,

@@ -292,9 +292,6 @@ class RatFunc:
             raise DivisionByZero("inverse of zero")
         return RatFunc(self.den, self.num)
 
-    def scale(self, c: Fraction | int) -> "RatFunc":
-        return RatFunc(self.num.scale(c), self.den)
-
     def specialize(self, q0: Fraction | int) -> Fraction:
         q0 = Fraction(q0)
         d = self.den(q0)

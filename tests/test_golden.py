@@ -92,6 +92,14 @@ CASES = {
     "verify_tp_S_0_super_full_2x3": (
         ["verify-tp", "--structure", "super_full", "--algebra", "S", "--q", "0",
          "--window", "2x3"], 0),
+    # recorded before the rotation-orbit walk left triple_orbits: the
+    # paper's second non-trivial S(0) structure, and a negative integer q
+    "verify_tp_S_0_super_even_2x3": (
+        ["verify-tp", "--structure", "super_even", "--algebra", "S", "--q", "0",
+         "--window", "2x3"], 0),
+    "verify_tp_B_-2_block_thalg_3x4": (
+        ["verify-tp", "--structure", "block_thalg", "--algebra", "B", "--q", "-2",
+         "--window", "3x4"], 0),
     "verify_tp_B_1_mutated_thalg_3x3": (
         ["verify-tp", "--json", f"{INPUTS}/mutated_thalg.json", "--algebra", "B",
          "--q", "1", "--window", "3x3"], 1),
@@ -172,6 +180,9 @@ CASES = {
     "classify_mutated_B_2_2x2_2x3_3x4": (
         ["classify", "--spec", f"{INPUTS}/mutated_B.alg", "--q", "2", "--bounds", "2x2",
          "--windows", "2x3,3x4"], 0),
+    # recorded before the rotation-orbit walk left triple_orbits: the one
+    # subcommand that had no golden, so the whole canonical form is pinned
+    "parse_spec_S": (["parse-spec", "src/blockq/algebras/S.alg"], 0),
 }
 
 
