@@ -3,10 +3,10 @@
 
 Runs the window-stabilized solver over a grid of q values for both algebras,
 verifies the four built-in transposed Poisson structures, and checks the
-Hom-Lie twists, printing one summary line per run.  With --fast the window
-ladders shrink; maps whose support falls outside the smaller windows then
-drop out of the classification (alpha at q=3 lives at (0,-6), so its
-dimension is only visible with i_max >= 6, i.e. in the default mode).
+Hom-Lie twists, printing one summary line per run.  The window ladders
+must reach every named map's support: alpha at q=3 lives at (0,-6), so its
+dimension shows only because the B ladders have i_max >= 6.  It takes no
+options.
 """
 
 import argparse
@@ -27,9 +27,10 @@ from blockq.tpverify import (builtin_tp, verify_associative,
 Q = Fraction
 
 
-def run_classifications(fast: bool) -> None:
+def run_classifications() -> None:
     print("== half-derivation classifications ==")
-    block_windows = [Window(3, 4), Window(4, 5)] if fast else [Window(4, 6), Window(5, 7)]
+    block_windows = [Window(4, 6), Window(5, 7)]
+    super_odd_windows = [Window(4, 7), Window(5, 8)]
     cases = [
         ("B", None, EVEN, block_windows),
         ("B", Q(1, 2), EVEN, block_windows),
@@ -41,14 +42,10 @@ def run_classifications(fast: bool) -> None:
         ("B", Q(-2), EVEN, block_windows),
         ("S", Q(1), EVEN, [Window(3, 3), Window(4, 4)]),
         ("S", Q(0), EVEN, [Window(3, 3), Window(4, 4), Window(5, 5)]),
-        ("S", Q(1), ODD, [Window(3, 5), Window(4, 6)] if fast
-         else [Window(4, 7), Window(5, 8)]),
-        ("S", Q(2), ODD, [Window(3, 5), Window(4, 6)] if fast
-         else [Window(4, 7), Window(5, 8)]),
-        ("S", Q(-4), ODD, [Window(3, 6), Window(4, 7)] if fast
-         else [Window(4, 7), Window(5, 8)]),
-        ("S", Q(0), ODD, [Window(3, 5), Window(4, 6)] if fast
-         else [Window(4, 7), Window(5, 8)]),
+        ("S", Q(1), ODD, super_odd_windows),
+        ("S", Q(2), ODD, super_odd_windows),
+        ("S", Q(-4), ODD, super_odd_windows),
+        ("S", Q(0), ODD, super_odd_windows),
     ]
     for name, q, shift, windows in cases:
         alg = builtin_algebra(name, q)
@@ -65,10 +62,9 @@ def run_classifications(fast: bool) -> None:
             print(f"    warnings: {rep.warnings}")
 
 
-def run_algebra_checks(fast: bool) -> None:
+def run_algebra_checks() -> None:
     print("== Lie (super)algebra axioms, symbolic in q ==")
-    for name, w in (("B", Window(3, 3) if fast else Window(4, 4)),
-                    ("S", Window(2, 2) if fast else Window(3, 3))):
+    for name, w in (("B", Window(4, 4)), ("S", Window(3, 3))):
         alg = builtin_algebra(name, None)
         t0 = time.time()
         anti = verify_antisymmetry(alg, w)
@@ -78,9 +74,9 @@ def run_algebra_checks(fast: bool) -> None:
               f"{time.time() - t0:.1f}s)")
 
 
-def run_tp_checks(fast: bool) -> None:
+def run_tp_checks() -> None:
     print("== transposed Poisson structures ==")
-    w = Window(3, 4) if fast else Window(4, 6)
+    w = Window(4, 6)
     for structure, algname, q in (("trivial", "B", Q(1)),
                                   ("block_thalg", "B", Q(2)),
                                   ("super_full", "S", Q(0)),
@@ -97,9 +93,9 @@ def run_tp_checks(fast: bool) -> None:
               f"({time.time() - t0:.1f}s)")
 
 
-def run_hom_checks(fast: bool) -> None:
+def run_hom_checks() -> None:
     print("== Hom-Lie twists ==")
-    wB = Window(3, 4) if fast else Window(4, 6)
+    wB = Window(4, 6)
     B2 = builtin_algebra("B", Q(2))
     for expr in ("id", "alpha", "id + alpha", "shift"):
         t0 = time.time()
@@ -107,22 +103,19 @@ def run_hom_checks(fast: bool) -> None:
         print(f"  B(2) twist {expr!r} on {wB}: pass={rep.passed} "
               f"conventions={rep.notes['conventions']} ({time.time() - t0:.1f}s)")
     S2 = builtin_algebra("S", Q(2))
-    wS = Window(2, 3) if fast else Window(3, 5)
+    wS = Window(3, 5)
     t0 = time.time()
     rep = hom_jacobi_check(S2, parse_map_expr("gamma", S2, wS), wS)
     print(f"  S(2) twist 'gamma' on {wS}: pass={rep.passed} ({time.time() - t0:.1f}s)")
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fast", action="store_true",
-                        help="smaller windows, about four times faster")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
     t0 = time.time()
-    run_algebra_checks(args.fast)
-    run_classifications(args.fast)
-    run_tp_checks(args.fast)
-    run_hom_checks(args.fast)
+    run_algebra_checks()
+    run_classifications()
+    run_tp_checks()
+    run_hom_checks()
     print(f"total {time.time() - t0:.1f}s")
 
 

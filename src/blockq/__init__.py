@@ -6,23 +6,22 @@ verification, and Hom-Lie twisted Jacobi checks.
 """
 
 from .algebra import (EVEN, ODD, AlgebraSpec, BasisIndex, SparseVector,
-                      VerificationReport, Window, bracket_basis, bracket_vec,
-                      verify_antisymmetry, verify_jacobi)
+                      VerificationReport, Window, verify_antisymmetry,
+                      verify_jacobi)
 from .halfder import (ClassificationReport, ConstraintSystem, GradedMap,
                       MapDegree, NullSpaceBasis, build_constraints, builtin_map,
                       check_map, classify, half_derivation_system, null_space,
                       stabilize)
-from .scalars import Poly, RatFunc, Rational, Scalar, parse_q, specialize_q
+from .scalars import Poly, RatFunc, Scalar, parse_q
 from .specdsl import builtin_algebra, make_algebra, parse_spec, print_spec
 
 __all__ = [
     "EVEN", "ODD", "AlgebraSpec", "BasisIndex", "SparseVector",
-    "VerificationReport", "Window", "bracket_basis", "bracket_vec",
-    "verify_antisymmetry", "verify_jacobi",
+    "VerificationReport", "Window", "verify_antisymmetry", "verify_jacobi",
     "ClassificationReport", "ConstraintSystem", "GradedMap", "MapDegree",
     "NullSpaceBasis", "build_constraints", "builtin_map", "check_map",
     "classify", "half_derivation_system", "null_space", "stabilize",
-    "Poly", "RatFunc", "Rational", "Scalar", "parse_q", "specialize_q",
+    "Poly", "RatFunc", "Scalar", "parse_q",
     "builtin_algebra", "make_algebra", "parse_spec", "print_spec",
 ]
 

@@ -37,9 +37,10 @@ sign, so every triple walk takes one triple per multiset {x, y, z}
 (`triple_orbits`): the box proofs, and the total of a failing check.  Where
 it fails, a walk takes every triple.
 
-The exact brackets (`bracket_coeff`, `bracket_basis`, `bracket_vec`) lift
-single compiled constants back to `Fraction` or `RatFunc` values, so no rule
-is evaluated twice.  No suite calls them.
+The exact brackets (`bracket_coeff`, `bracket_basis`) lift single compiled
+constants back to `Fraction` or `RatFunc` values, so no rule is evaluated
+twice.  No command calls them: they stay for the benchmark's tracer (see
+`bracket_basis`) and the tests.
 """
 
 from __future__ import annotations
@@ -158,9 +159,6 @@ class SparseVector:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SparseVector) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -428,19 +426,13 @@ def bracket_coeff(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex) -> Scalar:
 
 
 def bracket_basis(alg: AlgebraSpec, x: BasisIndex, y: BasisIndex) -> SparseVector:
-    """[x, y] as a sparse vector (a single term, or empty when the coefficient vanishes)."""
+    """[x, y] as a sparse vector (a single term, or empty when the coefficient vanishes).
+
+    No command calls it.  It stays only because `perfbench/tracer.py` wraps
+    it by name and fails to install without it; it goes when the tracer
+    wraps what commands call (ROADMAP item 1).
+    """
     return SparseVector.basis(x.plus(y), bracket_coeff(alg, x, y))
-
-
-def bracket_vec(alg: AlgebraSpec, u: SparseVector, v: SparseVector) -> SparseVector:
-    """Bilinear extension of bracket_basis."""
-    out = SparseVector()
-    for kx, cx in u.entries.items():
-        for ky, cy in v.entries.items():
-            val = bracket_coeff(alg, kx, ky) * cx * cy
-            if val:
-                out.add_term(kx.plus(ky), val)
-    return out
 
 
 # --- verification reports ----------------------------------------------------

@@ -32,8 +32,6 @@ from typing import Iterable
 
 from .errors import DivisionByZero, ModeMismatch, ParseError, PoleAtQ0
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -327,13 +325,6 @@ def inv(a: Scalar) -> Scalar:
             raise DivisionByZero("inverse of zero")
         return 1 / a
     return a.inv()
-
-
-def specialize_q(x: RatFunc | Poly, q0: Fraction | int) -> Fraction:
-    """Evaluate a generic-mode scalar at an exact rational q0."""
-    if isinstance(x, Poly):
-        return x(q0)
-    return x.specialize(q0)
 
 
 def scalar_one(q: Fraction | None) -> Scalar:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .algebra import EVEN, ODD, AlgebraSpec, Monomials, Parity, parity_name
+from .algebra import _PARITY_VALUES, EVEN, ODD, AlgebraSpec, Monomials, Parity, parity_name
 from .errors import DuplicateRule, ParseError, UnknownAlgebra, UnknownVariable
 from .scalars import Tokens
 
@@ -222,7 +222,6 @@ class SpecFile:
     rules: tuple[RuleDecl, ...]
 
 
-_PARITY_WORDS = {"even": EVEN, "odd": ODD}
 _FLAG_WORDS = {"antisymmetric": False, "symmetric": True}
 
 
@@ -252,13 +251,13 @@ def parse_spec(text: str) -> SpecFile:
                                  col=1, expected=("super true", "super false"))
             is_super = words[1] == "true"
         elif head == "rule":
-            if len(words) < 4 or words[1] not in _PARITY_WORDS or words[2] not in _PARITY_WORDS:
+            if len(words) < 4 or words[1] not in _PARITY_VALUES or words[2] not in _PARITY_VALUES:
                 raise ParseError("malformed rule header", line=lineno, col=1,
                                  expected=("rule even even antisymmetric: EXPR",
                                            "rule even odd antisymmetric: EXPR",
                                            "rule odd odd symmetric: EXPR"))
-            left = _PARITY_WORDS[words[1]]
-            right = _PARITY_WORDS[words[2]]
+            left = _PARITY_VALUES[words[1]]
+            right = _PARITY_VALUES[words[2]]
             if (left, right) == (ODD, EVEN):
                 raise ParseError("rules use the canonical parity order", line=lineno,
                                  col=1, expected=("even odd",))

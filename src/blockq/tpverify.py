@@ -70,17 +70,16 @@ class ProductTable:
         return (EVEN, ODD) if self.is_super else (EVEN,)
 
     def put(self, x: BasisIndex, y: BasisIndex, value: SparseVector) -> None:
+        """Store x*y = value; a zero value stores nothing.  ValueError when the
+        pair already holds another value, a zero one included."""
         if (y, x) < (x, y):
             x, y = y, x
             if _swap_sign(x, y) < 0:
                 value = value.scale(from_fraction(-1, self.q))
-        if not value:
-            self.entries.pop((x, y), None)
-            return
-        cur = self.entries.get((x, y))
-        if cur is not None and cur != value:
+        if self.entries.get((x, y), value) != value:
             raise ValueError(f"conflicting entries for {x}*{y}")
-        self.entries[(x, y)] = value
+        if value:
+            self.entries[(x, y)] = value
 
     def product(self, x: BasisIndex, y: BasisIndex) -> SparseVector:
         v = self.entries.get((x, y))
@@ -131,6 +130,7 @@ class ProductTable:
                 raise ParseError(f"odd index {idx} in a product table whose 'super' is false")
             return idx
 
+        zeros: set[PairKey] = set()  # pairs given a zero value, which `put` stores nowhere
         for item in data["entries"]:
             if not (isinstance(item, dict) and "x" in item and "y" in item
                     and isinstance(item.get("value"), list)):
@@ -141,6 +141,11 @@ class ProductTable:
                 if not (isinstance(term, list) and len(term) == 4 and isinstance(term[3], str)):
                     raise ParseError(f"a value term is [parity, m, i, scalar text], got {term!r}")
                 vec.add_term(index(term[:3]), parse_scalar(term[3], q))
+            key = min((x, y), (y, x))
+            if vec and key in zeros:
+                raise ValueError(f"conflicting entries for {key[0]}*{key[1]}")
+            if not vec:
+                zeros.add(key)
             prod.put(x, y, vec)
         return prod
 

@@ -3,9 +3,10 @@ than the compiled layer.  `blockq` itself never runs them.
 
 The scalar builders (`antisymmetry_sides`, `jacobi_sides`,
 `half_derivation_sides`, `hom_cyclic_sum`, `hom_witness`, `apply_basis`) rebuild a witness's sides
-from the exact brackets (`bracket_basis`, `bracket_vec`); they are the
-reference for the witness strings, which the suites lift from their
-residuals' compiled values.  The enumerations (`*_by_enumeration`) walk
+from the exact brackets (`algebra.bracket_basis`, and `bracket_vec`, its
+bilinear extension, which only they use); they are the reference for the
+witness strings, which the suites lift from their residuals' compiled
+values.  The enumerations (`*_by_enumeration`) walk
 every case through `check_identity` with the suites' compiled residuals, no
 proof and no orbit count, and take their witnesses from the scalar
 builders, so a report compared with one also has its witnesses checked.
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from blockq.algebra import (BasisIndex, SparseVector, _antisymmetry_residual, _jacobi_residual,
-                            bracket_basis, bracket_coeff, bracket_vec, check_identity)
+                            bracket_basis, bracket_coeff, check_identity)
 from blockq.errors import BlockqError
 from blockq.halfder import (MapDegree, _rref_vectors, combo_apply, half_derivation_system,
                             null_space, stabilize)
@@ -74,6 +75,17 @@ def hom_jacobi_by_enumeration(alg, maps, w):
         "standard": report.passed,
         "literal": not any(literal(*t) for t in product(basis, repeat=3))}
     return report
+
+
+def bracket_vec(alg, u, v):
+    """Bilinear extension of `bracket_basis` to sparse vectors."""
+    out = SparseVector()
+    for kx, cx in u.entries.items():
+        for ky, cy in v.entries.items():
+            val = bracket_coeff(alg, kx, ky) * cx * cy
+            if val:
+                out.add_term(kx.plus(ky), val)
+    return out
 
 
 def antisymmetry_sides(alg, x, y):

@@ -16,7 +16,6 @@ from blockq.cli import main
 from blockq.errors import IntegralityViolation, WrongQ
 from blockq.halfder import (MapDegree, build_constraints, builtin_map, check_map,
                             classify, half_derivation_system, stabilize)
-from blockq.scalars import specialize_q
 from blockq.specdsl import (builtin_algebra, make_algebra, parse_spec,
                             print_spec, shipped_alg_text)
 from blockq.tpverify import (ProductTable, builtin_tp, left_mult_map,
@@ -250,7 +249,7 @@ def test_criterion_9_specialization_consistency():
                 fixed_rows = dict(zip(provenances(cs_fix), scalar_rows(cs_fix)))
                 assert set(fixed_rows) <= set(gen_rows)
                 for prov, row in gen_rows.items():
-                    spec = {u: specialize_q(v, q0) for u, v in row.items()}
+                    spec = {u: v.specialize(q0) for u, v in row.items()}
                     spec = {u: v for u, v in spec.items() if v}
                     if spec:
                         assert spec == fixed_rows[prov], (deg, q0, prov)

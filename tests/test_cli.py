@@ -206,6 +206,9 @@ class TestVerifyTp:
 
     def test_malformed_product_exit_two(self, tmp_path, capsys):
         entry = {"x": ["even", 0, 0], "y": ["even", 0, 0], "value": [["even", 0, 0, "1"]]}
+        # one pair given twice, the other value zero or not, in either order
+        twice = [[entry, {**entry, "value": v}]
+                 for v in ([], [["even", 0, 0, "0"]], [["even", 0, 0, "2"]])]
         path = tmp_path / "bad.json"
         for payload in ({}, [], {"super": False, "entries": [{**entry, "x": 5}]},
                         {"super": False, "entries": [{**entry, "value": [["even", 0, 0, 3]]}]},
@@ -218,7 +221,8 @@ class TestVerifyTp:
                                                       "value": [["odd", 1, 0, "1"]]}]},
                         # deep enough to overflow the Python stack
                         *({"super": False, "entries": [{**entry, "value": [["even", 0, 0, text]]}]}
-                          for text in ("(" * 246 + "1" + ")" * 246, "-" * 982 + "1"))):
+                          for text in ("(" * 246 + "1" + ")" * 246, "-" * 982 + "1")),
+                        *({"super": False, "entries": e} for t in twice for e in (t, t[::-1]))):
             path.write_text(json.dumps(payload))
             code = main(["verify-tp", "--json", str(path), "--algebra", "B", "--q", "1",
                          "--window", "2x2"])

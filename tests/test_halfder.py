@@ -22,7 +22,7 @@ from blockq.halfder import (ConstraintSystem, GradedMap, MapDegree, NullSpaceBas
                             _kernel, _rref_vectors, _shell_pairs, build_constraints,
                             builtin_map, check_map, classify, half_derivation_system,
                             null_space, shift_map, stabilize)
-from blockq.scalars import Coeffs, Poly, RatFunc, parse_scalar, scalar_one, specialize_q
+from blockq.scalars import Coeffs, Poly, RatFunc, parse_scalar, scalar_one
 from blockq.specdsl import builtin_algebra, make_algebra, parse_spec
 
 L = lambda m, i: BasisIndex(EVEN, m, i)
@@ -1580,7 +1580,7 @@ class TestSpecializationOfConstraints:
             fixed_rows = dict(zip(provenances(cs_fix), scalar_rows(cs_fix)))
             assert set(fixed_rows) <= set(provenances(cs_gen))
             for prov, row_g in zip(provenances(cs_gen), scalar_rows(cs_gen)):
-                spec = {u: specialize_q(v, q0) for u, v in row_g.items()}
+                spec = {u: v.specialize(q0) for u, v in row_g.items()}
                 spec = {u: v for u, v in spec.items() if v}
                 if spec:
                     assert spec == fixed_rows[prov]

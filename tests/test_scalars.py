@@ -11,8 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blockq.errors import DivisionByZero, ModeMismatch, ParseError, PoleAtQ0
-from blockq.scalars import (Coeffs, Poly, RatFunc, format_q, inv, parse_q,
-                            parse_scalar, specialize_q)
+from blockq.scalars import Coeffs, Poly, RatFunc, format_q, inv, parse_q, parse_scalar
 
 fractions_st = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 polys_st = st.lists(fractions_st, max_size=4).map(Poly)
@@ -130,16 +129,16 @@ class TestRatFunc:
 
 class TestSpecialize:
     def test_square_minus_one(self):
-        assert specialize_q(rf("q^2 - 1"), Fraction(3)) == 8
+        assert rf("q^2 - 1").specialize(Fraction(3)) == 8
 
     def test_pole(self):
         with pytest.raises(PoleAtQ0):
-            specialize_q(rf("1/(q - 2)"), Fraction(2))
+            rf("1/(q - 2)").specialize(Fraction(2))
 
     def test_bracket_coefficient_substitution(self):
         # n*(i+q) - m*(j+q) at (m,i,n,j) = (1,0,0,1) is -1-q
         x = rf("-1 - q")
-        assert specialize_q(x, Fraction(1)) == -2
+        assert x.specialize(Fraction(1)) == -2
 
     @given(a=ratfuncs_st, b=ratfuncs_st,
            q0=st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(-3),
@@ -147,8 +146,8 @@ class TestSpecialize:
     @settings(max_examples=60, deadline=None)
     def test_ring_homomorphism(self, a, b, q0):
         assume(a.den(q0) != 0 and b.den(q0) != 0)
-        assert specialize_q(a + b, q0) == specialize_q(a, q0) + specialize_q(b, q0)
-        assert specialize_q(a * b, q0) == specialize_q(a, q0) * specialize_q(b, q0)
+        assert (a + b).specialize(q0) == a.specialize(q0) + b.specialize(q0)
+        assert (a * b).specialize(q0) == a.specialize(q0) * b.specialize(q0)
 
 
 class TestFieldAxioms:

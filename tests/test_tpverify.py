@@ -276,3 +276,14 @@ class TestJsonRoundtrip:
                      "value": [["even", 1, 0, "2"]]}]}
         with pytest.raises(ValueError):
             ProductTable.from_json(data, Fraction(0))
+
+    def test_pair_given_twice_with_the_same_value_accepted(self):
+        # another value, zero or not, is a conflict (tests/test_cli.py);
+        # the swapped order of two odd factors carries the sign -1
+        odd = [{"x": ["odd", 0, 0], "y": ["odd", 1, 0], "value": [["even", 1, 0, "1"]]},
+               {"x": ["odd", 1, 0], "y": ["odd", 0, 0], "value": [["even", 1, 0, "-1"]]}]
+        prod = ProductTable.from_json({"super": True, "entries": odd * 2}, Fraction(0))
+        assert prod.entries == {(G(0, 0), G(1, 0)): vec(L(1, 0))}
+        zero = {"x": ["even", 0, 0], "y": ["even", 1, 0], "value": [["even", 1, 0, "0"]]}
+        prod = ProductTable.from_json({"super": False, "entries": [zero, zero]}, Fraction(0))
+        assert prod.entries == {}

@@ -16,11 +16,11 @@ from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
-from oracles import (antisymmetry_sides, apply_basis, half_derivation_sides, hom_cyclic_sum,
-                     jacobi_sides)
+from oracles import (antisymmetry_sides, apply_basis, bracket_vec, half_derivation_sides,
+                     hom_cyclic_sum, jacobi_sides)
 
 from blockq.algebra import (EVEN, MAX_REPORT_VIOLATIONS, BasisIndex, SparseVector,
-                            Window, _ViolationLog, bracket_basis, bracket_vec,
+                            Window, _ViolationLog, bracket_basis,
                             verify_antisymmetry, verify_jacobi)
 from blockq.cli import parse_map_expr
 from blockq.halfder import check_map, shift_map
